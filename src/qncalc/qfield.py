@@ -5,15 +5,21 @@ integer-coefficient polynomials in q kept in a canonical form, so that two
 scalars are equal iff their stored tuples are identical.  Canonical form
 means
 
-* numerator and denominator share no polynomial factor (gcd over the
-  rationals is cancelled),
+* numerator and denominator share no polynomial factor (their gcd, from a
+  primitive pseudo-remainder sequence over the integers, is cancelled),
 * the integer contents of numerator and denominator are coprime,
 * the denominator's leading coefficient is positive,
 * the denominator is never the zero polynomial.
 
 Polynomials are little-endian integer tuples (index = power of q) with no
-trailing zeros; ``()`` is the zero polynomial.  All arithmetic is exact;
-no floating point appears anywhere.
+trailing zeros; ``()`` is the zero polynomial.  All arithmetic is exact
+and integer-only; no floating point or rational number appears (except in
+the evaluations :meth:`Scalar.eval_q1` and :meth:`Scalar.evaluate`).
+
+Canonicalization and multiplication are memoized in bounded
+``functools.lru_cache`` tables, which are thread-safe.  A memo only saves
+work: results do not depend on what it holds, and equal products share
+one immutable :class:`Scalar`.
 
 Scalars are immutable values and safe to share between threads.  The text
 syntax for scalar literals (integers, ``q``, ``+ - * / ^``, parentheses)
@@ -23,6 +29,7 @@ is implemented by :mod:`qncalc.dsl`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 __all__ = [
@@ -110,25 +117,50 @@ def _is_monomial(a):
 
 
 def _pdiv_exact(a, g):
-    """Exact division of integer polynomials; caller guarantees divisibility."""
+    """Exact division of integer polynomials; raises on any remainder."""
     if not a:
         return ()
-    fa = [Fraction(c) for c in a]
-    quot = [Fraction(0)] * (len(fa) - len(g) + 1)
-    lead = Fraction(g[-1])
+    r = list(a)
+    lead, dg = g[-1], len(g) - 1
+    quot = [0] * (len(r) - dg)
     for i in range(len(quot) - 1, -1, -1):
-        coef = fa[i + len(g) - 1] / lead
-        quot[i] = coef
+        coef, rem = divmod(r[i + dg], lead)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
         if coef:
+            quot[i] = coef
             for j, cg in enumerate(g):
-                fa[i + j] -= coef * cg
-    if any(fa) or any(c.denominator != 1 for c in quot):
+                r[i + j] -= coef * cg
+    if any(r):
         raise ArithmeticError("inexact polynomial division")
-    return _pstrip(tuple(int(c) for c in quot))
+    return _pstrip(quot)
+
+
+def _pprem_primitive(a, b):
+    """Primitive part of a pseudo-remainder of a by b (deg a >= deg b)."""
+    r = list(a)
+    lb, db = b[-1], len(b) - 1
+    while len(r) > db:
+        lr = r[-1]
+        g = _int_gcd(lr, lb)
+        ma, mb = lb // g, lr // g
+        off = len(r) - 1 - db
+        r = [c * ma for c in r]
+        for j, cb in enumerate(b):
+            r[off + j] -= mb * cb
+        while r and not r[-1]:
+            r.pop()
+    c = _pcontent(r)
+    return tuple(x // c for x in r) if c > 1 else tuple(r)
 
 
 def _pgcd(a, b):
-    """Full gcd (content times primitive part), positive leading coefficient."""
+    """Full gcd (content times primitive part), positive leading coefficient.
+
+    A primitive pseudo-remainder sequence over Z (Brown 1971): every
+    remainder is divided by its content, which keeps coefficient growth in
+    check without any rational arithmetic.
+    """
     if not a:
         return _positive_lead(b)
     if not b:
@@ -139,38 +171,13 @@ def _pgcd(a, b):
     if _is_monomial(a) or _is_monomial(b):
         k = min(_pval(a), _pval(b))
         return _pshift((c,), k)
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while fb and any(fb):
-        fa, fb = fb, _pmod(fa, fb)
-    # primitivize fa back to integers
-    den = 1
-    for x in fa:
-        den = den * x.denominator // _int_gcd(den, x.denominator)
-    ints = [int(x * den) for x in fa]
-    g = _pcontent(ints)
-    prim = tuple(x // g for x in ints)
-    return _positive_lead(_pmul(prim, (c,)))
-
-
-def _pmod(fa, fb):
-    fa = list(fa)
-    while fa and not fa[-1]:
-        fa.pop()
-    fb = list(fb)
-    while fb and not fb[-1]:
-        fb.pop()
-    lead = fb[-1]
-    while len(fa) >= len(fb):
-        coef = fa[-1] / lead
-        off = len(fa) - len(fb)
-        for j, cg in enumerate(fb):
-            fa[off + j] -= coef * cg
-        while fa and not fa[-1]:
-            fa.pop()
-        if not fa:
-            break
-    return fa
+    a = tuple(x // ca for x in a)
+    b = tuple(x // cb for x in b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _pprem_primitive(a, b)
+    return _positive_lead(tuple(c * x for x in a))
 
 
 def _positive_lead(a):
@@ -293,7 +300,7 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(_pmul(self._n, o._n), _pmul(self._d, o._d))
+        return _product(self._n, self._d, o._n, o._d)
 
     __rmul__ = __mul__
 
@@ -303,7 +310,7 @@ class Scalar:
             return NotImplemented
         if o.is_zero:
             raise DivisionByZeroError("scalar division by zero")
-        return Scalar(_pmul(self._n, o._d), _pmul(self._d, o._n))
+        return _product(self._n, self._d, o._d, o._n)
 
     def __rtruediv__(self, other):
         o = Scalar._coerce(other)
@@ -392,6 +399,11 @@ class Scalar:
         return f"Scalar({self})"
 
 
+# Bound of each memo; verify-paper needs about 3.3k entries in the larger.
+_MEMO_SIZE = 1 << 15
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
 def _canonical(n, d):
     if not d:
         raise DivisionByZeroError("zero denominator")
@@ -404,6 +416,12 @@ def _canonical(n, d):
     if d[-1] < 0:
         n, d = _pneg(n), _pneg(d)
     return n, d
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _product(an, ad, bn, bd):
+    """The scalar (an/ad) * (bn/bd); equal products share one object."""
+    return Scalar(_pmul(an, bn), _pmul(ad, bd))
 
 
 Q = Scalar.q_power(1)

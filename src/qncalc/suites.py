@@ -126,9 +126,9 @@ def suite_confluence(cfg: SuiteConfig) -> list:
         residual=str(conf.unresolved[0].residual) if conf.unresolved else None,
         details=f"{len(conf.pairs)} critical pairs, "
                 f"{len(conf.unresolved)} unresolved"))
-    if p.name == "glq2-left":
+    if p is preset("glq2-left"):
         checks += _cubic_chain_checks(p)
-    n_words, seeds = (200, 5) if p.name == "glq2" else (50, 2)
+    n_words, seeds = (200, 5) if p is preset("glq2") else (50, 2)
     rng = random.Random(cfg.seed)
     letters = [g.name for g in p.generators]
     agree = 0
@@ -202,7 +202,7 @@ def suite_rtt(cfg: SuiteConfig) -> list:
     checks = [Check.of(not bad, f"rtt[{p.name}]", "eq-2.4",
                        residual=str(next(iter(bad.values()))) if bad else None,
                        details="all 16 components vanish")]
-    if p.name == "glq2":
+    if p is preset("glq2"):
         free = free_presentation("a", "b", "c", "d")
         comp = rmatrix.rtt_residual(rmatrix.standard_r(), free)[(1, 1, 1, 2)]
         expected = Element.term(_q(-1), ("a", "b")) - Element.word("b", "a")

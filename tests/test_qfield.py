@@ -2,10 +2,12 @@
 
 The independent oracle for symbolic identities is exact evaluation at
 rational sample points (Fractions), which exercises none of the
-canonicalization code paths being tested.
+canonicalization code paths being tested.  The canonical form itself is
+compared with sympy's ``cancel`` where sympy is installed.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from qncalc.qfield import (
     DivisionByZeroError,
     PoleAtOneError,
     Scalar,
+    _pdiv_exact,
 )
 
 SAMPLE_POINTS = [Fraction(3, 2), Fraction(7, 5), Fraction(-4, 3), Fraction(11, 7)]
@@ -63,6 +66,16 @@ def test_equality_is_canonical_identity():
 def test_zero_denominator_rejected():
     with pytest.raises(DivisionByZeroError):
         Scalar((1,), ())
+
+
+def test_exact_division_rejects_remainder():
+    assert _pdiv_exact((-1, 0, 1), (-1, 1)) == (1, 1)      # (q^2 - 1)/(q - 1)
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact((1, 0, 1), (1, 1))                     # remainder 2
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact((1, 2), (2,))                          # quotient not integral
+    with pytest.raises(ArithmeticError):
+        _pdiv_exact((1,), (1, 1))                          # divisor of higher degree
 
 
 # -- arithmetic: spec examples ------------------------------------------------
@@ -170,6 +183,40 @@ def test_arithmetic_matches_pointwise_oracle(x, y):
                 assert (x / y).evaluate(pt) == vx / vy
         except DivisionByZeroError:
             continue  # a random denominator vanishes at this sample point
+
+
+# -- differential oracle: sympy's cancel ------------------------------------
+
+def _convention(num, den):
+    """sympy's big-endian rational coefficients as qncalc stores them:
+    little-endian integer tuples with coprime contents and a positive
+    leading denominator coefficient."""
+    coefs = [Fraction(int(c.p), int(c.q)) for c in num[::-1] + den[::-1]]
+    scale = lcm(*(c.denominator for c in coefs))
+    ints = [int(c * scale) for c in coefs]
+    content = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    ints = [c // content for c in ints]
+    return tuple(ints[:len(num)]), tuple(ints[len(num):])
+
+
+def _polys(max_deg=8, max_coef=50):
+    coefs = st.integers(min_value=-max_coef, max_value=max_coef)
+    return st.lists(coefs, min_size=1, max_size=max_deg + 1).filter(any)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(), _polys(), _polys())
+def test_canonical_form_matches_sympy_cancel(a, b, g):
+    # n = a g and d = b g share the planted factor g (and whatever a, b share)
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    pa, pb, pg = (sympy.Poly(c[::-1], q) for c in (a, b, g))
+    n = tuple(int(c) for c in (pa * pg).all_coeffs()[::-1])
+    d = tuple(int(c) for c in (pb * pg).all_coeffs()[::-1])
+    num, den = sympy.fraction(sympy.cancel((pa * pg).as_expr() / (pb * pg).as_expr()))
+    want = _convention(sympy.Poly(num, q).all_coeffs(), sympy.Poly(den, q).all_coeffs())
+    s = Scalar(n, d)
+    assert (s.num, s.den) == want
 
 
 # -- printing -----------------------------------------------------------------

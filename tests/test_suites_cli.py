@@ -12,6 +12,7 @@ from qncalc.suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
 
 SCHEMA = json.loads(Path(__file__).resolve().parent.parent.joinpath(
     "docs", "report-schema.json").read_text())
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def test_suite_names_stable():
@@ -61,6 +62,17 @@ def test_report_determinism():
                 c["ms"] = 0.0
     assert ja == jb
     assert ja["seed"] == 7
+
+
+def test_verify_paper_matches_golden_report():
+    # a speed change must leave the full report identical apart from timing
+    golden = json.loads(DATA.joinpath("verify_paper_seed7.json").read_text())
+    rep = run_all(seed=7).to_json()
+    for s in rep["suites"]:
+        for c in s["checks"]:
+            c["ms"] = 0.0
+    assert rep == golden
+    assert rep["counts"] == {"pass": 185, "fail": 0, "mismatch": 6, "skipped": 0}
 
 
 def test_exit_code_logic():
@@ -127,6 +139,22 @@ def test_cli_check_user_file(tmp_path):
     f = tmp_path / "plane.preset"
     f.write_text(src.read_text())
     assert main(["check", "--file", str(f), "--suite", "confluence"]) == 0
+
+
+@pytest.mark.parametrize("name", ["glq2-left", "glq2"])
+def test_cli_check_user_file_with_builtin_name(tmp_path, name):
+    # preset-specific checks follow the built-in object, not its name
+    src = Path(__file__).resolve().parent.parent / "docs" / "examples" / "wz-plane.preset"
+    f = tmp_path / "plane.preset"
+    f.write_text(src.read_text().replace("name wz-plane", f"name {name}"))
+    report = tmp_path / "r.json"
+    assert main(["check", "--file", str(f), "--suite", "confluence",
+                 "--report", str(report)]) == 0
+    checks = json.loads(report.read_text())["suites"][0]["checks"]
+    assert [c["name"] for c in checks] == [
+        f"validate[{name}]", f"local-confluence[{name}]",
+        f"strategy-independence[{name}]"]
+    assert "50 random words" in checks[-1]["details"]
 
 
 def test_cli_export_roundtrip(tmp_path, capsys):
