@@ -38,6 +38,7 @@ from .ncalg import (
     RewriteRule,
     TerminationOrder,
     UnknownGeneratorError,
+    add_scaled,
     normal_words,
     normalize,
     validate_presentation,
@@ -203,35 +204,51 @@ def diff_structure(preset_id: str) -> DiffStructure:
 
 def apply_delta(x: Element, d: DiffStructure, p: Presentation,
                 budget: int = DEFAULT_STEP_BUDGET) -> Element:
-    """Graded-derivation extension of the generator differentials."""
-    out = Element.zero()
+    """Graded-derivation extension of the generator differentials.
+
+    Every Leibniz term ``word[:i] + image-word + word[i+1:]`` is written
+    straight into one coefficient dict, which is normalized once under a
+    single step budget.
+    """
+    out: dict = {}
+    left = d.side == "left"
     for word, coef in x.items():
         for i, g in enumerate(word):
             img = d.images.get(g)
             if img is None:
                 raise UnknownGeneratorError(g)
-            if img.is_zero:
-                continue
-            if d.side == "left":
-                sign = -1 if p.word_parity(word[i + 1:]) else 1
-            else:
-                sign = -1 if p.word_parity(word[:i]) else 1
-            term = _w(*word[:i]) * img * _w(*word[i + 1:]) if word[:i] or word[i + 1:] \
-                else img
-            out = out + term.scale(coef if sign > 0 else -coef)
-    return normalize(out, p, budget)
+            prefix, suffix = word[:i], word[i + 1:]
+            odd = p.word_parity(suffix if left else prefix)
+            add_scaled(out, ((prefix + w_ + suffix, c) for w_, c in img.items()),
+                       -coef if odd else coef)
+    return normalize(Element(out, _trusted=True), p, budget)
 
 
 def check_nilpotent(d: DiffStructure, p: Presentation, max_degree: int = 4) -> Check:
-    """d(d(w)) = 0 for every normal-form word of total degree <= max_degree."""
+    """d(d(w)) = 0 for every normal-form word of total degree <= max_degree.
+
+    d is linear and its values are normal forms, so d(d(w)) is the sum of
+    coef * d(v) over the words v of d(w).  d(v) is memoized per word for
+    this call only: the words of d(w) recur across the corpus, and many
+    are corpus words themselves.
+    """
+    memo: dict = {}
+
+    def delta(word):
+        hit = memo.get(word)
+        if hit is None:
+            hit = memo[word] = apply_delta(Element({word: ONE}, _trusted=True), d, p)
+        return hit
+
     count = 0
     for word in normal_words(p, max_degree):
-        once = apply_delta(_w(*word) if word else Element.unit(), d, p)
-        twice = apply_delta(once, d, p)
-        if not twice.is_zero:
+        acc: dict = {}
+        for v, coef in delta(word).items():
+            add_scaled(acc, delta(v).items(), coef)
+        if acc:
             return Check.failed(
                 f"nilpotent[{p.name}]", "eq-2.15",
-                residual=str(twice),
+                residual=str(Element(acc, _trusted=True)),
                 details=f"d^2 != 0 on {'.'.join(word) or '1'}")
         count += 1
     return Check.passed(f"nilpotent[{p.name}]", "eq-2.15",
@@ -587,29 +604,22 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation,
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-_COMPONENT_CACHE: dict = {}
-
-
-def _word_components(pid: str, word) -> dict:
-    key = (pid, word)
-    hit = _COMPONENT_CACHE.get(key)
-    if hit is None:
-        hit = vector_field_components(_w(*word) if word else Element.unit(),
-                                      diff_structure(pid), preset(pid))
-        _COMPONENT_CACHE[key] = hit
-    return hit
-
-
-def _apply_basic_field(x: Element, k: int, pid: str) -> Element:
-    out = Element.zero()
+def _apply_basic_field(x: Element, k: int, d: DiffStructure, p: Presentation,
+                       memo: dict) -> Element:
+    """The k-th basic field on x; ``memo`` maps a word to its components."""
+    out: dict = {}
     for word, coef in x.items():
-        comp = _word_components(pid, word).get(k)
+        comps = memo.get(word)
+        if comps is None:
+            comps = memo[word] = vector_field_components(
+                Element({word: ONE}, _trusted=True), d, p)
+        comp = comps.get(k)
         if comp is not None:
-            out = out + comp.scale(coef)
-    return out
+            add_scaled(out, comp.items(), coef)
+    return Element(out, _trusted=True)
 
 
-def _hatted(pid: str, side: str) -> dict:
+def _hatted(side: str) -> dict:
     shrink = _q(2) if side == "left" else _q(-2)
     return {
         "h1": ((ONE, 1), (-shrink, 4)),
@@ -617,19 +627,21 @@ def _hatted(pid: str, side: str) -> dict:
     }
 
 
-def _apply_op(x: Element, op: str, pid: str, side: str) -> Element:
+def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
+              memo: dict) -> Element:
     if op.startswith("h"):
         out = Element.zero()
-        for coef, k in _hatted(pid, side)[op]:
-            out = out + _apply_basic_field(x, k, pid).scale(coef)
+        for coef, k in _hatted(d.side)[op]:
+            out = out + _apply_basic_field(x, k, d, p, memo).scale(coef)
         return out
-    return _apply_basic_field(x, int(op), pid)
+    return _apply_basic_field(x, int(op), d, p, memo)
 
 
-def _apply_ops(x: Element, ops, pid: str, side: str) -> Element:
-    seq = ops if side == "left" else tuple(reversed(ops))
+def _apply_ops(x: Element, ops, d: DiffStructure, p: Presentation,
+               memo: dict) -> Element:
+    seq = ops if d.side == "left" else tuple(reversed(ops))
     for op in seq:
-        x = _apply_op(x, op, pid, side)
+        x = _apply_op(x, op, d, p, memo)
         if x.is_zero:
             break
     return x
@@ -687,19 +699,23 @@ VECTOR_RELATIONS = {
 def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
                          max_degree: int = 3) -> list:
     """Evaluate each relation on every even normal-form monomial of
-    degree <= max_degree under the frozen composition convention."""
+    degree <= max_degree under the frozen composition convention.
+
+    The components of d(word) are memoized per word for this call only.
+    """
     pid = p.name
     corpus = list(normal_words(p, max_degree, alphabet=p.even_names()))
+    memo: dict = {}
     checks = []
     for rel in relations:
         bad = None
         for word in corpus:
-            f = _w(*word) if word else Element.unit()
+            f = Element({word: ONE}, _trusted=True)
             acc = Element.zero()
             for coef, ops in rel.lhs:
-                acc = acc + _apply_ops(f, ops, pid, d.side).scale(coef)
+                acc = acc + _apply_ops(f, ops, d, p, memo).scale(coef)
             for coef, ops in rel.rhs:
-                acc = acc - _apply_ops(f, ops, pid, d.side).scale(coef)
+                acc = acc - _apply_ops(f, ops, d, p, memo).scale(coef)
             if not acc.is_zero:
                 bad = (word, acc)
                 break

@@ -381,9 +381,10 @@ class Presentation:
         self.parity = {g.name: g.parity for g in self.generators}
         self.precedence = {g.name: g.precedence for g in self.generators}
         self._by_first = {}
+        self._by_pair = {}
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
-        self._max_lhs = max((len(r.lhs) for r in self.rules), default=0)
+            self._by_pair.setdefault(r.lhs[:2], []).append(r)
         self._nf_cache: dict = {}
 
     # -- generator helpers ----------------------------------------------------
@@ -417,16 +418,17 @@ class Presentation:
     # -- rewriting ------------------------------------------------------------
 
     def find_redex(self, word: Word):
-        by_first = self._by_first
-        n = len(word)
-        for i in range(n):
-            rules = by_first.get(word[i])
-            if not rules:
-                continue
-            for r in rules:
-                L = r.lhs
-                if n - i >= len(L) and word[i:i + len(L)] == L:
-                    return i, r
+        """Leftmost redex, first matching rule in rule order; rules are
+        indexed by their first two letters, so a LHS shorter than 2 (which
+        :func:`validate_presentation` rejects) never matches."""
+        by_pair = self._by_pair
+        for i in range(len(word) - 1):
+            rules = by_pair.get(word[i:i + 2])
+            if rules:
+                for r in rules:
+                    L = r.lhs
+                    if word[i:i + len(L)] == L:
+                        return i, r
         return None
 
     def all_redexes(self, word: Word):
@@ -460,7 +462,7 @@ class Presentation:
                 continue
             m = self.find_redex(cur)
             if m is None:
-                cache[cur] = Element.word(*cur) if cur else Element.unit()
+                cache[cur] = Element({cur: ONE}, _trusted=True)
                 stack.pop()
                 continue
             i, rule = m
@@ -470,10 +472,10 @@ class Presentation:
             if missing:
                 stack.extend(missing)
                 continue
-            acc = Element.zero()
+            acc: dict = {}
             for w, c in children:
-                acc = acc + cache[w].scale(c)
-            cache[cur] = acc
+                add_scaled(acc, cache[w].items(), c)
+            cache[cur] = Element(acc, _trusted=True)
             stack.pop()
         return cache[word]
 
@@ -491,14 +493,20 @@ def normalize(x: Element, p: Presentation, budget: int = DEFAULT_STEP_BUDGET) ->
     out: dict = {}
     for w, c in x.items():
         p.check_word(w)
-        for w2, c2 in p.word_normal_form(w, steps).items():
-            s = out.get(w2)
-            s = c * c2 if s is None else s + c * c2
-            if s.is_zero:
-                out.pop(w2, None)
-            else:
-                out[w2] = s
+        add_scaled(out, p.word_normal_form(w, steps).items(), c)
     return Element(out, _trusted=True)
+
+
+def add_scaled(out: dict, terms, coef: Scalar) -> None:
+    """``out += coef * terms`` on a word -> Scalar dict, keeping zero
+    coefficients absent; ``terms`` yields (word, Scalar) pairs."""
+    for w, c in terms:
+        s = out.get(w)
+        s = coef * c if s is None else s + coef * c
+        if s.is_zero:
+            out.pop(w, None)
+        else:
+            out[w] = s
 
 
 def mul(x: Element, y: Element, p: Presentation,
@@ -633,17 +641,7 @@ def normal_words(p: Presentation, max_len: int,
         for w in level:
             for g in letters:
                 w2 = w + (g,)
-                # w is normal, so any redex in w2 must end at the last letter
-                reducible = False
-                for L in range(2, min(p._max_lhs, len(w2)) + 1):
-                    tail = w2[-L:]
-                    for r in p._by_first.get(tail[0], ()):
-                        if r.lhs == tail:
-                            reducible = True
-                            break
-                    if reducible:
-                        break
-                if not reducible:
+                if p.is_normal(w2):
                     nxt.append(w2)
                     yield w2
         level = nxt

@@ -419,6 +419,17 @@ _MATRIX = {
 }
 
 
+def _timed(name: str, cfg: SuiteConfig) -> list:
+    """Run one suite; checks without their own time share its wall time."""
+    t0 = time.perf_counter()
+    checks = SUITES[name](cfg)
+    ms = (time.perf_counter() - t0) * 1000.0
+    for c in checks:
+        if not c.ms:
+            c.ms = round(ms / max(len(checks), 1), 3)
+    return checks
+
+
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run the requested suites against one preset (or a user file)."""
     names = config.suites or SUITE_NAMES
@@ -435,13 +446,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             report.suites.append(Suite(name, _skip(
                 name, "user presentations run the confluence suite only")))
             continue
-        t0 = time.perf_counter()
-        checks = SUITES[name](config)
-        ms = (time.perf_counter() - t0) * 1000.0
-        for c in checks:
-            if not c.ms:
-                c.ms = round(ms / max(len(checks), 1), 3)
-        report.suites.append(Suite(name, checks))
+        report.suites.append(Suite(name, _timed(name, config)))
     return report
 
 
@@ -454,12 +459,6 @@ def run_all(seed: int = 2024, max_degree: int = 0) -> SuiteReport:
         for pid in _MATRIX[name]:
             cfg = SuiteConfig(preset=pid or "glq2", suites=(name,),
                               max_degree=max_degree, seed=seed)
-            t0 = time.perf_counter()
-            checks = SUITES[name](cfg)
-            ms = (time.perf_counter() - t0) * 1000.0
-            for c in checks:
-                if not c.ms:
-                    c.ms = round(ms / max(len(checks), 1), 3)
             label = name if pid is None else f"{name}@{pid}"
-            report.suites.append(Suite(label, checks))
+            report.suites.append(Suite(label, _timed(name, cfg)))
     return report

@@ -7,6 +7,7 @@ import pytest
 from qncalc.calculus import (
     CALCULUS_PRESETS,
     VECTOR_RELATIONS,
+    DiffStructure,
     apply_delta,
     check_nilpotent,
     check_vector_algebra,
@@ -23,7 +24,10 @@ from qncalc.calculus import (
 )
 from qncalc.ncalg import (
     Element,
+    Presentation,
+    StepBudgetExceededError,
     check_local_confluence,
+    normal_words,
     normalize,
     validate_presentation,
 )
@@ -84,10 +88,70 @@ def test_delta_respects_every_rule(pid):
         assert c.status == "pass", (pid, c.name, c.residual)
 
 
+def product_expansion(x, d, p):
+    """d(x) built from Element products prefix * d(g) * suffix, normalized
+    once: the reference for :func:`apply_delta`."""
+    out = Element.zero()
+    for word, coef in x.items():
+        for i, g in enumerate(word):
+            if d.side == "left":
+                sign = -1 if p.word_parity(word[i + 1:]) else 1
+            else:
+                sign = -1 if p.word_parity(word[:i]) else 1
+            term = w(*word[:i]) * d.images[g] * w(*word[i + 1:])
+            out = out + term.scale(coef if sign > 0 else -coef)
+    return normalize(out, p)
+
+
+@pytest.mark.parametrize("pid", CALCULUS_PRESETS)
+def test_apply_delta_matches_product_expansion(pid):
+    p, d = preset(pid), diff_structure(pid)
+    for word in normal_words(p, 3):
+        x = Element.term(ONE, word)
+        once = apply_delta(x, d, p)
+        assert once == product_expansion(x, d, p), word
+        assert apply_delta(once, d, p) == product_expansion(once, d, p), word
+
+
+# normal words of degree <= 3 per preset: the checked corpus must not shrink
+NILPOTENT_WORDS_DEGREE_3 = {
+    "glq2-left": 220, "slq2-left": 88, "qplane-left-b0": 38, "qplane-left-c0": 38,
+    "glq2-right": 220, "slq2-right": 88, "qplane-right-b0": 38, "qplane-right-c0": 38,
+}
+
+
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_nilpotency_degree_three(pid):
     c = check_nilpotent(diff_structure(pid), preset(pid), 3)
     assert c.status == "pass", c.details
+    assert c.details == (f"d^2 = 0 on {NILPOTENT_WORDS_DEGREE_3[pid]} normal words, "
+                         f"degree <= 3")
+
+
+def test_nilpotency_reports_broken_differential():
+    # flipping the sign of d(tht4) breaks d^2 = 0; the memoized check must
+    # report the first failing word with the full residual d(d(word))
+    pid = "glq2-left"
+    p, good = preset(pid), diff_structure(pid)
+    bad = DiffStructure("left", {**good.images, "tht4": -good.images["tht4"]})
+    def twice(word):
+        return product_expansion(product_expansion(Element.term(ONE, word), bad, p), bad, p)
+
+    c = check_nilpotent(bad, p, 3)
+    assert c.status == "fail"
+    first = next(word for word in normal_words(p, 3) if not twice(word).is_zero)
+    assert c.details == f"d^2 != 0 on {'.'.join(first)}"
+    assert c.residual == str(twice(first))
+
+
+def test_delta_budget_holds_after_nilpotency_check():
+    pid = "glq2-left"
+    p, d = preset(pid), diff_structure(pid)
+    assert check_nilpotent(d, p).status == "pass"
+    fresh = Presentation(p.name, p.generators, p.order, p.rules,
+                         form_position=p.form_position)
+    with pytest.raises(StepBudgetExceededError):
+        apply_delta(w("b.a"), d, fresh, budget=2)
 
 
 @pytest.mark.parametrize("pid", ("glq2-left", "slq2-left", "glq2-right", "slq2-right"))

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from qncalc.calculus import CALCULUS_PRESETS, diff_presentation
 from qncalc.ncalg import (
     Element,
     Generator,
@@ -24,7 +25,7 @@ from qncalc.ncalg import (
     random_strategy_normalize,
     validate_presentation,
 )
-from qncalc.presentations import preset, preset_without_rule
+from qncalc.presentations import PRESET_IDS, preset, preset_without_rule
 from qncalc.qfield import ONE, Scalar
 
 q = Scalar.q_power
@@ -187,6 +188,29 @@ def test_random_strategy_corpus_glq2():
         expected = normalize(w(*word), p)
         for seed in range(5):
             assert random_strategy_normalize(w(*word), p, seed) == expected
+
+
+def _shared_prefix_presentation():
+    # two LHS share their first two letters, so in-position rule order matters
+    gens = [Generator(n, 0, i) for i, n in enumerate("xyz")]
+    rules = [RewriteRule(("x", "y", "z"), w("z"), "long"),
+             RewriteRule(("x", "y"), w("y", "x"), "short"),
+             RewriteRule(("z", "x", "y"), w("x"), "other")]
+    return Presentation("shared-prefix", gens, TerminationOrder("deglex"), rules)
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS + tuple(f"{c}-diff" for c in CALCULUS_PRESETS)
+                         + ("shared-prefix",))
+def test_find_redex_is_first_of_all_redexes(pid):
+    # the pair-indexed leftmost redex agrees with the independent scan
+    if pid == "shared-prefix":
+        p = _shared_prefix_presentation()
+    else:
+        p = diff_presentation(pid) if pid.endswith("-diff") else preset(pid)
+    for word in random_words(p, random.Random(31), 200, 6):
+        everything = p.all_redexes(word)
+        want = (everything[0][0], everything[0][2]) if everything else None
+        assert p.find_redex(word) == want, word
 
 
 # -- termination orders ----------------------------------------------------------
