@@ -12,7 +12,8 @@ Reports are JSON (schema in ``docs/report-schema.json``).  ``--report``
 writes to the given path; a relative path is resolved against
 ``$QNCALC_REPORT_DIR`` when that is set.  Exit code 0 means every check
 passed (mismatching printed-equation regressions count as failures
-unless ``--allow-mismatch`` is given).
+unless ``--allow-mismatch`` is given).  Bad input and an exceeded step
+budget print ``error: ...`` and exit 2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .calculus import CALCULUS_PRESETS, diff_presentation
 from .dsl import DslError, export_presentation, parse_expression, parse_presentation
-from .ncalg import normalize
+from .ncalg import StepBudgetExceededError, normalize
 from .presentations import PRESET_IDS, preset
 from .suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
 
@@ -86,12 +87,7 @@ def cmd_list_presets(args) -> int:
 
 def cmd_normalize(args) -> int:
     p, _ = _resolve_presentation(args)
-    try:
-        x = parse_expression(args.expr, p)
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(normalize(x, p))
+    print(normalize(parse_expression(args.expr, p), p))
     return 0
 
 
@@ -175,7 +171,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DslError as exc:
+    except (DslError, StepBudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

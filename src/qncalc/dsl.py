@@ -17,7 +17,9 @@ Presentation files are line oriented::
     # comments run to end of line
 
 Parsed presentations are validated (orientation, parity, generator
-references) before being returned.
+references) before being returned.  Bad input of any kind, division by
+zero, over-deep nesting and oversized literals or powers included, is
+rejected with a :class:`DslError` that carries its line and column.
 """
 
 from __future__ import annotations
@@ -54,6 +56,22 @@ class DslError(ValueError):
         super().__init__(f"{message}{where}")
 
 
+# Bounds on expression input, checked before any work is done.
+_MAX_NESTING = 100     # parenthesis depth; each level is five Python frames
+_MAX_DIGITS = 1000     # digits of one integer literal
+_MAX_POWER = 500       # |k| * _growth(s) for s ^ k; keeps one power under ~1 s
+
+
+def _growth(s: Scalar) -> int:
+    """Size added per unit of exponent in a power of ``s``: the larger of
+    its degree and ceil(log2) of the absolute coefficient sum of its
+    numerator or denominator (a bound on the bits p^k gains per power,
+    since every coefficient of p^k is at most that sum to the k)."""
+    degree = max(len(s.num), len(s.den)) - 1
+    norm = max(sum(abs(c) for c in s.num), sum(abs(c) for c in s.den))
+    return max(degree, (norm - 1).bit_length())
+
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([().+\-*/^]))")
 
 
@@ -68,6 +86,9 @@ def _tokenize(text, line=None):
                                line, pos + 1)
             break
         if m.group(1):
+            if len(m.group(1)) > _MAX_DIGITS:
+                raise DslError(f"integer literal longer than {_MAX_DIGITS} digits",
+                               line, m.start(1) + 1)
             out.append(("int", int(m.group(1)), m.start(1)))
         elif m.group(2):
             out.append(("ident", m.group(2), m.start(2)))
@@ -78,23 +99,27 @@ def _tokenize(text, line=None):
 
 
 class _ExprParser:
-    def __init__(self, tokens, names, line=None):
-        self.toks = tokens
+    def __init__(self, text, names, line):
+        self.toks = _tokenize(text, line)
+        self.end = len(text)      # column of the end of input
         self.i = 0
+        self.depth = 0
         self.names = names
         self.line = line
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, None)
+        return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.end)
 
     def take(self):
         tok = self.peek()
         self.i += 1
         return tok
 
-    def error(self, msg):
-        _, _, col = self.peek()
-        raise DslError(msg, self.line, (col + 1) if col is not None else None)
+    def error(self, msg, col=None):
+        """Raise at ``col`` (0-based), by default the next token's."""
+        if col is None:
+            col = self.peek()[2]
+        raise DslError(msg, self.line, col + 1)
 
     def parse(self) -> Element:
         out = self.expr()
@@ -122,42 +147,52 @@ class _ExprParser:
                 out = out * self.unary()
             elif kind == "op" and val == "/":
                 self.take()
-                div = self.unary()
-                try:
-                    out = out.scale(ONE / div.as_scalar())
-                except ValueError:
-                    self.error("division requires a scalar divisor")
+                col = self.peek()[2]
+                div = self.scalar(self.unary(), "division requires a scalar divisor",
+                                  col)
+                if div.is_zero:
+                    self.error("division by zero", col)
+                out = out.scale(ONE / div)
             elif kind in ("int", "ident") or (kind == "op" and val == "("):
                 out = out * self.unary()
             else:
                 return out
 
     def unary(self) -> Element:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.take()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        out = self.power()
+        return -out if negate else out
 
     def power(self) -> Element:
+        col = self.peek()[2]
         base = self.primary()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+        if self.peek()[:2] != ("op", "^"):
+            return base
+        self.take()
+        sign = 1
+        if self.peek()[:2] == ("op", "-"):
             self.take()
-            sign = 1
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "-":
-                self.take()
-                sign = -1
-            kind, val, _ = self.peek()
-            if kind != "int":
-                self.error("integer exponent expected after '^'")
-            self.take()
-            try:
-                return Element.term(base.as_scalar() ** (sign * val), ())
-            except ValueError:
-                self.error("'^' requires a scalar base")
-        return base
+            sign = -1
+        kind, k, _ = self.peek()
+        if kind != "int":
+            self.error("integer exponent expected after '^'")
+        self.take()
+        s = self.scalar(base, "'^' requires a scalar base", col)
+        if k * _growth(s) > _MAX_POWER:
+            self.error(f"power too large (exponent times base size exceeds "
+                       f"{_MAX_POWER})", col)
+        if sign < 0 and s.is_zero:
+            self.error("division by zero: negative power of 0", col)
+        return Element.term(s ** (sign * k), ())
+
+    def scalar(self, x: Element, msg, col) -> Scalar:
+        try:
+            return x.as_scalar()
+        except ValueError:
+            self.error(msg, col)
 
     def primary(self) -> Element:
         kind, val, _ = self.peek()
@@ -165,8 +200,12 @@ class _ExprParser:
             self.take()
             return Element.term(Scalar.from_int(val), ())
         if kind == "op" and val == "(":
+            if self.depth == _MAX_NESTING:
+                self.error(f"parentheses nested deeper than {_MAX_NESTING}")
             self.take()
+            self.depth += 1
             out = self.expr()
+            self.depth -= 1
             kind, val, _ = self.peek()
             if not (kind == "op" and val == ")"):
                 self.error("')' expected")
@@ -206,10 +245,10 @@ def _namespace(p) -> frozenset:
     return frozenset(p)
 
 
-def parse_expression(text: str, p=None, line=None) -> Element:
+def parse_expression(text: str, p=None, line=1) -> Element:
     """Parse an element expression (unnormalized) against a presentation
-    or an iterable of generator names."""
-    return _ExprParser(_tokenize(text, line), _namespace(p), line).parse()
+    or an iterable of generator names; ``line`` is reported in errors."""
+    return _ExprParser(text, _namespace(p), line).parse()
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -266,7 +305,7 @@ def parse_presentation(text: str) -> Presentation:
                 raise DslError("expected: rule <word> -> <expression>", lineno)
             lhs_text, rhs_text = rest.split("->", 1)
             names = frozenset(g.name for g in gens)
-            lhs_parser = _ExprParser(_tokenize(lhs_text.strip(), lineno), names, lineno)
+            lhs_parser = _ExprParser(lhs_text.strip(), names, lineno)
             lhs = lhs_parser.word()
             if lhs_parser.peek()[0] is not None:
                 raise DslError("rule LHS must be a single dotted word", lineno)

@@ -72,7 +72,9 @@ class Element:
         if terms is None:
             object.__setattr__(self, "_terms", {})
         elif _trusted:
-            object.__setattr__(self, "_terms", dict(terms))
+            # a dict of canonical, nonzero coefficients that the caller has
+            # just built and hands over: it is kept, not copied
+            object.__setattr__(self, "_terms", terms)
         else:
             clean = {}
             for w, c in terms.items():
@@ -351,19 +353,40 @@ class ConfluenceReport:
         return not self.unresolved
 
 
+class _NormalForm(Element):
+    """A cached word normal form and its cost: the size of the word's
+    leftmost rewrite tree (1 for a normal word)."""
+
+    __slots__ = ("cost",)
+
+    def __init__(self, terms: dict, cost: int):
+        super().__init__(terms, _trusted=True)
+        self.cost = cost
+
+
 class _Steps:
+    """Step budget of one rewriting call.
+
+    Each word normal form is charged its cost (see
+    :meth:`Presentation.word_normal_form`) whether or not it was cached, so
+    whether a budget trips does not depend on what ran before.
+    """
+
     __slots__ = ("count", "budget")
 
     def __init__(self, budget):
         self.count = 0
         self.budget = budget
 
-    def tick(self, presentation):
-        self.count += 1
+    def charge(self, cost, presentation):
+        self.count += cost
         if self.count > self.budget:
-            raise StepBudgetExceededError(
-                f"step budget {self.budget} exceeded while normalizing under "
-                f"{presentation!r}; the rule set may not terminate")
+            self.exceeded(presentation)
+
+    def exceeded(self, presentation):
+        raise StepBudgetExceededError(
+            f"step budget {self.budget} exceeded while normalizing under "
+            f"{presentation!r}; the rule set may not terminate")
 
 
 class Presentation:
@@ -449,20 +472,36 @@ class Presentation:
         return self.find_redex(word) is None
 
     def word_normal_form(self, word: Word, steps: _Steps) -> Element:
+        """Normal form of ``word``, charged to ``steps`` at its cost on a
+        cache hit as on a miss.  The cost is 1 for a normal word, else 1
+        plus the costs of the children of its leftmost rewrite.
+
+        A miss gives up once it has pushed more words than the budget has
+        left.  Each push is a node of the rewrite tree, so this never trips
+        below the charge, and it still stops rules that do not terminate.
+        """
+        hit = self._nf_cache.get(word)
+        if hit is None:
+            self._fill(word, steps)
+            hit = self._nf_cache[word]
+        steps.charge(hit.cost, self.name)
+        return hit
+
+    def _fill(self, word: Word, steps: _Steps) -> None:
         cache = self._nf_cache
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
+        room = steps.budget - steps.count
         stack = [word]
+        pushed = 1
         while stack:
-            steps.tick(self.name)
+            if pushed > room:
+                steps.exceeded(self.name)
             cur = stack[-1]
             if cur in cache:
                 stack.pop()
                 continue
             m = self.find_redex(cur)
             if m is None:
-                cache[cur] = Element({cur: ONE}, _trusted=True)
+                cache[cur] = _NormalForm({cur: ONE}, 1)
                 stack.pop()
                 continue
             i, rule = m
@@ -471,13 +510,16 @@ class Presentation:
             missing = [w for w, _ in children if w not in cache]
             if missing:
                 stack.extend(missing)
+                pushed += len(missing)
                 continue
             acc: dict = {}
+            cost = 1
             for w, c in children:
-                add_scaled(acc, cache[w].items(), c)
-            cache[cur] = Element(acc, _trusted=True)
+                nf = cache[w]
+                add_scaled(acc, nf.items(), c)
+                cost += nf.cost
+            cache[cur] = _NormalForm(acc, cost)
             stack.pop()
-        return cache[word]
 
     def __repr__(self):
         return f"Presentation({self.name!r}, {len(self.rules)} rules)"

@@ -16,10 +16,10 @@ trailing zeros; ``()`` is the zero polynomial.  All arithmetic is exact
 and integer-only; no floating point or rational number appears (except in
 the evaluations :meth:`Scalar.eval_q1` and :meth:`Scalar.evaluate`).
 
-Canonicalization and multiplication are memoized in bounded
+Canonicalization, addition and multiplication are memoized in bounded
 ``functools.lru_cache`` tables, which are thread-safe.  A memo only saves
-work: results do not depend on what it holds, and equal products share
-one immutable :class:`Scalar`.
+work: results do not depend on what it holds, and equal sums and
+products share one immutable :class:`Scalar`.
 
 Scalars are immutable values and safe to share between threads.  The text
 syntax for scalar literals (integers, ``q``, ``+ - * / ^``, parentheses)
@@ -276,8 +276,7 @@ class Scalar:
         o = Scalar._coerce(other)
         if o is None:
             return NotImplemented
-        return Scalar(_padd(_pmul(self._n, o._d), _pmul(o._n, self._d)),
-                      _pmul(self._d, o._d))
+        return _sum(self._n, self._d, o._n, o._d)
 
     __radd__ = __add__
 
@@ -422,6 +421,12 @@ def _canonical(n, d):
 def _product(an, ad, bn, bd):
     """The scalar (an/ad) * (bn/bd); equal products share one object."""
     return Scalar(_pmul(an, bn), _pmul(ad, bd))
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _sum(an, ad, bn, bd):
+    """The scalar an/ad + bn/bd; equal sums share one object."""
+    return Scalar(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
 
 
 Q = Scalar.q_power(1)

@@ -154,6 +154,16 @@ def test_delta_budget_holds_after_nilpotency_check():
         apply_delta(w("b.a"), d, fresh, budget=2)
 
 
+def test_delta_budget_is_independent_of_the_memo():
+    pid = "glq2-left"
+    p, d = preset(pid), diff_structure(pid)
+    with pytest.raises(StepBudgetExceededError):
+        apply_delta(w("b.a"), d, p, budget=2)
+    assert check_nilpotent(d, p).status == "pass"
+    with pytest.raises(StepBudgetExceededError):
+        apply_delta(w("b.a"), d, p, budget=2)
+
+
 @pytest.mark.parametrize("pid", ("glq2-left", "slq2-left", "glq2-right", "slq2-right"))
 def test_maurer_cartan_plus_closure(pid):
     for c in maurer_cartan_check(pid):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qncalc.dsl import (
     DslError,
@@ -68,6 +69,86 @@ def test_parse_expression_errors():
         parse_expression("a ^ 2", p)             # non-scalar base
     with pytest.raises(DslError):
         parse_expression("q +", p)
+
+
+# -- bad input: always a positioned DslError ------------------------------------------
+
+@pytest.mark.parametrize("text, column", [("1/0", 3), ("0^-1", 1), ("a.d/(q-q)", 5)])
+def test_division_by_zero_is_positioned_error(text, column):
+    with pytest.raises(DslError, match="division by zero") as info:
+        parse_expression(text, preset("glq2"))
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+def test_nesting_depth_bound():
+    assert parse_scalar("(" * 100 + "q" + ")" * 100) == q(1)
+    for depth in (101, 400):
+        with pytest.raises(DslError, match="nested deeper than 100") as info:
+            parse_scalar("(" * depth + "q" + ")" * depth)
+        assert info.value.column == 101
+
+
+def test_long_unary_minus_chain_parses_without_recursion():
+    assert parse_scalar("-" * 2000 + "q") == q(1)
+    assert parse_scalar("-" * 2001 + "q") == -q(1)
+
+
+def test_oversized_integer_literal_rejected():
+    big = "9" * 1000
+    assert parse_scalar(big) == Scalar.from_int(int(big))
+    for digits in (1001, 5000):
+        with pytest.raises(DslError, match="longer than 1000 digits") as info:
+            parse_scalar("1 + " + "9" * digits)
+        assert (info.value.line, info.value.column) == (1, 5)
+
+
+def test_power_bound_checked_before_computing():
+    # the bound is |exponent| * max(degree, ceil(log2 |coefficient sum|)) <= 500
+    assert parse_scalar("q^500") == q(500)
+    assert parse_scalar("q^-500") == q(-500)
+    assert parse_scalar("3^250") == Scalar.from_int(3 ** 250)
+    assert parse_scalar("1^123456789123456789") == ONE
+    for text in ("q^501", "q^-501", "3^251", "(1 + q)^501", "((q^999)^999)^999"):
+        with pytest.raises(DslError, match="power too large"):
+            parse_scalar(text)
+
+
+def test_cli_reports_bad_expression_without_traceback(capsys):
+    from qncalc.cli import main
+    for expr in ("1/0", "(" * 400 + "1" + ")" * 400, "9" * 5000, "q^501"):
+        assert main(["normalize", "--preset", "glq2", "--expr", expr]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(line 1, column " in err
+
+
+def test_cli_reports_exceeded_step_budget_without_traceback(capsys):
+    # d^7 a^7 has a leftmost rewrite tree of 1,362,944 nodes under glq2,
+    # more than the default budget of 10^6 steps
+    from qncalc.cli import main
+    expr = ".".join("d" * 7 + "a" * 7)
+    assert main(["normalize", "--preset", "glq2", "--expr", expr]) == 2
+    assert capsys.readouterr().err.startswith("error: step budget 1000000 exceeded")
+
+
+# expression characters, presentation-file fragments, then arbitrary text
+_EXPR_CHARS = "0123456789q()+-*/^. ad"
+_LINE_FRAGMENTS = ["\n", "#", "->", "b.c", "x", "rule ", "gen ", " parity even",
+                   " parity odd", "order migration left", "extends glq2", "name n"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.text(alphabet=_EXPR_CHARS, max_size=30),
+    st.lists(st.sampled_from(list(_EXPR_CHARS) + _LINE_FRAGMENTS), max_size=30).map("".join),
+    st.text(max_size=60)))
+def test_dsl_raises_only_dsl_error(text):
+    for parse in (lambda: parse_expression(text, preset("glq2")),
+                  lambda: parse_expression(text, ()),
+                  lambda: parse_presentation(text)):
+        try:
+            parse()
+        except DslError:
+            pass
 
 
 def test_element_str_reparses():

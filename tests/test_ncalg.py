@@ -124,6 +124,43 @@ def test_step_budget_enforced():
             p.name, p.generators, p.order, p.rules), budget=2)
 
 
+def _tree_size(p, word):
+    """Nodes of the leftmost rewrite tree of ``word``, by plain recursion."""
+    m = p.find_redex(word)
+    if m is None:
+        return 1
+    i, rule = m
+    return 1 + sum(_tree_size(p, word[:i] + v + word[i + len(rule.lhs):])
+                   for v in rule.rhs.words())
+
+
+@pytest.mark.parametrize("pid", ("glq2", "glq2-left-diff", "qplane-right-b0-diff"))
+def test_step_charge_is_rewrite_tree_size_cold_or_warm(pid):
+    shared = preset(pid) if pid in PRESET_IDS else diff_presentation(pid[:-5])
+    rng = random.Random(11)
+    for _ in range(20):
+        # at most one odd generator: words with more expand far beyond this test
+        word = [rng.choice(shared.even_names()) for _ in range(rng.randint(2, 4))]
+        if shared.odd_names():
+            word.insert(rng.randint(0, len(word)), rng.choice(shared.odd_names()))
+        word = tuple(word)
+        size = _tree_size(shared, word)
+        fresh = Presentation(shared.name, shared.generators, shared.order, shared.rules)
+        for p in (fresh, fresh, shared):        # cold, then warm memos
+            assert normalize(w(*word), p, budget=size) == normalize(w(*word), shared)
+            with pytest.raises(StepBudgetExceededError):
+                normalize(w(*word), p, budget=size - 1)
+
+
+def test_step_budget_stops_non_terminating_rules():
+    gens = [Generator("x", 0, 0), Generator("y", 0, 1)]
+    loop = Presentation("loop", gens, TerminationOrder("deglex"), [
+        RewriteRule(("y", "x"), w("x.y")), RewriteRule(("x", "y"), w("y.x"))])
+    for budget in (1, 2, 1000):
+        with pytest.raises(StepBudgetExceededError):
+            normalize(w("x.y"), loop, budget=budget)
+
+
 # -- invariants ----------------------------------------------------------------
 
 def test_normalize_idempotent_and_linear():

@@ -6,6 +6,7 @@ canonicalization code paths being tested.  The canonical form itself is
 compared with sympy's ``cancel`` where sympy is installed.
 """
 
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -19,7 +20,10 @@ from qncalc.qfield import (
     DivisionByZeroError,
     PoleAtOneError,
     Scalar,
+    _canonical,
+    _padd,
     _pdiv_exact,
+    _pmul,
 )
 
 SAMPLE_POINTS = [Fraction(3, 2), Fraction(7, 5), Fraction(-4, 3), Fraction(11, 7)]
@@ -217,6 +221,65 @@ def test_canonical_form_matches_sympy_cancel(a, b, g):
     want = _convention(sympy.Poly(num, q).all_coeffs(), sympy.Poly(den, q).all_coeffs())
     s = Scalar(n, d)
     assert (s.num, s.den) == want
+
+
+# -- memoized addition ---------------------------------------------------------
+
+def _reference_sum(a, b):
+    """(num, den) of a + b by cross-multiplication, with no memo at all."""
+    return _canonical.__wrapped__(
+        _padd(_pmul(a.num, b.den), _pmul(b.num, a.den)), _pmul(a.den, b.den))
+
+
+def _random_pairs(seed, count):
+    """Operand pairs over shared, monomial and non-monomial denominators,
+    with cancelling sums among them."""
+    rng = random.Random(seed)
+
+    def poly(deg):
+        p = [rng.randint(-6, 6) for _ in range(deg + 1)]
+        p[-1] = p[-1] or 1
+        return tuple(p)
+
+    def scalar(den):
+        return Scalar(poly(rng.randint(0, 3)), den)
+
+    for _ in range(count):
+        kind = rng.randrange(5)
+        a = scalar(poly(rng.randint(0, 3)))
+        if kind == 0:                      # shared denominator
+            b = scalar(a.den)
+        elif kind == 1:                    # monomial denominators c q^k
+            a = scalar((0,) * rng.randint(0, 3) + (rng.randint(1, 4),))
+            b = scalar((0,) * rng.randint(0, 3) + (rng.randint(1, 4),))
+        elif kind == 2:                    # non-monomial denominators
+            b = scalar(poly(rng.randint(1, 3)))
+        elif kind == 3:                    # cancels to zero
+            b = -a
+        else:                              # cancels the denominator away
+            b = scalar((1,)) - a
+        yield a, b
+
+
+def test_sum_matches_unmemoized_cross_multiplication():
+    points = SAMPLE_POINTS[:3]
+    for a, b in _random_pairs(seed=4, count=400):
+        s = a + b
+        assert (s.num, s.den) == _reference_sum(a, b)
+        for pt in points:
+            try:
+                want = a.evaluate(pt) + b.evaluate(pt)
+            except DivisionByZeroError:
+                continue  # a random denominator vanishes at this sample point
+            assert s.evaluate(pt) == want
+
+
+def test_equal_sums_share_one_object():
+    for a, b in _random_pairs(seed=5, count=100):
+        a2 = Scalar(a.num, a.den)          # equal operands, other objects
+        assert a2 is not a
+        assert a + b is a2 + b
+        assert (a - b) is (a2 - b)
 
 
 # -- printing -----------------------------------------------------------------
