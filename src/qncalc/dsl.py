@@ -18,8 +18,9 @@ Presentation files are line oriented::
 
 Parsed presentations are validated (orientation, parity, generator
 references) before being returned.  Bad input of any kind, division by
-zero, over-deep nesting and oversized literals or powers included, is
-rejected with a :class:`DslError` that carries its line and column.
+zero, over-deep nesting and oversized literals, powers or products
+included, is rejected with a :class:`DslError`; one raised inside an
+expression carries its line and column.
 """
 
 from __future__ import annotations
@@ -59,49 +60,61 @@ class DslError(ValueError):
 # Bounds on expression input, checked before any work is done.
 _MAX_NESTING = 100     # parenthesis depth; each level is five Python frames
 _MAX_DIGITS = 1000     # digits of one integer literal
-_MAX_POWER = 500       # |k| * _growth(s) for s ^ k; keeps one power under ~1 s
+_MAX_POWER = 500       # |k| * _scalar_size(s) for s ^ k; keeps one power under ~1 s
+_MAX_PRODUCT = 4000    # sum of the factors' sizes in one product: a bound on
+                       # the product's _scalar_size (a 1000-digit literal is 3322)
+                       # that keeps coefficients far below Python's
+                       # 4300-digit limit on printing an int
 
 
-def _growth(s: Scalar) -> int:
-    """Size added per unit of exponent in a power of ``s``: the larger of
-    its degree and ceil(log2) of the absolute coefficient sum of its
-    numerator or denominator (a bound on the bits p^k gains per power,
-    since every coefficient of p^k is at most that sum to the k)."""
-    degree = max(len(s.num), len(s.den)) - 1
-    norm = max(sum(abs(c) for c in s.num), sum(abs(c) for c in s.den))
-    return max(degree, (norm - 1).bit_length())
+def _scalar_size(s: Scalar) -> int:
+    """Size of ``s``: the larger of its degree and ceil(log2) of the
+    absolute coefficient sum of its numerator or denominator.  It bounds
+    what each unit of exponent adds to a power of ``s`` (every coefficient
+    of p^k is at most that sum to the k), and the size of a product is at
+    most the sum of its factors' sizes."""
+    norm = max(sum(map(abs, s.num)), sum(map(abs, s.den)))
+    return max(len(s.num) - 1, len(s.den) - 1, (norm - 1).bit_length())
+
+
+def _size(x: Element) -> int:
+    """Largest :func:`_scalar_size` of a coefficient of ``x``."""
+    return max((_scalar_size(c) for _, c in x.items() if c is not ONE), default=0)
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([().+\-*/^]))")
 
 
-def _tokenize(text, line=None):
+def _tokenize(text, line=None, offset=0):
+    """(kind, value, position) tokens; positions are 0-based and count
+    ``offset`` characters before ``text``."""
     pos = 0
     out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise DslError(f"bad character {text[pos:].strip()[0]!r}",
-                               line, pos + 1)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise DslError(f"bad character {rest[0]!r}", line,
+                               offset + len(text) - len(rest) + 1)
             break
         if m.group(1):
             if len(m.group(1)) > _MAX_DIGITS:
                 raise DslError(f"integer literal longer than {_MAX_DIGITS} digits",
-                               line, m.start(1) + 1)
-            out.append(("int", int(m.group(1)), m.start(1)))
+                               line, offset + m.start(1) + 1)
+            out.append(("int", int(m.group(1)), offset + m.start(1)))
         elif m.group(2):
-            out.append(("ident", m.group(2), m.start(2)))
+            out.append(("ident", m.group(2), offset + m.start(2)))
         else:
-            out.append(("op", m.group(3), m.start(3)))
+            out.append(("op", m.group(3), offset + m.start(3)))
         pos = m.end()
     return out
 
 
 class _ExprParser:
-    def __init__(self, text, names, line):
-        self.toks = _tokenize(text, line)
-        self.end = len(text)      # column of the end of input
+    def __init__(self, text, names, line, offset=0):
+        self.toks = _tokenize(text, line, offset)
+        self.end = offset + len(text.rstrip())     # position of the end of input
         self.i = 0
         self.depth = 0
         self.names = names
@@ -115,11 +128,10 @@ class _ExprParser:
         self.i += 1
         return tok
 
-    def error(self, msg, col=None):
-        """Raise at ``col`` (0-based), by default the next token's."""
-        if col is None:
-            col = self.peek()[2]
-        raise DslError(msg, self.line, col + 1)
+    def error(self, msg, at=None):
+        """Raise at the token with index ``at``, by default the next one."""
+        tok = self.peek() if at is None else self.toks[at]
+        raise DslError(msg, self.line, tok[2] + 1)
 
     def parse(self) -> Element:
         out = self.expr()
@@ -139,38 +151,42 @@ class _ExprParser:
                 return out
 
     def term(self) -> Element:
-        out = self.unary()
+        out, size = self.unary()
         while True:
             kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
+            if kind == "op" and val in "*/":
                 self.take()
-                out = out * self.unary()
-            elif kind == "op" and val == "/":
-                self.take()
-                col = self.peek()[2]
-                div = self.scalar(self.unary(), "division requires a scalar divisor",
-                                  col)
-                if div.is_zero:
-                    self.error("division by zero", col)
-                out = out.scale(ONE / div)
-            elif kind in ("int", "ident") or (kind == "op" and val == "("):
-                out = out * self.unary()
-            else:
+            elif not (kind in ("int", "ident") or (kind == "op" and val == "(")):
                 return out
+            at = self.i
+            factor, factor_size = self.unary()
+            size += factor_size
+            if size > _MAX_PRODUCT:
+                self.error(f"product too large (factor sizes add up to more than "
+                           f"{_MAX_PRODUCT})", at)
+            if val == "/":
+                div = self.scalar(factor, "division requires a scalar divisor", at)
+                if div.is_zero:
+                    self.error("division by zero", at)
+                out = out.scale(ONE / div)
+            else:
+                out = out * factor
 
-    def unary(self) -> Element:
+    # unary, power and primary return a factor and a bound on its _size
+
+    def unary(self):
         negate = False
         while self.peek()[:2] == ("op", "-"):
             self.take()
             negate = not negate
-        out = self.power()
-        return -out if negate else out
+        out, size = self.power()
+        return (-out if negate else out), size
 
-    def power(self) -> Element:
-        col = self.peek()[2]
-        base = self.primary()
+    def power(self):
+        at = self.i
+        base, size = self.primary()
         if self.peek()[:2] != ("op", "^"):
-            return base
+            return base, size
         self.take()
         sign = 1
         if self.peek()[:2] == ("op", "-"):
@@ -180,25 +196,26 @@ class _ExprParser:
         if kind != "int":
             self.error("integer exponent expected after '^'")
         self.take()
-        s = self.scalar(base, "'^' requires a scalar base", col)
-        if k * _growth(s) > _MAX_POWER:
+        s = self.scalar(base, "'^' requires a scalar base", at)
+        size = k * _scalar_size(s)
+        if size > _MAX_POWER:
             self.error(f"power too large (exponent times base size exceeds "
-                       f"{_MAX_POWER})", col)
+                       f"{_MAX_POWER})", at)
         if sign < 0 and s.is_zero:
-            self.error("division by zero: negative power of 0", col)
-        return Element.term(s ** (sign * k), ())
+            self.error("division by zero: negative power of 0", at)
+        return Element.term(s ** (sign * k), ()), size
 
-    def scalar(self, x: Element, msg, col) -> Scalar:
+    def scalar(self, x: Element, msg, at) -> Scalar:
         try:
             return x.as_scalar()
         except ValueError:
-            self.error(msg, col)
+            self.error(msg, at)
 
-    def primary(self) -> Element:
+    def primary(self):
         kind, val, _ = self.peek()
         if kind == "int":
             self.take()
-            return Element.term(Scalar.from_int(val), ())
+            return Element.term(Scalar.from_int(val), ()), (val - 1).bit_length()
         if kind == "op" and val == "(":
             if self.depth == _MAX_NESTING:
                 self.error(f"parentheses nested deeper than {_MAX_NESTING}")
@@ -210,12 +227,12 @@ class _ExprParser:
             if not (kind == "op" and val == ")"):
                 self.error("')' expected")
             self.take()
-            return out
+            return out, _size(out)
         if kind == "ident":
             if val == "q":
                 self.take()
-                return Element.term(Scalar.q_power(1), ())
-            return Element.word(*self.word())
+                return Element.term(Scalar.q_power(1), ()), 1
+            return Element.word(*self.word()), 0
         self.error("expression expected")
 
     def word(self):
@@ -303,13 +320,15 @@ def parse_presentation(text: str) -> Presentation:
         elif head == "rule":
             if "->" not in rest:
                 raise DslError("expected: rule <word> -> <expression>", lineno)
-            lhs_text, rhs_text = rest.split("->", 1)
+            arrow = rest.index("->")
+            # where ``rest`` starts in the raw line, so columns count from there
+            start = re.match(r"\s*\S+\s+", raw).end()
             names = frozenset(g.name for g in gens)
-            lhs_parser = _ExprParser(lhs_text.strip(), names, lineno)
+            lhs_parser = _ExprParser(rest[:arrow], names, lineno, start)
             lhs = lhs_parser.word()
             if lhs_parser.peek()[0] is not None:
-                raise DslError("rule LHS must be a single dotted word", lineno)
-            rhs = parse_expression(rhs_text.strip(), names, lineno)
+                lhs_parser.error("rule LHS must be a single dotted word")
+            rhs = _ExprParser(rest[arrow + 2:], names, lineno, start + arrow + 2).parse()
             rules.append(RewriteRule(lhs, rhs, f"user:{lineno}"))
         else:
             raise DslError(f"unknown directive {head!r}", lineno)

@@ -354,14 +354,42 @@ class ConfluenceReport:
 
 
 class _NormalForm(Element):
-    """A cached word normal form and its cost: the size of the word's
-    leftmost rewrite tree (1 for a normal word)."""
+    """A cached word normal form, linked to the normal forms of the words
+    its leftmost rewrite produces.
 
-    __slots__ = ("cost",)
+    ``kids`` is None for a normal word, the one normal form itself when
+    the rewrite produces one word (as most rules do), else a tuple.
+    ``cost`` is the number of distinct words in the rewrite closure, or
+    None until it is first needed.  The closure of a one-kid word is the
+    word plus its kid's closure (cached words never rewrite back to
+    themselves), so its cost follows from the kid's when that is known.
+    """
 
-    def __init__(self, terms: dict, cost: int):
+    __slots__ = ("kids", "cost")
+
+    def __init__(self, terms: dict, kids=None):
         super().__init__(terms, _trusted=True)
-        self.cost = cost
+        self.kids = kids
+        if kids is None:
+            self.cost = 1
+        elif isinstance(kids, _NormalForm) and kids.cost is not None:
+            self.cost = kids.cost + 1
+        else:
+            self.cost = None
+
+    def closure_size(self) -> int:
+        """Number of distinct normal forms reachable through ``kids``."""
+        seen = {id(self)}
+        todo = [self]
+        while todo:
+            kids = todo.pop().kids
+            if kids is None:
+                continue
+            for nf in (kids if isinstance(kids, tuple) else (kids,)):
+                if id(nf) not in seen:
+                    seen.add(id(nf))
+                    todo.append(nf)
+        return len(seen)
 
 
 class _Steps:
@@ -473,53 +501,80 @@ class Presentation:
 
     def word_normal_form(self, word: Word, steps: _Steps) -> Element:
         """Normal form of ``word``, charged to ``steps`` at its cost on a
-        cache hit as on a miss.  The cost is 1 for a normal word, else 1
-        plus the costs of the children of its leftmost rewrite.
-
-        A miss gives up once it has pushed more words than the budget has
-        left.  Each push is a node of the rewrite tree, so this never trips
-        below the charge, and it still stops rules that do not terminate.
+        cache hit as on a miss.  The cost is the number of distinct words
+        in the word's rewrite closure: the word and, recursively, the
+        words its leftmost rewrite produces.  A cold miss computes exactly
+        these words once each.
         """
         hit = self._nf_cache.get(word)
         if hit is None:
             self._fill(word, steps)
             hit = self._nf_cache[word]
-        steps.charge(hit.cost, self.name)
+        cost = hit.cost
+        if cost is None:
+            cost = hit.cost = hit.closure_size()
+        steps.charge(cost, self.name)
         return hit
 
+    def _rewrite(self, word: Word):
+        """(word, coefficient) pairs of the leftmost rewrite of ``word``,
+        or None if it is normal."""
+        m = self.find_redex(word)
+        if m is None:
+            return None
+        i, rule = m
+        prefix, suffix = word[:i], word[i + len(rule.lhs):]
+        return [(prefix + w + suffix, c) for w, c in rule.rhs.items()]
+
     def _fill(self, word: Word, steps: _Steps) -> None:
+        """Cache the normal forms of ``word`` and the uncached words of its
+        rewrite closure, depth first.
+
+        Every word pushed is a distinct uncached word of the closure, so
+        giving up once more words have been pushed than the budget has
+        left never trips below the charge, and it still stops rules that
+        grow words forever.  A word that rewrites back to one still on the
+        path never terminates, whatever the budget.
+        """
         cache = self._nf_cache
         room = steps.budget - steps.count
-        stack = [word]
-        pushed = 1
-        while stack:
-            if pushed > room:
-                steps.exceeded(self.name)
-            cur = stack[-1]
-            if cur in cache:
-                stack.pop()
-                continue
-            m = self.find_redex(cur)
-            if m is None:
-                cache[cur] = _NormalForm({cur: ONE}, 1)
-                stack.pop()
-                continue
-            i, rule = m
-            prefix, suffix = cur[:i], cur[i + len(rule.lhs):]
-            children = [(prefix + w + suffix, c) for w, c in rule.rhs.items()]
-            missing = [w for w, _ in children if w not in cache]
-            if missing:
-                stack.extend(missing)
-                pushed += len(missing)
-                continue
-            acc: dict = {}
-            cost = 1
-            for w, c in children:
-                nf = cache[w]
-                add_scaled(acc, nf.items(), c)
-                cost += nf.cost
-            cache[cur] = _NormalForm(acc, cost)
-            stack.pop()
+        path = []
+        on_path = set()
+        pushed = 0
+        nxt = word
+        while True:
+            if nxt is not None:
+                if nxt in on_path:
+                    raise StepBudgetExceededError(
+                        f"{'.'.join(nxt)} rewrites back to itself under "
+                        f"{self.name!r}; the rule set does not terminate")
+                pushed += 1
+                if pushed > room:
+                    steps.exceeded(self.name)
+                path.append((nxt, self._rewrite(nxt)))
+                on_path.add(nxt)
+                nxt = None
+            cur, children = path[-1]
+            if children is None:
+                cache[cur] = _NormalForm({cur: ONE})
+            else:
+                for w, _ in children:
+                    if w not in cache:
+                        nxt = w
+                        break
+                if nxt is not None:
+                    continue
+                acc: dict = {}
+                kids = []
+                for w, c in children:
+                    nf = cache[w]
+                    add_scaled(acc, nf.items(), c)
+                    kids.append(nf)
+                cache[cur] = _NormalForm(acc, kids[0] if len(kids) == 1 else tuple(kids))
+            path.pop()
+            on_path.discard(cur)
+            if not path:
+                return
 
     def __repr__(self):
         return f"Presentation({self.name!r}, {len(self.rules)} rules)"

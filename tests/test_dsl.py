@@ -113,6 +113,34 @@ def test_power_bound_checked_before_computing():
             parse_scalar(text)
 
 
+def test_product_bound_checked_before_computing():
+    # factor sizes add up to at most 4000: a power s^k counts |k| times the
+    # size of s (9^125 is 125 * ceil(log2 9) = 500), a parenthesized factor
+    # the size of its value (9^1000 is ceil(log2 9^1000) = 3170)
+    eight = " ".join(["9^125"] * 8)
+    assert parse_scalar(eight) == Scalar.from_int(9 ** 1000)
+    assert parse_scalar(" ".join(["q^500"] * 8)) == q(4000)
+    assert parse_scalar("q^500 " * 7 + "q^499 * q") == q(4000)
+    assert parse_scalar("(" + eight + ") 2^415 2^415") == Scalar.from_int(9 ** 1000 * 2 ** 830)
+    for text, column in ((eight + " 9^125", 49), (" ".join(["q^500"] * 8) + " q", 49),
+                         ("q^500 " * 8 + "/ q", 51), ("(" + eight + ") 2^415 2^416", 57),
+                         ("(" + eight + ") (" + eight + ")", 51)):
+        with pytest.raises(DslError, match="product too large") as info:
+            parse_scalar(text)
+        assert (info.value.line, info.value.column) == (1, column)
+
+
+def test_cli_prints_product_of_powers_or_rejects_it(capsys):
+    from qncalc.cli import main
+    # each power passes its own bound; forty of them would print a
+    # coefficient over Python's 4300-digit limit
+    assert main(["normalize", "--preset", "glq2", "--expr", " ".join(["9^125"] * 8)]) == 0
+    assert capsys.readouterr().out.strip() == str(9 ** 1000)
+    assert main(["normalize", "--preset", "glq2", "--expr", " ".join(["9^125"] * 40)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: product too large") and "(line 1, column 49)" in err
+
+
 def test_cli_reports_bad_expression_without_traceback(capsys):
     from qncalc.cli import main
     for expr in ("1/0", "(" * 400 + "1" + ")" * 400, "9" * 5000, "q^501"):
@@ -121,13 +149,40 @@ def test_cli_reports_bad_expression_without_traceback(capsys):
         assert err.startswith("error:") and "(line 1, column " in err
 
 
-def test_cli_reports_exceeded_step_budget_without_traceback(capsys):
-    # d^7 a^7 has a leftmost rewrite tree of 1,362,944 nodes under glq2,
-    # more than the default budget of 10^6 steps
+def test_cli_reports_exceeded_step_budget_without_traceback(capsys, monkeypatch):
+    # a presentation whose rules undo each other; validation rejects it in
+    # a file, so it is handed to the command directly
+    from qncalc import cli
+    from qncalc.ncalg import Generator, Presentation, RewriteRule, TerminationOrder
+    loop = Presentation("loop", [Generator("x", 0, 0), Generator("y", 0, 1)],
+                        TerminationOrder("deglex"),
+                        [RewriteRule(("y", "x"), w("x.y")), RewriteRule(("x", "y"), w("y.x"))])
+    monkeypatch.setattr(cli, "_resolve_presentation", lambda args: (loop, None))
+    assert cli.main(["normalize", "--preset", "glq2", "--expr", "x.y"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: x.y rewrites back to itself under 'loop'")
+
+
+def test_cli_normalizes_long_word_within_default_budget(capsys):
     from qncalc.cli import main
-    expr = ".".join("d" * 7 + "a" * 7)
-    assert main(["normalize", "--preset", "glq2", "--expr", expr]) == 2
-    assert capsys.readouterr().err.startswith("error: step budget 1000000 exceeded")
+    assert main(["normalize", "--preset", "glq2",
+                 "--expr", ".".join("d" * 7 + "a" * 7)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("D.D.D.D.D.D.D + ") and out.rstrip().endswith("q^-49 b.b.b.b.b.b.b.c.c.c.c.c.c.c")
+
+
+@pytest.mark.parametrize("line, column", [
+    ("rule y.x -> 1/0", 15),
+    ("  rule   y.x -> x.y $", 21),
+    ("rule y.x x -> x.y", 10),
+    ("rule y.z -> x.y", 8),
+    ("rule y.x -> (x.y  # open", 17),
+])
+def test_rule_line_errors_count_columns_from_line_start(line, column):
+    text = "gen x parity even\ngen y parity even\n" + line + "\n"
+    with pytest.raises(DslError) as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (3, column)
 
 
 # expression characters, presentation-file fragments, then arbitrary text

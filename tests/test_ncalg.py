@@ -124,32 +124,61 @@ def test_step_budget_enforced():
             p.name, p.generators, p.order, p.rules), budget=2)
 
 
-def _tree_size(p, word):
-    """Nodes of the leftmost rewrite tree of ``word``, by plain recursion."""
-    m = p.find_redex(word)
-    if m is None:
-        return 1
-    i, rule = m
-    return 1 + sum(_tree_size(p, word[:i] + v + word[i + len(rule.lhs):])
-                   for v in rule.rhs.words())
+def _closure(p, word):
+    """Words reachable from ``word`` by leftmost rewriting, found with
+    ``find_redex`` alone (no normal-form cache)."""
+    seen = {word}
+    todo = [word]
+    while todo:
+        cur = todo.pop()
+        m = p.find_redex(cur)
+        if m is None:
+            continue
+        i, rule = m
+        for v in rule.rhs.words():
+            child = cur[:i] + v + cur[i + len(rule.lhs):]
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    return seen
 
 
 @pytest.mark.parametrize("pid", ("glq2", "glq2-left-diff", "qplane-right-b0-diff"))
-def test_step_charge_is_rewrite_tree_size_cold_or_warm(pid):
+def test_step_charge_is_closure_size_cold_or_warm(pid):
     shared = preset(pid) if pid in PRESET_IDS else diff_presentation(pid[:-5])
     rng = random.Random(11)
     for _ in range(20):
-        # at most one odd generator: words with more expand far beyond this test
-        word = [rng.choice(shared.even_names()) for _ in range(rng.randint(2, 4))]
-        if shared.odd_names():
+        word = [rng.choice(shared.even_names()) for _ in range(rng.randint(2, 5))]
+        for _ in range(rng.randint(0, 2) if shared.odd_names() else 0):
             word.insert(rng.randint(0, len(word)), rng.choice(shared.odd_names()))
         word = tuple(word)
-        size = _tree_size(shared, word)
+        size = len(_closure(shared, word))
         fresh = Presentation(shared.name, shared.generators, shared.order, shared.rules)
         for p in (fresh, fresh, shared):        # cold, then warm memos
             assert normalize(w(*word), p, budget=size) == normalize(w(*word), shared)
             with pytest.raises(StepBudgetExceededError):
                 normalize(w(*word), p, budget=size - 1)
+
+
+def test_step_charge_adds_up_over_the_words_of_a_call():
+    p = preset("glq2")
+    x = w("d.d.a.a") + w("d.a.d.a")
+    total = len(_closure(p, ("d", "d", "a", "a"))) + len(_closure(p, ("d", "a", "d", "a")))
+    assert normalize(x, p, budget=total) == normalize(x, p)
+    with pytest.raises(StepBudgetExceededError):
+        normalize(x, p, budget=total - 1)
+
+
+def test_long_words_fit_the_default_budget():
+    # the leftmost rewrite tree of d^8 a^8 has 15,341,673 nodes, but only
+    # 837 distinct words, and that is what a cold normalization computes
+    p = preset("glq2")
+    fresh = Presentation(p.name, p.generators, p.order, p.rules)
+    word = tuple("d" * 8 + "a" * 8)
+    assert len(_closure(p, word)) == 837
+    out = normalize(w(*word), fresh)
+    assert len(fresh._nf_cache) == 837
+    assert out == normalize(w(*word), p)
 
 
 def test_step_budget_stops_non_terminating_rules():
@@ -159,6 +188,14 @@ def test_step_budget_stops_non_terminating_rules():
     for budget in (1, 2, 1000):
         with pytest.raises(StepBudgetExceededError):
             normalize(w("x.y"), loop, budget=budget)
+    with pytest.raises(StepBudgetExceededError, match="rewrites back to itself"):
+        normalize(w("x.y"), loop)
+    # words that grow forever: stopped by the budget alone
+    grow = Presentation("grow", gens, TerminationOrder("deglex"), [
+        RewriteRule(("x", "x"), w("x.x.x"))])
+    for budget in (1, 2, 1000):
+        with pytest.raises(StepBudgetExceededError, match=f"step budget {budget} "):
+            normalize(w("x.x"), grow, budget=budget)
 
 
 # -- invariants ----------------------------------------------------------------
