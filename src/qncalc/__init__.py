@@ -46,14 +46,12 @@ from .presentations import (
     PRESET_IDS,
     Morphism,
     antipode_check,
-    apply_morphism,
     coproduct_check,
     epsilon_identity_check,
     interchange_left_to_right,
     interchange_right_to_left,
     preset,
     qdet,
-    reduction_check,
     reduction_morphisms,
 )
 from .qfield import ONE, Q, ZERO, DivisionByZeroError, PoleAtOneError, Scalar

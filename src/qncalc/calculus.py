@@ -2,10 +2,11 @@
 vector fields for the calculus presets.
 
 Each calculus preset stores its 1-forms in the diagonalized basis that
-makes the rewrite rules monomial; this module owns the linear change of
+makes the rewrite rules monomial.  Its preset file declares the
+differential of every generator and each form in terms of the primitive
+differentials ``del_a .. del_d``; this module owns the linear change of
 basis to the standard matrix-indexed forms (indices 1..4 in row-major
-position), the differential of every generator, and the conversions
-between forms and the primitive differentials ``del_a .. del_d``.
+position) and everything computed from the declared calculus.
 
 Sign conventions realized here (and asserted by the closure checks):
 
@@ -26,7 +27,7 @@ against the cubic relation sets; recorded in reports):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
 
@@ -43,7 +44,7 @@ from .ncalg import (
     normalize,
     validate_presentation,
 )
-from .presentations import ANTIPODE_IMAGES, preset, preset_info, qdet
+from .presentations import ANTIPODE_IMAGES, preset, qdet
 from .qfield import ONE, Scalar
 from .reports import Check
 
@@ -71,7 +72,6 @@ __all__ = [
 
 _q = Scalar.q_power
 _HALF = Scalar.fraction(1, 2)
-_w = Element.word
 
 CALCULUS_PRESETS = (
     "glq2-left", "slq2-left", "qplane-left-b0", "qplane-left-c0",
@@ -86,120 +86,33 @@ COMPOSITION_CONVENTION = (
 
 @dataclass(frozen=True)
 class DiffStructure:
-    """Side, generator differentials, and the degree-raising grading."""
+    """A calculus: its side and generator differentials, plus what a preset
+    declares for the differential mode: the coordinates x whose ``del_x``
+    span it, each form over the parameters and ``del_x``, and the linear
+    relations among the ``del_x``."""
 
     side: str                               # "left" | "right"
     images: Mapping[str, Element]
+    coords: tuple = ()
+    forms: Mapping[str, Element] = field(default_factory=dict)
+    dependencies: tuple = ()
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
             raise ValueError(f"bad side {self.side!r}")
 
 
-def _el(*terms) -> Element:
-    out = Element.zero()
-    for coef, spec in terms:
-        out = out + Element.term(coef, tuple(spec.split(".")) if spec else ())
-    return out
-
-
-@lru_cache(maxsize=None)
 def diff_structure(preset_id: str) -> DiffStructure:
-    """The exterior derivative of every generator of a calculus preset.
+    """The calculus a preset declares.
 
     Parameter images come from the matrix identities d(T) = T.theta
     (left) and d(T) = omega.T (right); form images from the closure
     d(form matrix) = form.form, both expanded in the diagonalized basis.
     """
-    qq = _q(2)
-    if preset_id == "glq2-left":
-        images = {
-            "a": _el((_HALF, "a.tht1"), (ONE, "a.tht4"), (ONE, "b.th3")),
-            "b": _el((_HALF, "b.tht1"), (-qq, "b.tht4"), (ONE, "a.th2")),
-            "c": _el((_HALF, "c.tht1"), (ONE, "c.tht4"), (ONE, "d.th3")),
-            "d": _el((_HALF, "d.tht1"), (-qq, "d.tht4"), (ONE, "c.th2")),
-            "D": _w("D.tht1"),
-            "Dinv": _el((-ONE, "Dinv.tht1")),
-            "tht1": Element.zero(),
-            "th2": _el((-qq * (ONE + qq), "th2.tht4")),
-            "th3": _el((ONE + _q(-2), "th3.tht4")),
-            "tht4": _w("th2.th3"),
-        }
-        return DiffStructure("left", images)
-    if preset_id == "slq2-left":
-        images = {
-            "a": _el((ONE, "a.th1"), (ONE, "b.th3")),
-            "b": _el((-qq, "b.th1"), (ONE, "a.th2")),
-            "c": _el((ONE, "c.th1"), (ONE, "d.th3")),
-            "d": _el((-qq, "d.th1"), (ONE, "c.th2")),
-            "th1": _w("th2.th3"),
-            "th2": _el((ONE + _q(-2), "th1.th2")),
-            "th3": _el((-qq * (ONE + qq), "th1.th3")),
-        }
-        return DiffStructure("left", images)
-    if preset_id == "qplane-left-c0":
-        images = {
-            "b": _el((-qq, "b.th1"), (ONE, "a.th2")),
-            "d": _el((-qq, "d.th1")),
-            "a": _el((ONE, "a.th1")),
-            "th1": Element.zero(),
-            "th2": _el((ONE + _q(-2), "th1.th2")),
-        }
-        return DiffStructure("left", images)
-    if preset_id == "qplane-left-b0":
-        images = {
-            "a": _el((ONE, "a.th1")),
-            "c": _el((ONE, "c.th1"), (ONE, "d.th3")),
-            "d": _el((-qq, "d.th1")),
-            "th1": Element.zero(),
-            "th3": _el((-qq * (ONE + qq), "th1.th3")),
-        }
-        return DiffStructure("left", images)
-    iq = _q(-2)
-    if preset_id == "glq2-right":
-        images = {
-            "a": _el((_HALF, "wb1.a"), (ONE, "wb4.a"), (ONE, "w2.c")),
-            "b": _el((_HALF, "wb1.b"), (ONE, "wb4.b"), (ONE, "w2.d")),
-            "c": _el((_HALF, "wb1.c"), (-iq, "wb4.c"), (ONE, "w3.a")),
-            "d": _el((_HALF, "wb1.d"), (-iq, "wb4.d"), (ONE, "w3.b")),
-            "D": _w("wb1.D"),
-            "Dinv": _el((-ONE, "wb1.Dinv")),
-            "wb1": Element.zero(),
-            "w2": _el((-iq * (ONE + iq), "w2.wb4")),
-            "w3": _el((ONE + _q(2), "w3.wb4")),
-            "wb4": _w("w2.w3"),
-        }
-        return DiffStructure("right", images)
-    if preset_id == "slq2-right":
-        images = {
-            "a": _el((ONE, "w1.a"), (ONE, "w2.c")),
-            "b": _el((ONE, "w1.b"), (ONE, "w2.d")),
-            "c": _el((-iq, "w1.c"), (ONE, "w3.a")),
-            "d": _el((-iq, "w1.d"), (ONE, "w3.b")),
-            "w1": _w("w2.w3"),
-            "w2": _el((ONE + _q(2), "w1.w2")),
-            "w3": _el((-iq * (ONE + iq), "w1.w3")),
-        }
-        return DiffStructure("right", images)
-    if preset_id == "qplane-right-c0":
-        images = {
-            "a": _el((ONE, "w1.a")),
-            "b": _el((ONE, "w1.b"), (ONE, "w2.d")),
-            "d": _el((-iq, "w1.d")),
-            "w1": Element.zero(),
-            "w2": _el((ONE + _q(2), "w1.w2")),
-        }
-        return DiffStructure("right", images)
-    if preset_id == "qplane-right-b0":
-        images = {
-            "c": _el((-iq, "w1.c"), (ONE, "w3.a")),
-            "d": _el((-iq, "w1.d")),
-            "a": _el((ONE, "w1.a")),
-            "w1": Element.zero(),
-            "w3": _el((-iq * (ONE + iq), "w1.w3")),
-        }
-        return DiffStructure("right", images)
-    raise KeyError(f"no differential structure for preset {preset_id!r}")
+    d = preset(preset_id).calculus
+    if d is None:
+        raise KeyError(f"no differential structure for preset {preset_id!r}")
+    return d
 
 
 def apply_delta(x: Element, d: DiffStructure, p: Presentation,
@@ -273,8 +186,7 @@ def standard_form_basis(preset_id: str) -> dict:
     """The standard forms (indices 1..4, row-major matrix position) as
     elements in the preset's primitive basis, plus the reverse linear map
     used to convert vector-field components."""
-    info = preset_info(preset_id)
-    side = info["side"]
+    side = diff_structure(preset_id).side
     if preset_id in ("glq2-left", "glq2-right"):
         if side == "left":
             t, f1, f4 = "th", "tht1", "tht4"
@@ -283,10 +195,10 @@ def standard_form_basis(preset_id: str) -> dict:
             t, f1, f4 = "w", "wb1", "wb4"
             shrink = -_q(-2)
         std = {
-            1: _el((_HALF, f1), (ONE, f4)),
-            2: _w(t + "2"),
-            3: _w(t + "3"),
-            4: _el((_HALF, f1), (shrink, f4)),
+            1: _HALF * Element.word(f1) + Element.word(f4),
+            2: Element.word(t + "2"),
+            3: Element.word(t + "3"),
+            4: _HALF * Element.word(f1) + shrink * Element.word(f4),
         }
         sq = _q(2) if side == "left" else _q(-2)
         den = ONE + sq
@@ -298,14 +210,14 @@ def standard_form_basis(preset_id: str) -> dict:
         return {"standard": std, "primitive": prim, "indices": (1, 2, 3, 4)}
     t = "th" if side == "left" else "w"
     shrink = -_q(2) if side == "left" else -_q(-2)
-    std = {1: _w(t + "1"), 2: Element.zero(), 3: Element.zero(),
+    std = {1: Element.word(t + "1"), 2: Element.zero(), 3: Element.zero(),
            4: Element.term(shrink, (t + "1",))}
     prim = {t + "1": {1: ONE}}
     indices = [1]
     for k in (2, 3):
         name = f"{t}{k}"
-        if name in info["forms"]:
-            std[k] = _w(name)
+        if name in preset(preset_id).parity:
+            std[k] = Element.word(name)
             prim[name] = {k: ONE}
             indices.append(k)
     return {"standard": std, "primitive": prim, "indices": tuple(indices)}
@@ -356,7 +268,7 @@ def qtrace_check(p: Presentation) -> list:
         expr1 = (t_par * _q(-2)) * std[1] + t_par * std[4]
         expr2 = (two / (_q(1) + _q(-1))) * (_q(-1) * std[1] + _q(1) * std[4])
         tag1, tag2 = "eq-5.11", "eq-5.19"
-    tr = _w(tr_name)
+    tr = Element.word(tr_name)
     r1 = normalize(expr1 - tr, p)
     checks.append(Check.of(r1.is_zero, f"trace-expression-1[{pid}]", tag1,
                            residual=str(r1)))
@@ -376,73 +288,9 @@ def qtrace_check(p: Presentation) -> list:
 # forms <-> primitive differentials, derived differential-mode rules
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def form_to_diff(preset_id: str) -> dict:
     """Each primitive form as an element over parameters and ``del_*``."""
-    def dd(spec):
-        return _w(*spec.split("."))
-
-    if preset_id == "glq2-left":
-        th = {
-            "th1": _el((ONE, "Dinv.d.del_a"), (-_q(-1), "Dinv.b.del_c")),
-            "th2": _el((ONE, "Dinv.d.del_b"), (-_q(-1), "Dinv.b.del_d")),
-            "th3": _el((ONE, "Dinv.a.del_c"), (-_q(1), "Dinv.c.del_a")),
-            "th4": _el((ONE, "Dinv.a.del_d"), (-_q(1), "Dinv.c.del_b")),
-        }
-        two_over = Scalar.from_int(2) / (_q(1) + _q(-1))
-        return {
-            "tht1": two_over * (_q(1) * th["th1"] + _q(-1) * th["th4"]),
-            "th2": th["th2"],
-            "th3": th["th3"],
-            "tht4": (ONE / (ONE + _q(2))) * (th["th1"] - th["th4"]),
-        }
-    if preset_id == "slq2-left":
-        return {
-            "th1": _el((ONE, "d.del_a"), (-_q(-1), "b.del_c")),
-            "th2": _el((ONE, "d.del_b"), (-_q(-1), "b.del_d")),
-            "th3": _el((ONE, "a.del_c"), (-_q(1), "c.del_a")),
-        }
-    if preset_id == "qplane-left-c0":
-        return {
-            "th1": _el((-_q(-2), "a.del_d")),
-            "th2": _el((ONE, "d.del_b"), (-_q(-1), "b.del_d")),
-        }
-    if preset_id == "qplane-left-b0":
-        return {
-            "th1": dd("d.del_a"),
-            "th3": _el((ONE, "a.del_c"), (-_q(1), "c.del_a")),
-        }
-    if preset_id == "glq2-right":
-        om = {
-            "w1": _el((ONE, "del_a.d.Dinv"), (-_q(1), "del_b.c.Dinv")),
-            "w2": _el((ONE, "del_b.a.Dinv"), (-_q(-1), "del_a.b.Dinv")),
-            "w3": _el((ONE, "del_c.d.Dinv"), (-_q(1), "del_d.c.Dinv")),
-            "w4": _el((ONE, "del_d.a.Dinv"), (-_q(-1), "del_c.b.Dinv")),
-        }
-        two_over = Scalar.from_int(2) / (_q(1) + _q(-1))
-        return {
-            "wb1": two_over * (_q(-1) * om["w1"] + _q(1) * om["w4"]),
-            "w2": om["w2"],
-            "w3": om["w3"],
-            "wb4": (ONE / (ONE + _q(-2))) * (om["w1"] - om["w4"]),
-        }
-    if preset_id == "slq2-right":
-        return {
-            "w1": _el((ONE, "del_a.d"), (-_q(1), "del_b.c")),
-            "w2": _el((ONE, "del_b.a"), (-_q(-1), "del_a.b")),
-            "w3": _el((ONE, "del_c.d"), (-_q(1), "del_d.c")),
-        }
-    if preset_id == "qplane-right-c0":
-        return {
-            "w1": dd("del_a.d"),
-            "w2": _el((ONE, "del_b.a"), (-_q(-1), "del_a.b")),
-        }
-    if preset_id == "qplane-right-b0":
-        return {
-            "w1": _el((-_q(2), "del_d.a")),
-            "w3": _el((ONE, "del_c.d"), (-_q(1), "del_d.c")),
-        }
-    raise KeyError(preset_id)
+    return diff_structure(preset_id).forms
 
 
 def form_diff_roundtrip_check(preset_id: str) -> list:
@@ -451,11 +299,11 @@ def form_diff_roundtrip_check(preset_id: str) -> list:
     form exactly (the conversion is invertible)."""
     p = preset(preset_id)
     ds = diff_structure(preset_id)
-    subst = {f"del_{x}": ds.images[x] for x in preset_info(preset_id)["coords"]}
+    subst = {f"del_{x}": ds.images[x] for x in ds.coords}
     checks = []
-    for form, expr in form_to_diff(preset_id).items():
+    for form, expr in ds.forms.items():
         back = normalize(expr.substitute(subst), p)
-        res = back - _w(form)
+        res = back - Element.word(form)
         checks.append(Check.of(res.is_zero, f"form-roundtrip[{preset_id}][{form}]",
                                "eq-2.17" if ds.side == "left" else "eq-2.22",
                                residual=str(res)))
@@ -479,17 +327,15 @@ def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
     are linearly dependent over the algebra.
     """
     evens = [g for g in p.generators if g.parity == 0]
-    gens = list(evens)
-    base = max(g.precedence for g in evens) + 1
-    for i, x in enumerate(coords):
-        gens.append(Generator(f"del_{x}", 1, base + i))
-    side = "right" if d.side == "left" else "left"
+    gens = [Generator(g.name, 0, i) for i, g in enumerate(evens)]
+    gens += [Generator(f"del_{x}", 1, len(gens) + i) for i, x in enumerate(coords)]
+    side = "right" if d.side == "left" else "left"   # where the del_x end up
     order = TerminationOrder("migration", form_side=side)
     even_rules = [r for r in p.rules
                   if all(p.parity[g] == 0 for g in r.lhs)
                   and all(p.parity[g] == 0 for w_, _ in r.rhs.items() for g in w_)]
     skeleton = Presentation((name or p.name) + "-skeleton", gens, order, even_rules,
-                            form_position=d.side)
+                            form_position=side)
 
     def convert(form_mode: Element) -> Element:
         out = Element.zero()
@@ -502,7 +348,7 @@ def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
                 raise ValueError(f"form not rightmost in {word}")
             if d.side == "right" and i != 0:
                 raise ValueError(f"form not leftmost in {word}")
-            rest = _w(*(word[:i] + word[i + 1:])) if len(word) > 1 else Element.unit()
+            rest = Element.word(*(word[:i] + word[i + 1:]))
             image = f2d[word[i]]
             piece = rest * image if d.side == "left" else image * rest
             out = out + piece.scale(coef)
@@ -513,10 +359,10 @@ def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
         dx = f"del_{x}"
         for y in (g.name for g in evens):
             if d.side == "left":
-                prod = normalize(d.images[x] * _w(y), p)
+                prod = normalize(d.images[x] * Element.word(y), p)
                 lhs = (dx, y)
             else:
-                prod = normalize(_w(y) * d.images[x], p)
+                prod = normalize(Element.word(y) * d.images[x], p)
                 lhs = (y, dx)
             rhs = normalize(convert(prod), skeleton)
             rules.append(RewriteRule(lhs, rhs, f"derived[{lhs[0]}.{lhs[1]}]"))
@@ -532,39 +378,26 @@ def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
         rules.append(RewriteRule(lead, rest.scale(-(ONE / coef)),
                                  f"derived-dependency[{'.'.join(lead)}]"))
     out = Presentation(name or (p.name + "-diff"), gens, order, rules,
-                       form_position=d.side)
+                       form_position=side)
     # canonicalize the derived right-hand sides against the full rule set
     # (the unimodular dependency rule may reduce them further)
     reduced = [r if not r.provenance.startswith("derived")
                else RewriteRule(r.lhs, normalize(r.rhs, out), r.provenance)
                for r in rules]
-    out = Presentation(out.name, gens, order, reduced, form_position=d.side)
+    out = Presentation(out.name, gens, order, reduced, form_position=side)
     report = validate_presentation(out)
     if not report.valid:
         raise AssertionError(f"derived rules fail validation: {report.issues}")
     return out
 
 
-def _diff_dependencies(pid: str) -> tuple:
-    """Linear relations among differentials forced by the eliminated form
-    (index 4 equals the shrunken index 1 in the unimodular presets)."""
-    if pid == "slq2-left":
-        theta4 = _el((ONE, "a.del_d"), (-_q(1), "c.del_b"))
-        return (theta4 + _q(2) * form_to_diff(pid)["th1"],)
-    if pid == "slq2-right":
-        omega4 = _el((ONE, "del_d.a"), (-_q(-1), "del_c.b"))
-        return (omega4 + _q(-2) * form_to_diff(pid)["w1"],)
-    return ()
-
-
 @lru_cache(maxsize=None)
 def diff_presentation(preset_id: str) -> Presentation:
     """The derived differential-mode presentation for a calculus preset."""
-    pid = preset_id[:-5] if preset_id.endswith("-diff") else preset_id
-    p = preset(pid)
-    return derive_diff_rules(p, diff_structure(pid), preset_info(pid)["coords"],
-                             form_to_diff(pid), name=pid + "-diff",
-                             dependencies=_diff_dependencies(pid))
+    pid = preset_id.removesuffix("-diff")
+    d = diff_structure(pid)
+    return derive_diff_rules(preset(pid), d, d.coords, d.forms, name=pid + "-diff",
+                             dependencies=d.dependencies)
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +578,8 @@ def _conjugated_theta(preset_id: str = "slq2-right") -> dict:
     p = preset(preset_id)
     std = standard_form_basis(preset_id)["standard"]
     om = {(1, 1): std[1], (1, 2): std[2], (2, 1): std[3], (2, 2): std[4]}
-    t = {(1, 1): _w("a"), (1, 2): _w("b"), (2, 1): _w("c"), (2, 2): _w("d")}
+    t = {(1, 1): Element.word("a"), (1, 2): Element.word("b"),
+         (2, 1): Element.word("c"), (2, 2): Element.word("d")}
     unimodular = "Dinv" not in p.parity
     s_img = ({k: v.substitute({"Dinv": Element.unit()}) for k, v in
               ANTIPODE_IMAGES.items()} if unimodular else ANTIPODE_IMAGES)
@@ -800,10 +634,10 @@ def conjugate_forms_check(samples=_CONJ_TARGETS,
     theta = _conjugated_theta(preset_id)
     checks = []
     for tag, idx, param, rhs_terms in samples:
-        lhs = normalize(theta[idx] * _w(param), p)
+        lhs = normalize(theta[idx] * Element.word(param), p)
         rhs = Element.zero()
         for coef, word, tidx in rhs_terms:
-            rhs = rhs + (_w(*word.split(".")) * theta[tidx]).scale(coef)
+            rhs = rhs + (Element.word(*word.split(".")) * theta[tidx]).scale(coef)
         rhs = normalize(rhs, p)
         res = lhs - rhs
         lead_ok = _leading_part(lhs) == _leading_part(rhs)

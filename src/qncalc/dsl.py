@@ -11,10 +11,15 @@ Presentation files are line oriented::
     name my-algebra          # optional
     extends glq2             # optional: start from a built-in preset
     order deglex             # or: order migration [left|right]
-    gen x parity even        # declaration order fixes precedence
+    gen x y parity even      # declaration order fixes precedence
     gen f parity odd
     rule f.x -> q x.f        # LHS word  ->  element expression
+    rule f.f -> 0  @eq-1     # a trailing @tag names the rule's source
     # comments run to end of line
+
+A differential calculus is declared with ``side``, ``coords``, ``diff``,
+``form`` and ``dependency`` lines (see ``docs/dsl.md``); the built-in
+presets are files of this format in the ``presets`` directory.
 
 Parsed presentations are validated (orientation, parity, generator
 references) before being returned.  Bad input of any kind, division by
@@ -26,7 +31,9 @@ expression carries its line and column.
 from __future__ import annotations
 
 import re
+from itertools import groupby
 
+from .calculus import DiffStructure
 from .ncalg import (
     Element,
     Generator,
@@ -83,6 +90,7 @@ def _size(x: Element) -> int:
 
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([().+\-*/^]))")
+_KINDS = (None, "int", "ident", "op")     # by the index of the matching group
 
 
 def _tokenize(text, line=None, offset=0):
@@ -92,36 +100,37 @@ def _tokenize(text, line=None, offset=0):
     out = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
+        if not m:
             rest = text[pos:].lstrip()
             if rest:
                 raise DslError(f"bad character {rest[0]!r}", line,
                                offset + len(text) - len(rest) + 1)
             break
-        if m.group(1):
-            if len(m.group(1)) > _MAX_DIGITS:
+        kind = m.lastindex
+        start, pos = m.span(kind)       # each token ends its match
+        val = text[start:pos]
+        if kind == 1:
+            if len(val) > _MAX_DIGITS:
                 raise DslError(f"integer literal longer than {_MAX_DIGITS} digits",
-                               line, offset + m.start(1) + 1)
-            out.append(("int", int(m.group(1)), offset + m.start(1)))
-        elif m.group(2):
-            out.append(("ident", m.group(2), offset + m.start(2)))
+                               line, offset + start + 1)
+            out.append(("int", int(val), offset + start))
         else:
-            out.append(("op", m.group(3), offset + m.start(3)))
-        pos = m.end()
+            out.append((_KINDS[kind], val, offset + start))
     return out
 
 
 class _ExprParser:
     def __init__(self, text, names, line, offset=0):
         self.toks = _tokenize(text, line, offset)
-        self.end = offset + len(text.rstrip())     # position of the end of input
+        # an end-of-input token, which every take() checks for first
+        self.toks.append((None, None, offset + len(text.rstrip())))
         self.i = 0
         self.depth = 0
         self.names = names
         self.line = line
 
     def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None, self.end)
+        return self.toks[self.i]
 
     def take(self):
         tok = self.peek()
@@ -273,13 +282,39 @@ def parse_scalar(text: str) -> Scalar:
     return parse_expression(text, ()).as_scalar()
 
 
+def _arrow_line(raw, rest, lineno, what, lhs_names, rhs_names):
+    """Parse ``<word> -> <expression>``; columns count from the start of
+    the raw line.  ``what`` names the line in messages, e.g. ``rule``."""
+    if "->" not in rest:
+        raise DslError(f"expected: {what} <word> -> <expression>", lineno)
+    arrow = rest.index("->")
+    # where ``rest`` starts in the raw line, so columns count from there
+    start = re.match(r"\s*\S+\s+", raw).end()
+    lhs_parser = _ExprParser(rest[:arrow], lhs_names, lineno, start)
+    lhs = lhs_parser.word()
+    if lhs_parser.peek()[0] is not None:
+        lhs_parser.error(f"{what} LHS must be a single dotted word")
+    rhs = _ExprParser(rest[arrow + 2:], rhs_names, lineno, start + arrow + 2).parse()
+    return lhs, rhs
+
+
+_TAG = re.compile(r"\s@(\S+)$")
+
+
+def _diff_names(parity, coords) -> set:
+    """The names of a form or dependency line: even generators and the
+    primitive differentials ``del_<coordinate>``."""
+    return {n for n, odd in parity.items() if not odd} | {f"del_{x}" for x in coords}
+
+
 def parse_presentation(text: str) -> Presentation:
     """Parse, build, and validate a presentation from DSL text."""
     name = "user"
     order = None
     gens: list[Generator] = []
+    parity: dict = {}       # generator name -> parity; changes on gen and extends
     rules: list[RewriteRule] = []
-    base = None
+    side, coords, diff, forms, deps = None, (), {}, {}, []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -296,46 +331,81 @@ def parse_presentation(text: str) -> Presentation:
                 raise DslError(f"unknown preset {pid!r}", lineno)
             base = preset(pid)
             gens = list(base.generators)
+            parity = dict(base.parity)
             rules = list(base.rules)
             if order is None:
                 order = base.order
+            c = base.calculus
+            side, coords, diff, forms, deps = (
+                (c.side, c.coords, dict(c.images), dict(c.forms), list(c.dependencies))
+                if c else (None, (), {}, {}, []))
         elif head == "order":
             bits = rest.split()
             if not bits or bits[0] not in ("deglex", "migration"):
                 raise DslError("order must be 'deglex' or 'migration'", lineno)
-            side = "right"
+            form_side = "right"
             if len(bits) > 1:
                 if bits[0] != "migration" or bits[1] not in ("left", "right"):
                     raise DslError("order side must be 'left' or 'right'", lineno)
-                side = bits[1]
-            order = TerminationOrder(bits[0], side)
+                form_side = bits[1]
+            order = TerminationOrder(bits[0], form_side)
         elif head == "gen":
-            m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s+parity\s+(even|odd)", rest)
+            m = re.fullmatch(r"((?:[A-Za-z_][A-Za-z0-9_]*\s+)+)parity\s+(even|odd)", rest)
             if not m:
                 raise DslError("expected: gen <name> parity (even|odd)", lineno)
-            gname, par = m.group(1), (0 if m.group(2) == "even" else 1)
-            if gname == "q" or any(g.name == gname for g in gens):
-                raise DslError(f"bad or duplicate generator {gname!r}", lineno)
-            gens.append(Generator(gname, par, len(gens)))
+            par = 0 if m.group(2) == "even" else 1
+            for gname in m.group(1).split():
+                if gname == "q" or gname in parity:
+                    raise DslError(f"bad or duplicate generator {gname!r}", lineno)
+                gens.append(Generator(gname, par, len(gens)))
+                parity[gname] = par
         elif head == "rule":
-            if "->" not in rest:
-                raise DslError("expected: rule <word> -> <expression>", lineno)
-            arrow = rest.index("->")
-            # where ``rest`` starts in the raw line, so columns count from there
+            tag = _TAG.search(rest)
+            if tag:
+                rest = rest[:tag.start()]
+            lhs, rhs = _arrow_line(raw, rest, lineno, "rule", parity, parity)
+            rules.append(RewriteRule(lhs, rhs, tag.group(1) if tag else f"user:{lineno}"))
+        elif head == "side":
+            if rest not in ("left", "right"):
+                raise DslError("side must be 'left' or 'right'", lineno)
+            side = rest
+        elif head == "coords":
+            coords = tuple(rest.split())
+            if (not coords or len(set(coords)) < len(coords)
+                    or any(parity.get(x, 1) for x in coords)):
+                raise DslError("coords must name distinct declared even generators",
+                               lineno)
+        elif head == "diff":
+            word, image = _arrow_line(raw, rest, lineno, head, parity, parity)
+            if len(word) > 1:
+                raise DslError("diff LHS must be one generator", lineno)
+            diff[word[0]] = image
+        elif head == "form":
+            word, image = _arrow_line(raw, rest, lineno, head, parity,
+                                      _diff_names(parity, coords))
+            if len(word) > 1 or not parity[word[0]]:
+                raise DslError("form LHS must be one odd generator", lineno)
+            forms[word[0]] = image
+        elif head == "dependency":
+            if not rest:
+                raise DslError("expected: dependency <expression>", lineno)
             start = re.match(r"\s*\S+\s+", raw).end()
-            names = frozenset(g.name for g in gens)
-            lhs_parser = _ExprParser(rest[:arrow], names, lineno, start)
-            lhs = lhs_parser.word()
-            if lhs_parser.peek()[0] is not None:
-                lhs_parser.error("rule LHS must be a single dotted word")
-            rhs = _ExprParser(rest[arrow + 2:], names, lineno, start + arrow + 2).parse()
-            rules.append(RewriteRule(lhs, rhs, f"user:{lineno}"))
+            deps.append(_ExprParser(rest, _diff_names(parity, coords),
+                                    lineno, start).parse())
         else:
             raise DslError(f"unknown directive {head!r}", lineno)
     if order is None:
         order = TerminationOrder("deglex")
-    p = Presentation(name, gens, order,
-                     rules, form_position=(base.form_position if base else None))
+    calculus = None
+    if side is not None:       # a left calculus keeps its forms rightmost
+        calculus = DiffStructure(side, diff, coords, forms, tuple(deps))
+        form_position = "right" if side == "left" else "left"
+    elif diff or forms or coords or deps:
+        raise DslError("coords, diff, form and dependency lines need a side line")
+    else:                      # a migration order moves odd generators to its side
+        form_position = order.form_side if order.kind == "migration" else None
+    p = Presentation(name, gens, order, rules, form_position=form_position,
+                     calculus=calculus)
     report = validate_presentation(p)
     if not report.valid:
         msgs = "; ".join(f"[{i.rule}] {i.kind}: {i.message}" for i in report.issues)
@@ -344,15 +414,25 @@ def parse_presentation(text: str) -> Presentation:
 
 
 def export_presentation(p: Presentation) -> str:
-    """Serialize a presentation to DSL text that reparses equivalently."""
+    """Serialize a presentation to DSL text that reparses to an equal one:
+    the same name, generators, order, rules with their tags, and calculus."""
     lines = [f"name {p.name}"]
     if p.order.kind == "migration":
         lines.append(f"order migration {p.order.form_side}")
-    else:
-        lines.append("order deglex")
-    for g in sorted(p.generators, key=lambda g: g.precedence):
-        lines.append(f"gen {g.name} parity {'odd' if g.parity else 'even'}")
+    c = p.calculus
+    if c is not None:
+        lines.append(f"side {c.side}")
+    gens = sorted(p.generators, key=lambda g: g.precedence)
+    for parity, run in groupby(gens, key=lambda g: g.parity):
+        lines.append(f"gen {' '.join(g.name for g in run)} "
+                     f"parity {'odd' if parity else 'even'}")
     for r in p.rules:
-        tag = f"  # {r.provenance}" if r.provenance else ""
+        tag = f"  @{r.provenance}" if r.provenance else ""
         lines.append(f"rule {'.'.join(r.lhs)} -> {r.rhs}{tag}")
+    if c is not None:
+        if c.coords:
+            lines.append(f"coords {' '.join(c.coords)}")
+        lines += [f"diff {g} -> {x}" for g, x in c.images.items()]
+        lines += [f"form {f} -> {x}" for f, x in c.forms.items()]
+        lines += [f"dependency {x}" for x in c.dependencies]
     return "\n".join(lines) + "\n"

@@ -422,13 +422,15 @@ class Presentation:
 
     def __init__(self, name: str, generators: Iterable[Generator],
                  order: TerminationOrder, rules: Iterable[RewriteRule],
-                 form_position: str | None = None, tags: tuple = ()):
+                 form_position: str | None = None, tags: tuple = (),
+                 calculus=None):
         self.name = name
         self.generators = tuple(generators)
         self.order = order
         self.rules = tuple(rules)
         self.form_position = form_position  # where odd generators sit in normal form
         self.tags = tuple(tags)
+        self.calculus = calculus    # a calculus.DiffStructure, if one is declared
         self.parity = {g.name: g.parity for g in self.generators}
         self.precedence = {g.name: g.precedence for g in self.generators}
         self._by_first = {}

@@ -2,28 +2,18 @@
 
 Nine presets cover the 2x2 q-deformed matrix algebra, its left and right
 differential-form extensions at the matched deformation parameter, the
-unimodular reductions, and the four coordinate-plane reductions.  Rules
-carry equation tags (strings like ``eq-2.11``) naming the source relation
-they orient; reports are keyed by these tags.
-
-Generator name conventions:
-
-* parameters ``a b c d`` and the central determinant pigenerators ``D``,
-  ``Dinv``;
-* left 1-forms: diagonalized basis ``tht1`` (the quantum trace) and
-  ``tht4``, plus ``th2 th3`` (full set ``th1..th3`` in the unimodular and
-  plane presets);
-* right 1-forms: ``wb1`` (quantum trace), ``wb4``, ``w2 w3`` (``w1..w3``
-  in the unimodular and plane presets).
-
-Left presets normalize with forms rightmost, right presets with forms
-leftmost; all form-mode presets use the deglex order.
+unimodular reductions, and the four coordinate-plane reductions.  Each
+is declared once, as a presentation-DSL file ``presets/<id>.preset``
+shipped with the package; its header comment names the generators.
+Rules carry equation tags (strings like ``eq-2.11``) naming the source
+relation they orient; reports are keyed by these tags.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.resources import files
 from typing import Callable, Mapping
 
 from .ncalg import (
@@ -33,15 +23,13 @@ from .ncalg import (
     RewriteRule,
     TerminationOrder,
     normalize,
-    validate_presentation,
 )
-from .qfield import ONE, Scalar
+from .qfield import Scalar
 from .reports import Check
 
 __all__ = [
     "PRESET_IDS",
     "preset",
-    "preset_info",
     "free_presentation",
     "preset_without_rule",
     "qdet",
@@ -50,8 +38,6 @@ __all__ = [
     "coproduct_check",
     "antipode_check",
     "Morphism",
-    "apply_morphism",
-    "reduction_check",
     "interchange_left_to_right",
     "interchange_right_to_left",
     "reduction_morphisms",
@@ -59,7 +45,6 @@ __all__ = [
 ]
 
 _q = Scalar.q_power
-_LAM = _q(1) - _q(-1)
 
 PRESET_IDS = (
     "glq2",
@@ -74,289 +59,20 @@ PRESET_IDS = (
 )
 
 
-def _w(spec: str) -> Element:
-    return Element.word(*spec.split(".")) if spec else Element.unit()
-
-
-def _el(*terms) -> Element:
-    """Sum of (coef, dotted-word) terms; coef may be Scalar or int."""
-    out = Element.zero()
-    for coef, spec in terms:
-        word = tuple(spec.split(".")) if spec else ()
-        out = out + Element.term(coef, word)
-    return out
-
-
-def _rules(table):
-    out = []
-    for lhs, rhs, tag in table:
-        if isinstance(rhs, tuple):
-            rhs = _el(*rhs)
-        elif isinstance(rhs, str):
-            rhs = _w(rhs)
-        out.append(RewriteRule(tuple(lhs.split(".")), rhs, tag))
-    return out
-
-
-def _gens(*specs):
-    return [Generator(name, parity, i) for i, (name, parity) in enumerate(specs)]
-
-
-# ---------------------------------------------------------------------------
-# rule tables
-# ---------------------------------------------------------------------------
-
-def _even_rules_gl():
-    return _rules([
-        ("a.b", ((_q(1), "b.a"),), "eq-2.11"),
-        ("a.c", ((_q(1), "c.a"),), "eq-2.11"),
-        ("c.b", ((ONE, "b.c"),), "eq-2.11"),
-        ("d.b", ((_q(-1), "b.d"),), "eq-2.11"),
-        ("d.c", ((_q(-1), "c.d"),), "eq-2.11"),
-        ("d.a", ((ONE, "a.d"), (-_LAM, "b.c")), "eq-2.11"),
-        ("a.d", ((ONE, "D"), (_q(1), "b.c")), "eq-2.7"),
-        ("D.Dinv", ((ONE, ""),), "sec-2"),
-        ("Dinv.D", ((ONE, ""),), "sec-2"),
-    ] + [(f"{big}.{x}", ((ONE, f"{x}.{big}"),), "eq-2.12")
-         for big in ("D", "Dinv") for x in ("b", "c", "a", "d")])
-
-
-def _even_rules_sl():
-    return _rules([
-        ("a.b", ((_q(1), "b.a"),), "eq-2.11"),
-        ("a.c", ((_q(1), "c.a"),), "eq-2.11"),
-        ("c.b", ((ONE, "b.c"),), "eq-2.11"),
-        ("d.b", ((_q(-1), "b.d"),), "eq-2.11"),
-        ("d.c", ((_q(-1), "c.d"),), "eq-2.11"),
-        ("d.a", ((ONE, "a.d"), (-_LAM, "b.c")), "eq-2.11"),
-        ("a.d", ((ONE, ""), (_q(1), "b.c")), "sec-4"),
-    ])
-
-
-def _even_rules_plane(other: str):
-    return _rules([
-        (f"a.{other}", ((_q(1), f"{other}.a"),), "eq-2.11"),
-        (f"d.{other}", ((_q(-1), f"{other}.d"),), "eq-2.11"),
-        ("a.d", ((ONE, ""),), "sec-4"),
-        ("d.a", ((ONE, ""),), "sec-4"),
-    ])
-
-
-def _param_form_rules(pairs, tag, forms_right=True):
-    """pairs: (form, param, coefficient); orientation follows the preset side."""
-    out = []
-    for form, param, coef in pairs:
-        if forms_right:
-            lhs, rhs = f"{form}.{param}", ((coef, f"{param}.{form}"),)
-        else:
-            lhs, rhs = f"{param}.{form}", ((coef, f"{form}.{param}"),)
-        out.append((lhs, rhs, tag))
-    return _rules(out)
-
-
-def _squares(forms, tag):
-    return [RewriteRule((f, f), Element.zero(), tag) for f in forms]
-
-
-_LEFT_GL_PAIRS = [
-    ("tht1", "a", ONE), ("tht1", "d", ONE), ("tht1", "c", ONE), ("tht1", "b", ONE),
-    ("tht4", "a", _q(-2)), ("tht4", "d", _q(2)), ("tht4", "c", _q(-2)), ("tht4", "b", _q(2)),
-    ("th2", "a", _q(-1)), ("th2", "d", _q(1)), ("th2", "c", _q(-1)), ("th2", "b", _q(1)),
-    ("th3", "a", _q(-1)), ("th3", "d", _q(1)), ("th3", "c", _q(-1)), ("th3", "b", _q(1)),
-]
-
-_LEFT_SL_PAIRS = [
-    ("th1", "a", _q(-2)), ("th1", "d", _q(2)), ("th1", "c", _q(-2)), ("th1", "b", _q(2)),
-    ("th2", "a", _q(-1)), ("th2", "d", _q(1)), ("th2", "c", _q(-1)), ("th2", "b", _q(1)),
-    ("th3", "a", _q(-1)), ("th3", "d", _q(1)), ("th3", "c", _q(-1)), ("th3", "b", _q(1)),
-]
-
-_RIGHT_GL_PAIRS = [
-    ("wb1", "a", ONE), ("wb1", "d", ONE), ("wb1", "b", ONE), ("wb1", "c", ONE),
-    ("wb4", "a", _q(2)), ("wb4", "d", _q(-2)), ("wb4", "b", _q(2)), ("wb4", "c", _q(-2)),
-    ("w2", "a", _q(1)), ("w2", "d", _q(-1)), ("w2", "b", _q(1)), ("w2", "c", _q(-1)),
-    ("w3", "a", _q(1)), ("w3", "d", _q(-1)), ("w3", "b", _q(1)), ("w3", "c", _q(-1)),
-]
-
-_RIGHT_SL_PAIRS = [
-    ("w1", "a", _q(2)), ("w1", "d", _q(-2)), ("w1", "b", _q(2)), ("w1", "c", _q(-2)),
-    ("w2", "a", _q(1)), ("w2", "d", _q(-1)), ("w2", "b", _q(1)), ("w2", "c", _q(-1)),
-    ("w3", "a", _q(1)), ("w3", "d", _q(-1)), ("w3", "b", _q(1)), ("w3", "c", _q(-1)),
-]
-
-
 @lru_cache(maxsize=None)
 def preset(preset_id: str) -> Presentation:
     """The validated built-in presentation for a stable preset id."""
     if preset_id not in PRESET_IDS:
         raise KeyError(f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}")
-    deglex = TerminationOrder("deglex")
-
-    if preset_id == "glq2":
-        p = Presentation(
-            "glq2",
-            _gens(("b", 0), ("c", 0), ("a", 0), ("d", 0), ("D", 0), ("Dinv", 0)),
-            deglex, _even_rules_gl(), form_position=None, tags=("sec-2",))
-
-    elif preset_id == "glq2-left":
-        forms = ("tht1", "th2", "th3", "tht4")
-        rules = (
-            _even_rules_gl()
-            + _param_form_rules(_LEFT_GL_PAIRS, "eq-3.22")
-            + _param_form_rules([(f, x, ONE) for f in forms for x in ("D", "Dinv")],
-                                "eq-2.25")
-            + _rules([
-                ("th2.tht1", ((-ONE, "tht1.th2"),), "eq-3.23"),
-                ("th3.tht1", ((-ONE, "tht1.th3"),), "eq-3.23"),
-                ("tht4.tht1", ((-ONE, "tht1.tht4"),), "eq-3.23"),
-                ("tht4.th2", ((-_q(4), "th2.tht4"),), "eq-3.23"),
-                ("tht4.th3", ((-_q(-4), "th3.tht4"),), "eq-3.23"),
-                ("th3.th2", ((-_q(2), "th2.th3"),), "eq-3.23"),
-            ])
-            + _squares(forms, "eq-3.23"))
-        p = Presentation(
-            "glq2-left",
-            _gens(("b", 0), ("c", 0), ("a", 0), ("d", 0), ("D", 0), ("Dinv", 0),
-                  ("tht1", 1), ("th2", 1), ("th3", 1), ("tht4", 1)),
-            deglex, rules, form_position="right", tags=("eq-3.22", "eq-3.23"))
-
-    elif preset_id == "slq2-left":
-        forms = ("th1", "th2", "th3")
-        rules = (
-            _even_rules_sl()
-            + _param_form_rules(_LEFT_SL_PAIRS, "eq-4.1")
-            + _rules([
-                ("th2.th1", ((-_q(-4), "th1.th2"),), "eq-4.2"),
-                ("th3.th1", ((-_q(4), "th1.th3"),), "eq-4.2"),
-                ("th3.th2", ((-_q(2), "th2.th3"),), "eq-4.2"),
-            ])
-            + _squares(forms, "eq-4.2"))
-        p = Presentation(
-            "slq2-left",
-            _gens(("b", 0), ("c", 0), ("a", 0), ("d", 0),
-                  ("th1", 1), ("th2", 1), ("th3", 1)),
-            deglex, rules, form_position="right", tags=("eq-4.1", "eq-4.2"))
-
-    elif preset_id == "qplane-left-c0":
-        rules = (
-            _even_rules_plane("b")
-            + _param_form_rules([
-                ("th1", "b", _q(2)), ("th1", "a", _q(-2)), ("th1", "d", _q(2)),
-                ("th2", "b", _q(1)), ("th2", "a", _q(-1)), ("th2", "d", _q(1)),
-            ], "eq-4.1")
-            + _rules([("th2.th1", ((-_q(-4), "th1.th2"),), "eq-4.2")])
-            + _squares(("th1", "th2"), "eq-4.2"))
-        p = Presentation(
-            "qplane-left-c0",
-            _gens(("b", 0), ("a", 0), ("d", 0), ("th1", 1), ("th2", 1)),
-            deglex, rules, form_position="right", tags=("eq-4.5",))
-
-    elif preset_id == "qplane-left-b0":
-        rules = (
-            _even_rules_plane("c")
-            + _param_form_rules([
-                ("th1", "c", _q(-2)), ("th1", "a", _q(-2)), ("th1", "d", _q(2)),
-                ("th3", "c", _q(-1)), ("th3", "a", _q(-1)), ("th3", "d", _q(1)),
-            ], "eq-4.1")
-            + _rules([("th3.th1", ((-_q(4), "th1.th3"),), "eq-4.2")])
-            + _squares(("th1", "th3"), "eq-4.2"))
-        p = Presentation(
-            "qplane-left-b0",
-            _gens(("c", 0), ("a", 0), ("d", 0), ("th1", 1), ("th3", 1)),
-            deglex, rules, form_position="right", tags=("eq-4.5",))
-
-    elif preset_id == "glq2-right":
-        forms = ("wb1", "w2", "w3", "wb4")
-        rules = (
-            _even_rules_gl()
-            + _param_form_rules(_RIGHT_GL_PAIRS, "eq-5.20", forms_right=False)
-            + _param_form_rules([(f, x, ONE) for f in forms for x in ("D", "Dinv")],
-                                "eq-2.25", forms_right=False)
-            + _rules([
-                ("w2.wb1", ((-ONE, "wb1.w2"),), "eq-5.21"),
-                ("w3.wb1", ((-ONE, "wb1.w3"),), "eq-5.21"),
-                ("wb4.wb1", ((-ONE, "wb1.wb4"),), "eq-5.21"),
-                ("wb4.w2", ((-_q(-4), "w2.wb4"),), "eq-5.21"),
-                ("wb4.w3", ((-_q(4), "w3.wb4"),), "eq-5.21"),
-                ("w3.w2", ((-_q(-2), "w2.w3"),), "eq-5.9"),
-            ])
-            + _squares(forms, "eq-5.9"))
-        p = Presentation(
-            "glq2-right",
-            _gens(("wb1", 1), ("w2", 1), ("w3", 1), ("wb4", 1),
-                  ("b", 0), ("c", 0), ("a", 0), ("d", 0), ("D", 0), ("Dinv", 0)),
-            deglex, rules, form_position="left", tags=("eq-5.20", "eq-5.21"))
-
-    elif preset_id == "slq2-right":
-        forms = ("w1", "w2", "w3")
-        rules = (
-            _even_rules_sl()
-            + _param_form_rules(_RIGHT_SL_PAIRS, "eq-5.23", forms_right=False)
-            + _rules([
-                ("w2.w1", ((-_q(4), "w1.w2"),), "eq-5.23"),
-                ("w3.w1", ((-_q(-4), "w1.w3"),), "eq-5.23"),
-                ("w3.w2", ((-_q(-2), "w2.w3"),), "eq-5.9"),
-            ])
-            + _squares(forms, "eq-5.9"))
-        p = Presentation(
-            "slq2-right",
-            _gens(("w1", 1), ("w2", 1), ("w3", 1),
-                  ("b", 0), ("c", 0), ("a", 0), ("d", 0)),
-            deglex, rules, form_position="left", tags=("eq-5.23",))
-
-    elif preset_id == "qplane-right-c0":
-        rules = (
-            _even_rules_plane("b")
-            + _param_form_rules([
-                ("w1", "a", _q(2)), ("w1", "b", _q(2)), ("w1", "d", _q(-2)),
-                ("w2", "a", _q(1)), ("w2", "b", _q(1)), ("w2", "d", _q(-1)),
-            ], "eq-5.23", forms_right=False)
-            + _rules([("w2.w1", ((-_q(4), "w1.w2"),), "eq-5.23")])
-            + _squares(("w1", "w2"), "eq-5.9"))
-        p = Presentation(
-            "qplane-right-c0",
-            _gens(("w1", 1), ("w2", 1), ("b", 0), ("a", 0), ("d", 0)),
-            deglex, rules, form_position="left", tags=("eq-4.5",))
-
-    else:  # qplane-right-b0
-        rules = (
-            _even_rules_plane("c")
-            + _param_form_rules([
-                ("w1", "a", _q(2)), ("w1", "c", _q(-2)), ("w1", "d", _q(-2)),
-                ("w3", "a", _q(1)), ("w3", "c", _q(-1)), ("w3", "d", _q(-1)),
-            ], "eq-5.23", forms_right=False)
-            + _rules([("w3.w1", ((-_q(-4), "w1.w3"),), "eq-5.23")])
-            + _squares(("w1", "w3"), "eq-5.9"))
-        p = Presentation(
-            "qplane-right-b0",
-            _gens(("w1", 1), ("w3", 1), ("c", 0), ("a", 0), ("d", 0)),
-            deglex, rules, form_position="left", tags=("eq-4.5",))
-
-    report = validate_presentation(p)
-    if not report.valid:
-        raise AssertionError(f"preset {preset_id} failed validation: {report.issues}")
-    return p
-
-
-def preset_info(preset_id: str) -> dict:
-    """Side, form names, and plane coordinates for a preset id."""
-    info = {
-        "glq2": (None, (), ()),
-        "glq2-left": ("left", ("tht1", "th2", "th3", "tht4"), ("a", "b", "c", "d")),
-        "glq2-right": ("right", ("wb1", "w2", "w3", "wb4"), ("a", "b", "c", "d")),
-        "slq2-left": ("left", ("th1", "th2", "th3"), ("a", "b", "c", "d")),
-        "slq2-right": ("right", ("w1", "w2", "w3"), ("a", "b", "c", "d")),
-        "qplane-left-c0": ("left", ("th1", "th2"), ("b", "d")),
-        "qplane-left-b0": ("left", ("th1", "th3"), ("a", "c")),
-        "qplane-right-c0": ("right", ("w1", "w2"), ("a", "b")),
-        "qplane-right-b0": ("right", ("w1", "w3"), ("c", "d")),
-    }[preset_id]
-    return {"side": info[0], "forms": info[1], "coords": info[2]}
+    from .dsl import parse_presentation     # dsl imports this module, for ``extends``
+    text = (files(__package__).joinpath("presets", f"{preset_id}.preset")
+            .read_text(encoding="utf-8"))
+    return parse_presentation(text)
 
 
 def free_presentation(*names: str, name: str = "free") -> Presentation:
     """A free algebra on even generators (no rules; normalize is identity)."""
-    return Presentation(name, _gens(*((n, 0) for n in names)),
+    return Presentation(name, [Generator(n, 0, i) for i, n in enumerate(names)],
                         TerminationOrder("deglex"), [], form_position=None)
 
 
@@ -483,10 +199,10 @@ def coproduct_check(p: Presentation) -> list:
 
 ANTIPODE_IMAGES: Mapping[str, Element] = {
     # confirmed below by solving S(T).T = T.S(T) = 1 inside the engine
-    "a": _w("d.Dinv"),
+    "a": Element.word("d.Dinv"),
     "b": Element.term(-_q(-1), ("b", "Dinv")),
     "c": Element.term(-_q(1), ("c", "Dinv")),
-    "d": _w("a.Dinv"),
+    "d": Element.word("a.Dinv"),
 }
 
 
@@ -520,7 +236,6 @@ def antipode_check(p: Presentation) -> list:
 _SCALAR_MAPS: dict[str, Callable[[Scalar], Scalar]] = {
     "id": lambda s: s,
     "invq": lambda s: s.invert_q(),
-    "q1": lambda s: (lambda f: Scalar.fraction(f.numerator, f.denominator))(s.eval_q1()),
 }
 
 
@@ -539,31 +254,24 @@ class Morphism:
         return normalize(out, self.target) if normalized else out
 
 
-def apply_morphism(x: Element, m: Morphism, normalized: bool = True) -> Element:
-    return m.apply(x, normalized)
-
-
 def _identity_images(names) -> dict:
     return {n: Element.word(n) for n in names}
 
 
+# a <-> d, each left form onto its right counterpart
+_INTERCHANGE = {"a": "d", "d": "a", "b": "b", "c": "c", "D": "D", "Dinv": "Dinv",
+                "tht1": "wb1", "th2": "w2", "th3": "w3", "tht4": "wb4"}
+
+
 def interchange_left_to_right() -> Morphism:
     """a <-> d with q -> 1/q, matching left forms onto right forms."""
-    images = {
-        "a": _w("d"), "d": _w("a"), "b": _w("b"), "c": _w("c"),
-        "D": _w("D"), "Dinv": _w("Dinv"),
-        "tht1": _w("wb1"), "th2": _w("w2"), "th3": _w("w3"), "tht4": _w("wb4"),
-    }
+    images = {x: Element.word(y) for x, y in _INTERCHANGE.items()}
     return Morphism("interchange", "glq2-left", preset("glq2-right"),
                     images, "invq")
 
 
 def interchange_right_to_left() -> Morphism:
-    images = {
-        "a": _w("d"), "d": _w("a"), "b": _w("b"), "c": _w("c"),
-        "D": _w("D"), "Dinv": _w("Dinv"),
-        "wb1": _w("tht1"), "w2": _w("th2"), "w3": _w("th3"), "wb4": _w("tht4"),
-    }
+    images = {y: Element.word(x) for x, y in _INTERCHANGE.items()}
     return Morphism("interchange-rev", "glq2-right", preset("glq2-left"),
                     images, "invq")
 
@@ -576,7 +284,7 @@ def reduction_morphisms() -> list[Morphism]:
     out.append(Morphism(
         "glq2-left->slq2-left", "glq2-left", preset("slq2-left"),
         {**_identity_images(("a", "b", "c", "d", "th2", "th3")),
-         "D": unit, "Dinv": unit, "tht1": zero, "tht4": _w("th1")}))
+         "D": unit, "Dinv": unit, "tht1": zero, "tht4": Element.word("th1")}))
     out.append(Morphism(
         "slq2-left->qplane-left-c0", "slq2-left", preset("qplane-left-c0"),
         {**_identity_images(("a", "b", "d", "th1", "th2")), "c": zero, "th3": zero}))
@@ -586,7 +294,7 @@ def reduction_morphisms() -> list[Morphism]:
     out.append(Morphism(
         "glq2-right->slq2-right", "glq2-right", preset("slq2-right"),
         {**_identity_images(("a", "b", "c", "d", "w2", "w3")),
-         "D": unit, "Dinv": unit, "wb1": zero, "wb4": _w("w1")}))
+         "D": unit, "Dinv": unit, "wb1": zero, "wb4": Element.word("w1")}))
     out.append(Morphism(
         "slq2-right->qplane-right-c0", "slq2-right", preset("qplane-right-c0"),
         {**_identity_images(("a", "b", "d", "w1", "w2")), "c": zero, "w3": zero}))
@@ -594,14 +302,3 @@ def reduction_morphisms() -> list[Morphism]:
         "slq2-right->qplane-right-b0", "slq2-right", preset("qplane-right-b0"),
         {**_identity_images(("a", "c", "d", "w1", "w3")), "b": zero, "w2": zero}))
     return out
-
-
-def reduction_check(src: str, dst: str, m: Morphism) -> list:
-    """Every relation of the source must map into the target's ideal."""
-    checks = []
-    for r in preset(src).rules:
-        image = m.apply(r.relation())
-        checks.append(Check.of(
-            image.is_zero, f"{m.name}[{'.'.join(r.lhs)}]", r.provenance,
-            residual=str(image), details=f"{src} -> {dst}"))
-    return checks

@@ -310,9 +310,7 @@ def suite_interchange(cfg: SuiteConfig) -> list:
 
 
 def _at_one(x: Element) -> Element:
-    return x.map_scalars(
-        lambda s: (lambda f: Scalar.fraction(f.numerator, f.denominator))(
-            s.eval_q1()))
+    return x.map_scalars(lambda s: Scalar.fraction(*s.eval_q1().as_integer_ratio()))
 
 
 def suite_classical_limit(cfg: SuiteConfig) -> list:
@@ -330,9 +328,8 @@ def suite_classical_limit(cfg: SuiteConfig) -> list:
     for nm in names:
         diff_mode = nm.endswith("-diff")
         pres = diff_presentation(nm) if diff_mode else p
-        subst = ({f"del_{x}": diff_structure(p.name).images[x]
-                  for x in ("a", "b", "c", "d") if x in p.parity}
-                 if diff_mode else {})
+        d = p.calculus
+        subst = {f"del_{x}": d.images[x] for x in d.coords} if diff_mode else {}
         kinds = {"commutator": 0, "anticommutator": 0}
         bad = []
         for r in pres.rules:

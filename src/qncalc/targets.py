@@ -14,7 +14,7 @@ from __future__ import annotations
 from .calculus import diff_presentation, diff_structure
 from .dsl import parse_expression
 from .ncalg import Element, normalize
-from .presentations import preset, preset_info
+from .presentations import preset
 from .reports import Check
 
 __all__ = [
@@ -153,11 +153,11 @@ PRINTED_4_5 = (
     ("eq-4.5[II:del_y.x]", "del_y.x", "q^-1 x.del_y + (q^-2 - 1) y.del_x"),
 )
 
-# which plane presets realize the two coordinates: the left calculus uses
-# the matrix columns, the right calculus the rows
+# the plane presets whose coordinates (x, y) realize the printed plane, in
+# report order: the left calculus uses the matrix columns, the right the rows
 WZ_PROJECTIONS = {
-    "left": (("qplane-left-b0", ("a", "c")), ("qplane-left-c0", ("b", "d"))),
-    "right": (("qplane-right-c0", ("a", "b")), ("qplane-right-b0", ("c", "d"))),
+    "left": ("qplane-left-b0", "qplane-left-c0"),
+    "right": ("qplane-right-c0", "qplane-right-b0"),
 }
 
 _TRACE_FORM = {"glq2-left": "tht1", "glq2-right": "wb1"}
@@ -165,7 +165,7 @@ _TRACE_FORM = {"glq2-left": "tht1", "glq2-right": "wb1"}
 
 def _form_mode_substitution(preset_id: str) -> dict:
     ds = diff_structure(preset_id)
-    subst = {f"del_{x}": ds.images[x] for x in preset_info(preset_id)["coords"]}
+    subst = {f"del_{x}": ds.images[x] for x in ds.coords}
     tr = _TRACE_FORM.get(preset_id)
     if tr:
         subst["Tr"] = Element.word(tr)
@@ -211,13 +211,13 @@ def wz_plane_checks(side: str) -> list:
     it holds in at least one projection; the per-projection outcome is
     recorded in the details.
     """
-    projections = WZ_PROJECTIONS[side]
     checks = []
     for tag, lhs_s, rhs_s in PRINTED_4_5:
         outcomes = []
-        for pid, (cx, cy) in projections:
+        for pid in WZ_PROJECTIONS[side]:
             p = preset(pid)
             ds = diff_structure(pid)
+            cx, cy = ds.coords
             subst = {
                 "x": Element.word(cx), "y": Element.word(cy),
                 "del_x": ds.images[cx], "del_y": ds.images[cy],

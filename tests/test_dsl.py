@@ -1,10 +1,14 @@
 """Expression and presentation text formats."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qncalc.calculus import (
+    CALCULUS_PRESETS,
+    check_nilpotent,
+    derive_diff_rules,
+    diff_presentation,
+)
 from qncalc.dsl import (
     DslError,
     export_presentation,
@@ -276,14 +280,77 @@ def test_wz_plane_example_file():
         assert normalize(lhs_e - rhs_e, p).is_zero
 
 
+
+def test_q_line_calculus_example_file():
+    from pathlib import Path
+    text = Path(__file__).resolve().parent.parent.joinpath(
+        "docs", "examples", "q-line.preset").read_text()
+    p = parse_presentation(text)
+    d = p.calculus
+    assert (d.side, p.form_position, d.coords) == ("left", "right", ("x",))
+    assert d.images["xi"] == -q(-2) * w("xi.th")
+    assert d.forms == {"th": w("xi.del_x")}
+    assert [r.provenance for r in p.rules][1:4] == ["user:8", "commutation", "commutation"]
+    assert check_nilpotent(d, p).status == "pass"
+    dp = derive_diff_rules(p, d, d.coords, d.forms)
+    assert {r.lhs: r.rhs for r in dp.rules}[("del_x", "x")] == q(2) * w("x.del_x")
+
+
+def test_gen_line_declares_several_generators():
+    p = parse_presentation("gen x y parity even\ngen f g parity odd\n")
+    assert [(g.name, g.parity, g.precedence) for g in p.generators] == [
+        ("x", 0, 0), ("y", 0, 1), ("f", 1, 2), ("g", 1, 3)]
+
+
+def test_rule_tag_names_the_provenance():
+    p = parse_presentation("gen x y parity even\nrule y.x -> q x.y  @eq-9.1\n")
+    assert p.rules[0].provenance == "eq-9.1"
+
+
+def test_migration_order_sets_form_position():
+    p = parse_presentation("order migration left\ngen x parity even\n")
+    assert p.form_position == "left"
+    assert parse_presentation("gen x parity even\n").form_position is None
+
+
+def test_extends_inherits_the_calculus():
+    p = parse_presentation("extends slq2-left\nname mine\n")
+    assert p.calculus == preset("slq2-left").calculus
+    assert p.form_position == "right"
+
+
+_CALCULUS_HEAD = "side left\ngen x parity even\ngen f parity odd\ncoords x\n"
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("side up\n", 1, None),
+    ("gen x parity even\ncoords x\n", None, None),            # no side line
+    ("side left\ngen x parity even\ngen f parity odd\ncoords f\n", 4, None),
+    ("side left\ncoords y\n", 2, None),
+    ("side left\ngen x parity even\ncoords x x\n", 3, None),
+    (_CALCULUS_HEAD + "diff x.x -> f\n", 5, None),
+    (_CALCULUS_HEAD + "diff x -> y.f\n", 5, 11),
+    (_CALCULUS_HEAD + "diff x\n", 5, None),
+    (_CALCULUS_HEAD + "form x -> del_x\n", 5, None),
+    (_CALCULUS_HEAD + "form f -> del_y\n", 5, 11),
+    (_CALCULUS_HEAD + "form f -> f\n", 5, 11),
+    (_CALCULUS_HEAD + "dependency\n", 5, None),
+    (_CALCULUS_HEAD + "dependency x.del_x - del_z\n", 5, 22),
+])
+def test_calculus_directive_errors(text, line, column):
+    with pytest.raises(DslError) as info:
+        parse_presentation(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
 # -- round-trips -------------------------------------------------------------------
 
-@pytest.mark.parametrize("pid", PRESET_IDS)
+def _record(p):
+    """Everything a presentation file declares, in comparable form."""
+    return (p.name, p.generators, p.order, p.form_position,
+            [(r.lhs, r.rhs, r.provenance) for r in p.rules], p.calculus)
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS + tuple(f"{c}-diff" for c in CALCULUS_PRESETS))
 def test_preset_roundtrip(pid):
-    p = preset(pid)
-    p2 = parse_presentation(export_presentation(p))
-    rng = random.Random(hash(pid) & 0xFFFF)
-    letters = [g.name for g in p.generators]
-    for _ in range(40):
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-        assert normalize(w(*word), p) == normalize(w(*word), p2)
+    p = diff_presentation(pid) if pid.endswith("-diff") else preset(pid)
+    assert _record(parse_presentation(export_presentation(p))) == _record(p)
