@@ -8,7 +8,6 @@ from qncalc import (
     apply_delta,
     check_nilpotent,
     diff_presentation,
-    diff_structure,
     normalize,
     preset,
     qdet,
@@ -21,7 +20,7 @@ w = Element.word
 
 print("== the left calculus on the full matrix algebra ==")
 pid = "glq2-left"
-p, d = preset(pid), diff_structure(pid)
+p, d = preset(pid), preset(pid).calculus
 for g in ("a", "b", "D"):
     print(f"  d({g}) = {d.images[g]}")
 
@@ -37,7 +36,7 @@ print(" ", check_nilpotent(d, p, 3).details)
 
 print("\n== vector fields ==")
 sl = preset("slq2-left")
-dsl_ = diff_structure("slq2-left")
+dsl_ = preset("slq2-left").calculus
 for g in "abcd":
     comps = vector_field_components(w(g), dsl_, sl)
     print(f"  components of {g}: "

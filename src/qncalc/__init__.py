@@ -16,7 +16,6 @@ from .calculus import (
     conjugate_forms_check,
     derive_diff_rules,
     diff_presentation,
-    diff_structure,
     qtrace_check,
     vector_field_components,
 )

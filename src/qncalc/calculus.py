@@ -44,24 +44,23 @@ from .ncalg import (
     normalize,
     validate_presentation,
 )
-from .presentations import ANTIPODE_IMAGES, preset, qdet
+from .presentations import ANTIPODE_IMAGES, builtin_id, preset, qdet
 from .qfield import ONE, Scalar
 from .reports import Check
 
 __all__ = [
     "DiffStructure",
-    "diff_structure",
     "apply_delta",
     "check_nilpotent",
     "delta_respects_rules",
     "maurer_cartan_check",
     "qtrace_check",
     "standard_form_basis",
-    "form_to_diff",
     "form_diff_roundtrip_check",
     "derive_diff_rules",
     "diff_presentation",
     "CALCULUS_PRESETS",
+    "TRACE_FORM",
     "vector_field_components",
     "VectorRelation",
     "VECTOR_RELATIONS",
@@ -77,6 +76,9 @@ CALCULUS_PRESETS = (
     "glq2-left", "slq2-left", "qplane-left-b0", "qplane-left-c0",
     "glq2-right", "slq2-right", "qplane-right-b0", "qplane-right-c0",
 )
+
+# the quantum-trace 1-form of each GL calculus, in its diagonalized basis
+TRACE_FORM = {"glq2-left": "tht1", "glq2-right": "wb1"}
 
 COMPOSITION_CONVENTION = (
     "left fields: f V_i V_j = (f V_i) V_j (reading order); "
@@ -101,18 +103,10 @@ class DiffStructure:
         if self.side not in ("left", "right"):
             raise ValueError(f"bad side {self.side!r}")
 
-
-def diff_structure(preset_id: str) -> DiffStructure:
-    """The calculus a preset declares.
-
-    Parameter images come from the matrix identities d(T) = T.theta
-    (left) and d(T) = omega.T (right); form images from the closure
-    d(form matrix) = form.form, both expanded in the diagonalized basis.
-    """
-    d = preset(preset_id).calculus
-    if d is None:
-        raise KeyError(f"no differential structure for preset {preset_id!r}")
-    return d
+    def del_images(self) -> dict:
+        """``del_x -> d(x)`` for each coordinate x: the substitution that
+        takes a differential-mode element back to form mode."""
+        return {f"del_{x}": self.images[x] for x in self.coords}
 
 
 def apply_delta(x: Element, d: DiffStructure, p: Presentation,
@@ -182,25 +176,25 @@ def delta_respects_rules(d: DiffStructure, p: Presentation) -> list:
 # standard (matrix-position) form basis
 # ---------------------------------------------------------------------------
 
-def standard_form_basis(preset_id: str) -> dict:
+def standard_form_basis(p: Presentation) -> dict:
     """The standard forms (indices 1..4, row-major matrix position) as
-    elements in the preset's primitive basis, plus the reverse linear map
-    used to convert vector-field components."""
-    side = diff_structure(preset_id).side
-    if preset_id in ("glq2-left", "glq2-right"):
-        if side == "left":
-            t, f1, f4 = "th", "tht1", "tht4"
-            shrink = -_q(2)
-        else:
-            t, f1, f4 = "w", "wb1", "wb4"
-            shrink = -_q(-2)
+    elements in a calculus preset's primitive basis, plus the reverse
+    linear map used to convert vector-field components."""
+    left = p.calculus.side == "left"
+    pid = builtin_id(p)
+    if pid not in CALCULUS_PRESETS:
+        raise ValueError(f"{p.name} is not a built-in calculus preset")
+    t = "th" if left else "w"
+    shrink = -_q(2) if left else -_q(-2)
+    if pid in TRACE_FORM:       # GL: the trace form and its diagonalized partner
+        f1, f4 = TRACE_FORM[pid], ("tht4" if left else "wb4")
         std = {
             1: _HALF * Element.word(f1) + Element.word(f4),
             2: Element.word(t + "2"),
             3: Element.word(t + "3"),
             4: _HALF * Element.word(f1) + shrink * Element.word(f4),
         }
-        sq = _q(2) if side == "left" else _q(-2)
+        sq = _q(2) if left else _q(-2)
         den = ONE + sq
         prim = {
             f1: {1: Scalar.from_int(2) * sq / den, 4: Scalar.from_int(2) / den},
@@ -208,39 +202,35 @@ def standard_form_basis(preset_id: str) -> dict:
             f4: {1: ONE / den, 4: -(ONE / den)},
         }
         return {"standard": std, "primitive": prim, "indices": (1, 2, 3, 4)}
-    t = "th" if side == "left" else "w"
-    shrink = -_q(2) if side == "left" else -_q(-2)
     std = {1: Element.word(t + "1"), 2: Element.zero(), 3: Element.zero(),
            4: Element.term(shrink, (t + "1",))}
     prim = {t + "1": {1: ONE}}
     indices = [1]
     for k in (2, 3):
         name = f"{t}{k}"
-        if name in preset(preset_id).parity:
+        if name in p.parity:
             std[k] = Element.word(name)
             prim[name] = {k: ONE}
             indices.append(k)
     return {"standard": std, "primitive": prim, "indices": tuple(indices)}
 
 
-def maurer_cartan_check(preset_id: str) -> list:
+def maurer_cartan_check(p: Presentation) -> list:
     """Entrywise closure of the form-valued matrix: which sign of
     d(form) -/+ form.form vanishes (the + closure is the consistent one)."""
-    p = preset(preset_id)
-    d = diff_structure(preset_id)
-    std = standard_form_basis(preset_id)["standard"]
+    std = standard_form_basis(p)["standard"]
     mat = {(1, 1): std[1], (1, 2): std[2], (2, 1): std[3], (2, 2): std[4]}
     checks = []
     for i in (1, 2):
         for j in (1, 2):
-            lhs = apply_delta(mat[(i, j)], d, p)
+            lhs = apply_delta(mat[(i, j)], p.calculus, p)
             square = Element.zero()
             for k in (1, 2):
                 square = square + mat[(i, k)] * mat[(k, j)]
             square = normalize(square, p)
             plus = lhs - square
             checks.append(Check.of(
-                plus.is_zero, f"maurer-cartan[{preset_id}][{i}{j}]", "sec-3-IV",
+                plus.is_zero, f"maurer-cartan[{p.name}][{i}{j}]", "sec-3-IV",
                 residual=str(plus),
                 details="realized sign: d(form) = +form.form"))
     return checks
@@ -249,26 +239,24 @@ def maurer_cartan_check(preset_id: str) -> list:
 def qtrace_check(p: Presentation) -> list:
     """The trace form reproduces d(qdet) and its two printed left
     expressions agree (matched parameter values)."""
-    pid = p.name
-    if pid not in ("glq2-left", "glq2-right"):
+    pid = builtin_id(p)
+    if pid not in TRACE_FORM:
         raise ValueError("quantum-trace check applies to the GL calculus presets")
-    d = diff_structure(pid)
-    std = standard_form_basis(pid)["standard"]
+    left = p.calculus.side == "left"
+    std = standard_form_basis(p)["standard"]
     checks = []
     two = Scalar.from_int(2)
-    if pid == "glq2-left":
-        tr_name = "tht1"
+    if left:
         alpha = two / (ONE + _q(2))
         expr1 = (alpha * _q(2)) * std[1] + alpha * std[4]
         expr2 = (two / (_q(1) + _q(-1))) * (_q(1) * std[1] + _q(-1) * std[4])
         tag1, tag2 = "post-3.17", "eq-3.24-footnote"
     else:
-        tr_name = "wb1"
         t_par = two / (ONE + _q(-2))
         expr1 = (t_par * _q(-2)) * std[1] + t_par * std[4]
         expr2 = (two / (_q(1) + _q(-1))) * (_q(-1) * std[1] + _q(1) * std[4])
         tag1, tag2 = "eq-5.11", "eq-5.19"
-    tr = Element.word(tr_name)
+    tr = Element.word(TRACE_FORM[pid])
     r1 = normalize(expr1 - tr, p)
     checks.append(Check.of(r1.is_zero, f"trace-expression-1[{pid}]", tag1,
                            residual=str(r1)))
@@ -276,8 +264,8 @@ def qtrace_check(p: Presentation) -> list:
     checks.append(Check.of(r2.is_zero, f"trace-expression-2[{pid}]", tag2,
                            residual=str(r2)))
     det = qdet(p)
-    ddet = apply_delta(det, d, p)
-    want = normalize(det * tr if pid == "glq2-left" else tr * det, p)
+    ddet = apply_delta(det, p.calculus, p)
+    want = normalize(det * tr if left else tr * det, p)
     r3 = ddet - want
     checks.append(Check.of(r3.is_zero, f"d(qdet) = trace rule[{pid}]", "eq-3.6",
                            residual=str(r3)))
@@ -288,47 +276,48 @@ def qtrace_check(p: Presentation) -> list:
 # forms <-> primitive differentials, derived differential-mode rules
 # ---------------------------------------------------------------------------
 
-def form_to_diff(preset_id: str) -> dict:
-    """Each primitive form as an element over parameters and ``del_*``."""
-    return diff_structure(preset_id).forms
-
-
-def form_diff_roundtrip_check(preset_id: str) -> list:
+def form_diff_roundtrip_check(p: Presentation) -> list:
     """Substituting the generator differentials back into the
     form-through-differential expressions must reproduce each primitive
     form exactly (the conversion is invertible)."""
-    p = preset(preset_id)
-    ds = diff_structure(preset_id)
-    subst = {f"del_{x}": ds.images[x] for x in ds.coords}
+    ds = p.calculus
+    subst = ds.del_images()
     checks = []
     for form, expr in ds.forms.items():
         back = normalize(expr.substitute(subst), p)
         res = back - Element.word(form)
-        checks.append(Check.of(res.is_zero, f"form-roundtrip[{preset_id}][{form}]",
+        checks.append(Check.of(res.is_zero, f"form-roundtrip[{p.name}][{form}]",
                                "eq-2.17" if ds.side == "left" else "eq-2.22",
                                residual=str(res)))
     return checks
 
 
-def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
-                      name: str | None = None, dependencies=()) -> Presentation:
-    """Machine-derive the parameter/differential commutation rules.
+def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
+    """Machine-derive the parameter/differential commutation rules of the
+    calculus ``p`` declares.
 
     For every primitive differential del_x and even generator y the
     normal form of (del_x . y) [left] or (y . del_x) [right] is computed
-    in form mode, converted through the form/differential dictionary, and
-    emitted as a migration-ordered rule.  The result is the ground truth
-    the printed relation tables are regression-compared against.
+    in form mode, converted through the calculus's ``form`` expressions,
+    and emitted as a migration-ordered rule.  The result is the ground
+    truth the printed relation tables are regression-compared against.
 
-    ``dependencies`` are relations among the differentials themselves
-    (zero elements of the differential-mode algebra); each is oriented on
-    its largest word.  The unimodular presets need exactly one: their
-    form space is three-dimensional, so the four generator differentials
-    are linearly dependent over the algebra.
+    The calculus's ``dependencies`` are relations among the differentials
+    themselves (zero elements of the differential-mode algebra); each is
+    oriented on its largest word.  The unimodular presets need exactly
+    one: their form space is three-dimensional, so the four generator
+    differentials are linearly dependent over the algebra.
+
+    A calculus whose forms cannot be converted (a term with other than
+    one form, a form off its boundary slot or without a ``form`` line),
+    or whose derived rules fail validation, raises ValueError.
     """
+    d = p.calculus
+    if d is None:
+        raise ValueError(f"{p.name} declares no differential calculus")
     evens = [g for g in p.generators if g.parity == 0]
     gens = [Generator(g.name, 0, i) for i, g in enumerate(evens)]
-    gens += [Generator(f"del_{x}", 1, len(gens) + i) for i, x in enumerate(coords)]
+    gens += [Generator(f"del_{x}", 1, len(gens) + i) for i, x in enumerate(d.coords)]
     side = "right" if d.side == "left" else "left"   # where the del_x end up
     order = TerminationOrder("migration", form_side=side)
     even_rules = [r for r in p.rules
@@ -349,13 +338,15 @@ def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
             if d.side == "right" and i != 0:
                 raise ValueError(f"form not leftmost in {word}")
             rest = Element.word(*(word[:i] + word[i + 1:]))
-            image = f2d[word[i]]
+            image = d.forms.get(word[i])
+            if image is None:
+                raise ValueError(f"form {word[i]} has no form line")
             piece = rest * image if d.side == "left" else image * rest
             out = out + piece.scale(coef)
         return out
 
     rules = list(even_rules)
-    for x in coords:
+    for x in d.coords:
         dx = f"del_{x}"
         for y in (g.name for g in evens):
             if d.side == "left":
@@ -368,7 +359,7 @@ def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
             rules.append(RewriteRule(lhs, rhs, f"derived[{lhs[0]}.{lhs[1]}]"))
     parity = {g.name: g.parity for g in gens}
     prec = {g.name: g.precedence for g in gens}
-    for dep in dependencies:
+    for dep in d.dependencies:
         dep = normalize(dep, skeleton)
         if dep.is_zero:
             continue
@@ -387,17 +378,22 @@ def derive_diff_rules(p: Presentation, d: DiffStructure, coords, f2d,
     out = Presentation(out.name, gens, order, reduced, form_position=side)
     report = validate_presentation(out)
     if not report.valid:
-        raise AssertionError(f"derived rules fail validation: {report.issues}")
+        raise ValueError(f"derived rules fail validation: {report.issues}")
     return out
 
 
+def diff_presentation(p) -> Presentation:
+    """The derived differential-mode presentation of a calculus.  A preset
+    id, with or without its ``-diff`` suffix, names the built-in one."""
+    if isinstance(p, str):
+        p = preset(p.removesuffix("-diff"))
+    return _derived(p)
+
+
 @lru_cache(maxsize=None)
-def diff_presentation(preset_id: str) -> Presentation:
-    """The derived differential-mode presentation for a calculus preset."""
-    pid = preset_id.removesuffix("-diff")
-    d = diff_structure(pid)
-    return derive_diff_rules(preset(pid), d, d.coords, d.forms, name=pid + "-diff",
-                             dependencies=d.dependencies)
+def _derived(p: Presentation) -> Presentation:
+    # keyed by the object, so a user file named like a preset gets its own
+    return derive_diff_rules(p, name=p.name + "-diff")
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +425,7 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation,
         prim[form] = prim.get(form, Element.zero()) + Element.term(coef, rest)
     if basis == "primitive":
         return prim
-    table = standard_form_basis(p.name)["primitive"]
+    table = standard_form_basis(p)["primitive"]
     out: dict = {}
     for form, comp in prim.items():
         for k, coef in table[form].items():
@@ -569,14 +565,13 @@ def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
 # conjugated left forms inside the right calculus
 # ---------------------------------------------------------------------------
 
-def _conjugated_theta(preset_id: str = "slq2-right") -> dict:
+def _conjugated_theta(p: Presentation) -> dict:
     """theta = S(T) . omega . T computed inside a right calculus preset.
 
     The printed sample relations live in the unimodular case, where the
     antipode images lose their Dinv factor.
     """
-    p = preset(preset_id)
-    std = standard_form_basis(preset_id)["standard"]
+    std = standard_form_basis(p)["standard"]
     om = {(1, 1): std[1], (1, 2): std[2], (2, 1): std[3], (2, 2): std[4]}
     t = {(1, 1): Element.word("a"), (1, 2): Element.word("b"),
          (2, 1): Element.word("c"), (2, 2): Element.word("d")}
@@ -625,13 +620,13 @@ _CONJ_TARGETS = (
 )
 
 
-def conjugate_forms_check(samples=_CONJ_TARGETS,
-                          preset_id: str = "slq2-right") -> list:
-    """Compare theta^k . parameter against the printed higher-degree
-    relations; leading (lowest-degree) terms must agree, full coefficients
-    are reported CONFIRMED or MISMATCH with the residual attached."""
-    p = preset(preset_id)
-    theta = _conjugated_theta(preset_id)
+def conjugate_forms_check(samples=_CONJ_TARGETS) -> list:
+    """Compare theta^k . parameter in ``slq2-right`` against the printed
+    higher-degree relations; leading (lowest-degree) terms must agree,
+    full coefficients are reported CONFIRMED or MISMATCH with the residual
+    attached."""
+    p = preset("slq2-right")
+    theta = _conjugated_theta(p)
     checks = []
     for tag, idx, param, rhs_terms in samples:
         lhs = normalize(theta[idx] * Element.word(param), p)

@@ -12,8 +12,9 @@ Reports are JSON (schema in ``docs/report-schema.json``).  ``--report``
 writes to the given path; a relative path is resolved against
 ``$QNCALC_REPORT_DIR`` when that is set.  Exit code 0 means every check
 passed (mismatching printed-equation regressions count as failures
-unless ``--allow-mismatch`` is given).  Bad input and an exceeded step
-budget print ``error: ...`` and exit 2.
+unless ``--allow-mismatch`` is given).  Bad input, an unreadable file
+and an exceeded step budget print ``error: ...`` and exit 2; a closed
+stdout (``qncalc list-presets | head -1``) ends the command quietly.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ REPORT_DIR_ENV = "QNCALC_REPORT_DIR"
 
 
 def _resolve_presentation(args):
+    """The presentation named on the command line, and its preset id
+    (None for a ``--file``)."""
     if getattr(args, "file", None):
         return parse_presentation(Path(args.file).read_text()), None
     pid = getattr(args, "preset", None) or "glq2"
@@ -92,13 +95,10 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    source = None
-    if args.file:
-        source = parse_presentation(Path(args.file).read_text())
-    cfg = SuiteConfig(preset=args.preset or "glq2",
-                      suites=tuple(args.suite or ()),
+    p, pid = _resolve_presentation(args)
+    cfg = SuiteConfig(preset=pid or "glq2", suites=tuple(args.suite or ()),
                       max_degree=args.max_degree, seed=args.seed,
-                      allow_mismatch=args.allow_mismatch, source=source)
+                      source=p if pid is None else None)
     report = run_suite(cfg)
     return _emit(report, args, f"check-{report.preset}")
 
@@ -170,8 +170,15 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (DslError, StepBudgetExceededError) as exc:
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()          # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``); send what is still buffered
+        # to /dev/null, so that the interpreter's last flush is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (DslError, StepBudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -313,6 +313,7 @@ def parse_presentation(text: str) -> Presentation:
     order = None
     gens: list[Generator] = []
     parity: dict = {}       # generator name -> parity; changes on gen and extends
+    declared: dict = {}     # generator name -> the line that declared it
     rules: list[RewriteRule] = []
     side, coords, diff, forms, deps = None, (), {}, {}, []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -332,6 +333,7 @@ def parse_presentation(text: str) -> Presentation:
             base = preset(pid)
             gens = list(base.generators)
             parity = dict(base.parity)
+            declared = dict.fromkeys(parity, lineno)
             rules = list(base.rules)
             if order is None:
                 order = base.order
@@ -359,6 +361,7 @@ def parse_presentation(text: str) -> Presentation:
                     raise DslError(f"bad or duplicate generator {gname!r}", lineno)
                 gens.append(Generator(gname, par, len(gens)))
                 parity[gname] = par
+                declared[gname] = lineno
         elif head == "rule":
             tag = _TAG.search(rest)
             if tag:
@@ -379,6 +382,10 @@ def parse_presentation(text: str) -> Presentation:
             word, image = _arrow_line(raw, rest, lineno, head, parity, parity)
             if len(word) > 1:
                 raise DslError("diff LHS must be one generator", lineno)
+            odd = parity[word[0]] + 1
+            if any(sum(parity[g] for g in w) != odd for w in image.words()):
+                raise DslError(f"each term of d({word[0]}) needs exactly one odd "
+                               f"generator more than {word[0]}", lineno)
             diff[word[0]] = image
         elif head == "form":
             word, image = _arrow_line(raw, rest, lineno, head, parity,
@@ -398,6 +405,9 @@ def parse_presentation(text: str) -> Presentation:
         order = TerminationOrder("deglex")
     calculus = None
     if side is not None:       # a left calculus keeps its forms rightmost
+        for g in parity:
+            if g not in diff:
+                raise DslError(f"generator {g!r} has no diff line", declared[g])
         calculus = DiffStructure(side, diff, coords, forms, tuple(deps))
         form_position = "right" if side == "left" else "left"
     elif diff or forms or coords or deps:

@@ -70,6 +70,13 @@ def preset(preset_id: str) -> Presentation:
     return parse_presentation(text)
 
 
+def builtin_id(p: Presentation) -> str | None:
+    """The id of the built-in preset ``p`` is, or None.  Data kept per
+    preset (printed tables, the trace form) is reached only through this,
+    so a user file named like a preset never picks it up."""
+    return p.name if p.name in PRESET_IDS and p is preset(p.name) else None
+
+
 def free_presentation(*names: str, name: str = "free") -> Presentation:
     """A free algebra on even generators (no rules; normalize is identity)."""
     return Presentation(name, [Generator(n, 0, i) for i, n in enumerate(names)],

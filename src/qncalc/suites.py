@@ -1,10 +1,11 @@
 """Named verification suites and the report-producing runner.
 
 Suites are small callables producing :class:`~qncalc.reports.Check`
-lists.  Some are per-preset (confluence, delta2, ...), others are global
-to the whole preset family (reductions, interchange, regressions); a
-suite asked to run against a preset it does not cover reports a single
-``skipped`` check.  ``run_all`` executes the full matrix.
+lists.  Some check one presentation (confluence, delta2, ...) and apply
+where their predicate in ``_APPLIES`` holds; the others check the whole
+preset family (reductions, interchange, regressions).  A suite asked to
+run where it does not apply reports a single ``skipped`` check.
+``run_all`` executes the full matrix.
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ from . import rmatrix
 from .calculus import (
     CALCULUS_PRESETS,
     COMPOSITION_CONVENTION,
+    TRACE_FORM,
     VECTOR_RELATIONS,
     check_nilpotent,
     check_vector_algebra,
     conjugate_forms_check,
     delta_respects_rules,
     diff_presentation,
-    diff_structure,
     form_diff_roundtrip_check,
     maurer_cartan_check,
     qtrace_check,
@@ -39,6 +40,7 @@ from .ncalg import (
 from .presentations import (
     PRESET_IDS,
     antipode_check,
+    builtin_id,
     coproduct_check,
     epsilon_identity_check,
     free_presentation,
@@ -79,7 +81,6 @@ class SuiteConfig:
     suites: tuple = ()
     max_degree: int = 0          # 0 = per-suite default
     seed: int = 2024
-    allow_mismatch: bool = False
     source: Presentation | None = None   # user presentation from a file
 
     def presentation(self) -> Presentation:
@@ -126,9 +127,10 @@ def suite_confluence(cfg: SuiteConfig) -> list:
         residual=str(conf.unresolved[0].residual) if conf.unresolved else None,
         details=f"{len(conf.pairs)} critical pairs, "
                 f"{len(conf.unresolved)} unresolved"))
-    if p is preset("glq2-left"):
+    pid = builtin_id(p)
+    if pid == "glq2-left":
         checks += _cubic_chain_checks(p)
-    n_words, seeds = (200, 5) if p is preset("glq2") else (50, 2)
+    n_words, seeds = (200, 5) if pid == "glq2" else (50, 2)
     rng = random.Random(cfg.seed)
     letters = [g.name for g in p.generators]
     agree = 0
@@ -195,14 +197,12 @@ def suite_ybe(cfg: SuiteConfig) -> list:
 
 def suite_rtt(cfg: SuiteConfig) -> list:
     p = cfg.presentation()
-    if any(n not in p.parity for n in ("a", "b", "c", "d")):
-        return _skip(f"rtt[{p.name}]", "preset lacks the full matrix of generators")
     res = rmatrix.rtt_residual(rmatrix.standard_r(), p)
     bad = {k: v for k, v in res.items() if not v.is_zero}
     checks = [Check.of(not bad, f"rtt[{p.name}]", "eq-2.4",
                        residual=str(next(iter(bad.values()))) if bad else None,
                        details="all 16 components vanish")]
-    if p is preset("glq2"):
+    if builtin_id(p) == "glq2":
         free = free_presentation("a", "b", "c", "d")
         comp = rmatrix.rtt_residual(rmatrix.standard_r(), free)[(1, 1, 1, 2)]
         expected = Element.term(_q(-1), ("a", "b")) - Element.word("b", "a")
@@ -222,8 +222,6 @@ def suite_rtt(cfg: SuiteConfig) -> list:
 
 def suite_hopf(cfg: SuiteConfig) -> list:
     p = cfg.presentation()
-    if p.name != "glq2":
-        return _skip(f"hopf[{p.name}]", "Hopf checks run on the glq2 preset")
     checks = []
     det_nf = normalize(qdet(p), p)
     checks.append(Check.of(det_nf == Element.word("D"), "qdet-normal-form",
@@ -242,33 +240,22 @@ def suite_hopf(cfg: SuiteConfig) -> list:
 
 def suite_delta2(cfg: SuiteConfig) -> list:
     p = cfg.presentation()
-    if p.name not in CALCULUS_PRESETS:
-        return _skip(f"delta2[{p.name}]", "no differential structure")
-    d = diff_structure(p.name)
+    d = p.calculus
     checks = [check_nilpotent(d, p, cfg.degree(4))]
     checks.append(_aggregate(f"delta-respects-rules[{p.name}]", "eq-2.14",
                              delta_respects_rules(d, p)))
-    checks.append(_aggregate(f"maurer-cartan[{p.name}]", "sec-3-IV",
-                             maurer_cartan_check(p.name),
-                             details="closure d(form) = +form.form"))
+    if builtin_id(p):           # the standard form basis is kept per preset
+        checks.append(_aggregate(f"maurer-cartan[{p.name}]", "sec-3-IV",
+                                 maurer_cartan_check(p),
+                                 details="closure d(form) = +form.form"))
     checks.append(_aggregate(f"form-diff-roundtrip[{p.name}]", "eq-2.17",
-                             form_diff_roundtrip_check(p.name)))
+                             form_diff_roundtrip_check(p)))
     return checks
-
-
-def suite_qtrace(cfg: SuiteConfig) -> list:
-    p = cfg.presentation()
-    if p.name not in ("glq2-left", "glq2-right"):
-        return _skip(f"qtrace[{p.name}]", "quantum trace lives in the GL calculi")
-    return qtrace_check(p)
 
 
 def suite_vector_fields(cfg: SuiteConfig) -> list:
     p = cfg.presentation()
-    if p.name not in VECTOR_RELATIONS:
-        return _skip(f"vector-fields[{p.name}]",
-                     "no printed vector-field relations for this preset")
-    return check_vector_algebra(VECTOR_RELATIONS[p.name], diff_structure(p.name),
+    return check_vector_algebra(VECTOR_RELATIONS[builtin_id(p)], p.calculus,
                                 p, cfg.degree(3))
 
 
@@ -317,66 +304,50 @@ def suite_classical_limit(cfg: SuiteConfig) -> list:
     """Every rule LHS x.y must satisfy x.y = (+/-) y.x at q = 1 (minus for
     odd/odd pairs), modulo the classical relations.
 
-    The relation is normalized in the confluent form-mode preset (with
-    the generator differentials substituted for rules of the derived
-    differential systems) and the unique normal form is evaluated at
-    q = 1; it vanishes iff the classical (anti)commutator holds.
+    The relation is normalized in the confluent form-mode presentation
+    (with the generator differentials substituted for rules of its
+    derived differential system, when it declares a calculus) and the
+    unique normal form is evaluated at q = 1; it vanishes iff the
+    classical (anti)commutator holds.
     """
-    checks = []
     p = cfg.presentation()
-    names = [p.name] if p.name not in CALCULUS_PRESETS else [p.name, p.name + "-diff"]
-    for nm in names:
-        diff_mode = nm.endswith("-diff")
-        pres = diff_presentation(nm) if diff_mode else p
-        d = p.calculus
-        subst = {f"del_{x}": d.images[x] for x in d.coords} if diff_mode else {}
-        kinds = {"commutator": 0, "anticommutator": 0}
-        bad = []
-        for r in pres.rules:
-            both_odd = pres.parity[r.lhs[0]] and pres.parity[r.lhs[-1]]
-            sign = -1 if both_odd else 1
-            rel = (Element.word(*r.lhs)
-                   - Element.term(Scalar.from_int(sign), tuple(reversed(r.lhs))))
-            if diff_mode:
-                rel = rel.substitute(subst)
-            try:
-                res = _at_one(normalize(rel, p))
-            except PoleAtOneError:
-                bad.append((r, "pole at q = 1"))
-                continue
-            if res.is_zero:
-                kinds["anticommutator" if both_odd else "commutator"] += 1
-            else:
-                bad.append((r, res))
-        checks.append(Check.of(
-            not bad, f"classical-limit[{nm}]", "sec-6",
-            residual=f"{'.'.join(bad[0][0].lhs)}: {bad[0][1]}" if bad else None,
-            details=f"all rules (anti)commute at q=1: {kinds}"))
+    checks = [_classical_limit(p, p, {})]
+    if p.calculus is not None:
+        try:
+            dp = diff_presentation(p)
+        except ValueError as exc:
+            return checks + [Check.failed(
+                f"classical-limit[{p.name}-diff]", "sec-6", residual=str(exc),
+                details="the differential-mode system cannot be derived")]
+        checks.append(_classical_limit(dp, p, p.calculus.del_images()))
     return checks
 
 
-def suite_regression_3_24(cfg: SuiteConfig) -> list:
-    return printed_relation_checks("glq2-left", PRINTED_3_24)
+def _classical_limit(pres: Presentation, p: Presentation, subst: dict) -> Check:
+    """The classical limit of the rules of ``pres``, judged in ``p``."""
+    kinds = {"commutator": 0, "anticommutator": 0}
+    bad = []
+    for r in pres.rules:
+        both_odd = pres.parity[r.lhs[0]] and pres.parity[r.lhs[-1]]
+        sign = -1 if both_odd else 1
+        rel = (Element.word(*r.lhs)
+               - Element.term(Scalar.from_int(sign), tuple(reversed(r.lhs))))
+        if subst:
+            rel = rel.substitute(subst)
+        try:
+            res = _at_one(normalize(rel, p))
+        except PoleAtOneError:
+            bad.append((r, "pole at q = 1"))
+            continue
+        if res.is_zero:
+            kinds["anticommutator" if both_odd else "commutator"] += 1
+        else:
+            bad.append((r, res))
+    return Check.of(
+        not bad, f"classical-limit[{pres.name}]", "sec-6",
+        residual=f"{'.'.join(bad[0][0].lhs)}: {bad[0][1]}" if bad else None,
+        details=f"all rules (anti)commute at q=1: {kinds}")
 
-
-def suite_regression_4_4(cfg: SuiteConfig) -> list:
-    return (printed_relation_checks("slq2-left", PRINTED_4_4)
-            + wz_plane_checks("left"))
-
-
-def suite_regression_5_22(cfg: SuiteConfig) -> list:
-    return (printed_relation_checks("glq2-right", PRINTED_5_22)
-            + wz_plane_checks("right"))
-
-
-def suite_conjugation(cfg: SuiteConfig) -> list:
-    return conjugate_forms_check()
-
-
-_GLOBAL_SUITES = {
-    "ybe", "reductions", "interchange",
-    "regression-3.24", "regression-4.4", "regression-5.22", "conjugation",
-}
 
 SUITES = {
     "confluence": suite_confluence,
@@ -384,36 +355,42 @@ SUITES = {
     "rtt": suite_rtt,
     "hopf": suite_hopf,
     "delta2": suite_delta2,
-    "qtrace": suite_qtrace,
+    "qtrace": lambda cfg: qtrace_check(cfg.presentation()),
     "vector-fields": suite_vector_fields,
     "reductions": suite_reductions,
     "interchange": suite_interchange,
     "classical-limit": suite_classical_limit,
-    "regression-3.24": suite_regression_3_24,
-    "regression-4.4": suite_regression_4_4,
-    "regression-5.22": suite_regression_5_22,
-    "conjugation": suite_conjugation,
+    "regression-3.24": lambda cfg: printed_relation_checks("glq2-left", PRINTED_3_24),
+    "regression-4.4": lambda cfg: (printed_relation_checks("slq2-left", PRINTED_4_4)
+                                   + wz_plane_checks("left")),
+    "regression-5.22": lambda cfg: (printed_relation_checks("glq2-right", PRINTED_5_22)
+                                    + wz_plane_checks("right")),
+    "conjugation": lambda cfg: conjugate_forms_check(),
 }
 
 SUITE_NAMES = tuple(SUITES)
 
-# which presets each per-preset suite meaningfully covers in a full run
-_MATRIX = {
-    "confluence": PRESET_IDS,
-    "ybe": (None,),
-    "rtt": ("glq2", "glq2-left", "glq2-right", "slq2-left", "slq2-right"),
-    "hopf": ("glq2",),
-    "delta2": CALCULUS_PRESETS,
-    "qtrace": ("glq2-left", "glq2-right"),
-    "vector-fields": ("slq2-left", "glq2-left", "glq2-right"),
-    "reductions": (None,),
-    "interchange": (None,),
-    "classical-limit": PRESET_IDS,
-    "regression-3.24": (None,),
-    "regression-4.4": (None,),
-    "regression-5.22": (None,),
-    "conjugation": (None,),
+_T_ENTRIES = frozenset("abcd")       # the generators of the quantum matrix T
+_HOPF_GENS = _T_ENTRIES | {"D", "Dinv"}
+
+# the presentations each per-presentation suite checks, and why it skips
+# the others; the suites not listed check the whole preset family
+_APPLIES = {
+    "confluence": (lambda p: True, ""),
+    "rtt": (lambda p: _T_ENTRIES.issubset(p.parity),
+            "needs the matrix generators a b c d"),
+    "hopf": (lambda p: _HOPF_GENS.issubset(p.parity) and not p.odd_names(),
+             "needs a b c d D Dinv and no odd generators"),
+    "delta2": (lambda p: p.calculus is not None, "no differential calculus"),
+    "qtrace": (lambda p: builtin_id(p) in TRACE_FORM,
+               "the quantum trace lives in the built-in GL calculi"),
+    "vector-fields": (lambda p: builtin_id(p) in VECTOR_RELATIONS,
+                      "no printed vector-field relations for this presentation"),
+    "classical-limit": (lambda p: True, ""),
 }
+
+# run_all reports these suites in the order of their data, not PRESET_IDS
+_ORDER = {"delta2": CALCULUS_PRESETS, "vector-fields": tuple(VECTOR_RELATIONS)}
 
 
 def _timed(name: str, cfg: SuiteConfig) -> list:
@@ -430,20 +407,22 @@ def _timed(name: str, cfg: SuiteConfig) -> list:
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Run the requested suites against one preset (or a user file)."""
     names = config.suites or SUITE_NAMES
-    report = SuiteReport(
-        preset=config.preset if config.source is None else config.source.name,
-        seed=config.seed,
-        max_degree=config.degree(0) or 3,
-        conventions=dict(CONVENTIONS),
-    )
+    p = config.presentation()
+    report = SuiteReport(preset=p.name, seed=config.seed,
+                         max_degree=config.degree(0) or 3,
+                         conventions=dict(CONVENTIONS))
     for name in names:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-        if config.source is not None and name != "confluence":
-            report.suites.append(Suite(name, _skip(
-                name, "user presentations run the confluence suite only")))
-            continue
-        report.suites.append(Suite(name, _timed(name, config)))
+        if name not in _APPLIES:
+            checks = (_skip(name, "checks the built-in preset family, not a "
+                                  "user presentation")
+                      if config.source is not None else _timed(name, config))
+        elif not _APPLIES[name][0](p):
+            checks = _skip(f"{name}[{p.name}]", _APPLIES[name][1])
+        else:
+            checks = _timed(name, config)
+        report.suites.append(Suite(name, checks))
     return report
 
 
@@ -453,9 +432,13 @@ def run_all(seed: int = 2024, max_degree: int = 0) -> SuiteReport:
                          max_degree=max_degree or 3,
                          conventions=dict(CONVENTIONS))
     for name in SUITE_NAMES:
-        for pid in _MATRIX[name]:
-            cfg = SuiteConfig(preset=pid or "glq2", suites=(name,),
-                              max_degree=max_degree, seed=seed)
-            label = name if pid is None else f"{name}@{pid}"
-            report.suites.append(Suite(label, _timed(name, cfg)))
+        if name not in _APPLIES:
+            cfg = SuiteConfig(suites=(name,), max_degree=max_degree, seed=seed)
+            report.suites.append(Suite(name, _timed(name, cfg)))
+            continue
+        for pid in _ORDER.get(name, PRESET_IDS):
+            if _APPLIES[name][0](preset(pid)):
+                cfg = SuiteConfig(preset=pid, suites=(name,),
+                                  max_degree=max_degree, seed=seed)
+                report.suites.append(Suite(f"{name}@{pid}", _timed(name, cfg)))
     return report

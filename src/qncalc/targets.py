@@ -11,7 +11,7 @@ correction whenever a line fails to confirm.
 
 from __future__ import annotations
 
-from .calculus import diff_presentation, diff_structure
+from .calculus import TRACE_FORM, diff_presentation
 from .dsl import parse_expression
 from .ncalg import Element, normalize
 from .presentations import preset
@@ -160,30 +160,13 @@ WZ_PROJECTIONS = {
     "right": ("qplane-right-c0", "qplane-right-b0"),
 }
 
-_TRACE_FORM = {"glq2-left": "tht1", "glq2-right": "wb1"}
-
-
-def _form_mode_substitution(preset_id: str) -> dict:
-    ds = diff_structure(preset_id)
-    subst = {f"del_{x}": ds.images[x] for x in ds.coords}
-    tr = _TRACE_FORM.get(preset_id)
-    if tr:
-        subst["Tr"] = Element.word(tr)
-    return subst
-
-
-def _derived_rule_text(preset_id: str, lhs_word) -> str:
-    dp = diff_presentation(preset_id)
-    for r in dp.rules:
-        if r.lhs == lhs_word:
-            return f"{'.'.join(lhs_word)} -> {r.rhs}"
-    return f"no derived rule with LHS {'.'.join(lhs_word)}"
-
 
 def printed_relation_checks(preset_id: str, table) -> list:
     """CONFIRMED/MISMATCH verdict per printed line, judged in form mode."""
     p = preset(preset_id)
-    subst = _form_mode_substitution(preset_id)
+    subst = p.calculus.del_images()
+    if preset_id in TRACE_FORM:
+        subst["Tr"] = Element.word(TRACE_FORM[preset_id])
     names = tuple(subst) + tuple(g.name for g in p.generators)
     checks = []
     for tag, lhs_s, rhs_s in table:
@@ -195,11 +178,14 @@ def printed_relation_checks(preset_id: str, table) -> list:
                                        details="CONFIRMED"))
         else:
             lhs_word = next(iter(lhs.words()))
+            derived = next((f"{'.'.join(lhs_word)} -> {r.rhs}"
+                            for r in diff_presentation(p).rules if r.lhs == lhs_word),
+                           f"no derived rule with LHS {'.'.join(lhs_word)}")
             checks.append(Check(
                 tag, tag.split("[")[0], "mismatch",
                 residual=str(res),
                 details="printed line differs from the derived relation; "
-                        f"derived: {_derived_rule_text(preset_id, lhs_word)}"))
+                        f"derived: {derived}"))
     return checks
 
 
@@ -216,7 +202,7 @@ def wz_plane_checks(side: str) -> list:
         outcomes = []
         for pid in WZ_PROJECTIONS[side]:
             p = preset(pid)
-            ds = diff_structure(pid)
+            ds = p.calculus
             cx, cy = ds.coords
             subst = {
                 "x": Element.word(cx), "y": Element.word(cy),

@@ -18,7 +18,6 @@ from qncalc.calculus import (
     check_nilpotent,
     check_vector_algebra,
     conjugate_forms_check,
-    diff_structure,
     qtrace_check,
 )
 from qncalc.cli import main
@@ -123,7 +122,7 @@ def test_criterion_04_confluence():
 def test_criterion_05_poincare():
     ok = True
     for pid in CALCULUS_PRESETS:
-        c = check_nilpotent(diff_structure(pid), preset(pid), 4)
+        c = check_nilpotent(preset(pid).calculus, preset(pid), 4)
         ok = ok and c.status == "pass"
     _verdict(5, "Poincare: d^2 = 0 on all normal words of degree <= 4", ok)
 
@@ -139,7 +138,7 @@ def test_criterion_07_vector_fields():
     ok = True
     for pid in ("slq2-left", "glq2-left", "glq2-right"):
         checks = check_vector_algebra(VECTOR_RELATIONS[pid],
-                                      diff_structure(pid), preset(pid), 3)
+                                      preset(pid).calculus, preset(pid), 3)
         ok = ok and all(c.status == "pass" for c in checks)
         ok = ok and all("reading order" in c.details or c.status != "pass"
                         for c in checks)  # frozen convention recorded

@@ -14,14 +14,13 @@ from qncalc.calculus import (
     conjugate_forms_check,
     delta_respects_rules,
     diff_presentation,
-    diff_structure,
     form_diff_roundtrip_check,
-    form_to_diff,
     maurer_cartan_check,
     qtrace_check,
     standard_form_basis,
     vector_field_components,
 )
+from qncalc.dsl import parse_presentation
 from qncalc.ncalg import (
     Element,
     Presentation,
@@ -50,7 +49,7 @@ def el(*terms):
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_images_raise_form_degree_by_one(pid):
     p = preset(pid)
-    d = diff_structure(pid)
+    d = preset(pid).calculus
     for g, img in d.images.items():
         gdeg = p.form_degree((g,))
         for word in img.words():
@@ -60,21 +59,21 @@ def test_images_raise_form_degree_by_one(pid):
 
 def test_delta_kills_unit():
     pid = "glq2-left"
-    assert apply_delta(Element.unit(), diff_structure(pid), preset(pid)).is_zero
+    assert apply_delta(Element.unit(), preset(pid).calculus, preset(pid)).is_zero
 
 
 def test_delta_of_a_matches_matrix_identity():
     # d(a) = a theta^1 + b theta^3 with theta^1 = tht1/2 + tht4
     p = preset("glq2-left")
-    d = diff_structure("glq2-left")
-    std = standard_form_basis("glq2-left")["standard"]
+    d = preset("glq2-left").calculus
+    std = standard_form_basis(preset("glq2-left"))["standard"]
     expected = normalize(w("a") * std[1] + w("b") * std[3], p)
     assert apply_delta(w("a"), d, p) == expected
 
 
 def test_delta_three_factor_association():
     pid = "glq2-left"
-    p, d = preset(pid), diff_structure(pid)
+    p, d = preset(pid), preset(pid).calculus
     rng = random.Random(5)
     letters = [g.name for g in p.generators]
     for _ in range(25):
@@ -84,7 +83,7 @@ def test_delta_three_factor_association():
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_delta_respects_every_rule(pid):
-    for c in delta_respects_rules(diff_structure(pid), preset(pid)):
+    for c in delta_respects_rules(preset(pid).calculus, preset(pid)):
         assert c.status == "pass", (pid, c.name, c.residual)
 
 
@@ -105,7 +104,7 @@ def product_expansion(x, d, p):
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_apply_delta_matches_product_expansion(pid):
-    p, d = preset(pid), diff_structure(pid)
+    p, d = preset(pid), preset(pid).calculus
     for word in normal_words(p, 3):
         x = Element.term(ONE, word)
         once = apply_delta(x, d, p)
@@ -122,7 +121,7 @@ NILPOTENT_WORDS_DEGREE_3 = {
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_nilpotency_degree_three(pid):
-    c = check_nilpotent(diff_structure(pid), preset(pid), 3)
+    c = check_nilpotent(preset(pid).calculus, preset(pid), 3)
     assert c.status == "pass", c.details
     assert c.details == (f"d^2 = 0 on {NILPOTENT_WORDS_DEGREE_3[pid]} normal words, "
                          f"degree <= 3")
@@ -132,7 +131,7 @@ def test_nilpotency_reports_broken_differential():
     # flipping the sign of d(tht4) breaks d^2 = 0; the memoized check must
     # report the first failing word with the full residual d(d(word))
     pid = "glq2-left"
-    p, good = preset(pid), diff_structure(pid)
+    p, good = preset(pid), preset(pid).calculus
     bad = DiffStructure("left", {**good.images, "tht4": -good.images["tht4"]})
     def twice(word):
         return product_expansion(product_expansion(Element.term(ONE, word), bad, p), bad, p)
@@ -146,7 +145,7 @@ def test_nilpotency_reports_broken_differential():
 
 def test_delta_budget_holds_after_nilpotency_check():
     pid = "glq2-left"
-    p, d = preset(pid), diff_structure(pid)
+    p, d = preset(pid), preset(pid).calculus
     assert check_nilpotent(d, p).status == "pass"
     fresh = Presentation(p.name, p.generators, p.order, p.rules,
                          form_position=p.form_position)
@@ -156,7 +155,7 @@ def test_delta_budget_holds_after_nilpotency_check():
 
 def test_delta_budget_is_independent_of_the_memo():
     pid = "glq2-left"
-    p, d = preset(pid), diff_structure(pid)
+    p, d = preset(pid), preset(pid).calculus
     with pytest.raises(StepBudgetExceededError):
         apply_delta(w("b.a"), d, p, budget=2)
     assert check_nilpotent(d, p).status == "pass"
@@ -166,7 +165,7 @@ def test_delta_budget_is_independent_of_the_memo():
 
 @pytest.mark.parametrize("pid", ("glq2-left", "slq2-left", "glq2-right", "slq2-right"))
 def test_maurer_cartan_plus_closure(pid):
-    for c in maurer_cartan_check(pid):
+    for c in maurer_cartan_check(preset(pid)):
         assert c.status == "pass", (c.name, c.residual)
 
 
@@ -187,7 +186,7 @@ def test_trace_scalar_identity():
 def test_sl_presets_have_closed_determinant():
     for pid in ("slq2-left", "slq2-right"):
         p = preset(pid)
-        ddet = apply_delta(qdet(p), diff_structure(pid), p)
+        ddet = apply_delta(qdet(p), preset(pid).calculus, p)
         assert ddet.is_zero
 
 
@@ -195,15 +194,15 @@ def test_sl_presets_have_closed_determinant():
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_form_diff_roundtrip(pid):
-    for c in form_diff_roundtrip_check(pid):
+    for c in form_diff_roundtrip_check(preset(pid)):
         assert c.status == "pass", (pid, c.name, c.residual)
 
 
 def test_antipode_rebuilds_primitive_form():
     # Dinv(d del_a - q^-1 b del_c) recovers theta^1 = tht1/2 + tht4
     p = preset("glq2-left")
-    ds = diff_structure("glq2-left")
-    expr = form_to_diff("glq2-left")["tht1"]
+    ds = preset("glq2-left").calculus
+    expr = preset("glq2-left").calculus.forms["tht1"]
     back = normalize(expr.substitute(
         {f"del_{x}": ds.images[x] for x in "abcd"}), p)
     assert back == w("tht1")
@@ -224,6 +223,14 @@ def test_diff_presentations_confluent(pid):
     # space leaves parameter multiples of the dependency unresolved, which
     # is why printed-line regressions are judged in form mode
     assert check_local_confluence(diff_presentation(pid)).confluent
+
+
+def test_diff_presentation_is_cached_per_presentation_object():
+    # bench/worker.py warms the cache by preset id during set-up
+    assert diff_presentation("glq2-left") is diff_presentation(preset("glq2-left"))
+    assert diff_presentation("glq2-left-diff") is diff_presentation("glq2-left")
+    user = parse_presentation("name glq2-left\nextends glq2-left\n")
+    assert diff_presentation(user) is not diff_presentation("glq2-left")
 
 
 def test_derived_rule_oracles():
@@ -249,7 +256,7 @@ def test_sl_dependency_rule_present():
 def test_generator_components_oracle():
     # from d(a) = a th1 + b th3 and d(b) = -q^2 b th1 + a th2
     pid = "slq2-left"
-    p, d = preset(pid), diff_structure(pid)
+    p, d = preset(pid), preset(pid).calculus
     assert vector_field_components(w("a"), d, p) == {1: w("a"), 3: w("b")}
     assert vector_field_components(w("b"), d, p) == {
         1: Element.term(-q(2), ("b",)), 2: w("a")}
@@ -257,15 +264,15 @@ def test_generator_components_oracle():
 
 def test_unit_has_zero_components():
     pid = "slq2-left"
-    comps = vector_field_components(Element.unit(), diff_structure(pid), preset(pid))
+    comps = vector_field_components(Element.unit(), preset(pid).calculus, preset(pid))
     assert comps == {}
 
 
 def test_recombination_identity():
     # sum_k (f V_k) theta^k rebuilds d(f) for random monomials
     pid = "glq2-left"
-    p, d = preset(pid), diff_structure(pid)
-    std = standard_form_basis(pid)["standard"]
+    p, d = preset(pid), preset(pid).calculus
+    std = standard_form_basis(preset(pid))["standard"]
     rng = random.Random(9)
     evens = p.even_names()
     for _ in range(100):
@@ -280,8 +287,8 @@ def test_recombination_identity():
 
 def test_right_recombination_identity():
     pid = "glq2-right"
-    p, d = preset(pid), diff_structure(pid)
-    std = standard_form_basis(pid)["standard"]
+    p, d = preset(pid), preset(pid).calculus
+    std = standard_form_basis(preset(pid))["standard"]
     rng = random.Random(10)
     evens = p.even_names()
     for _ in range(100):
@@ -296,7 +303,7 @@ def test_right_recombination_identity():
 
 @pytest.mark.parametrize("pid", tuple(VECTOR_RELATIONS))
 def test_vector_algebra(pid):
-    checks = check_vector_algebra(VECTOR_RELATIONS[pid], diff_structure(pid),
+    checks = check_vector_algebra(VECTOR_RELATIONS[pid], preset(pid).calculus,
                                   preset(pid), 2)
     for c in checks:
         assert c.status == "pass", (c.name, c.residual, c.details)

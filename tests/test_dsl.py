@@ -292,7 +292,7 @@ def test_q_line_calculus_example_file():
     assert d.forms == {"th": w("xi.del_x")}
     assert [r.provenance for r in p.rules][1:4] == ["user:8", "commutation", "commutation"]
     assert check_nilpotent(d, p).status == "pass"
-    dp = derive_diff_rules(p, d, d.coords, d.forms)
+    dp = derive_diff_rules(p)
     assert {r.lhs: r.rhs for r in dp.rules}[("del_x", "x")] == q(2) * w("x.del_x")
 
 
@@ -341,6 +341,22 @@ def test_calculus_directive_errors(text, line, column):
     with pytest.raises(DslError) as info:
         parse_presentation(text)
     assert (info.value.line, info.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    # a generator added under extends, with no diff line
+    ("extends glq2-left\ngen z parity even\n", 2, "generator 'z' has no diff line"),
+    # a form with no image
+    (_CALCULUS_HEAD + "diff x -> x.f\n", 3, "generator 'f' has no diff line"),
+    # an image term that adds no form
+    (_CALCULUS_HEAD + "diff x -> x.x\n", 5,
+     "each term of d(x) needs exactly one odd generator more than x"),
+])
+def test_calculus_needs_a_form_raising_diff_for_every_generator(text, line, message):
+    with pytest.raises(DslError) as info:
+        parse_presentation(text)
+    assert info.value.line == line
+    assert str(info.value) == f"{message} (line {line})"
 
 # -- round-trips -------------------------------------------------------------------
 

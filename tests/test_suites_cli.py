@@ -1,18 +1,23 @@
 """Suite runner, JSON reports, schema validation, CLI exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 from qncalc.cli import main
+from qncalc.dsl import parse_presentation
 from qncalc.reports import Check, SuiteReport
 from qncalc.suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
 
-SCHEMA = json.loads(Path(__file__).resolve().parent.parent.joinpath(
-    "docs", "report-schema.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads(ROOT.joinpath("docs", "report-schema.json").read_text())
 DATA = Path(__file__).resolve().parent / "data"
+EXAMPLES = ROOT / "docs" / "examples"
 
 
 def test_suite_names_stable():
@@ -148,13 +153,88 @@ def test_cli_check_user_file_with_builtin_name(tmp_path, name):
     f = tmp_path / "plane.preset"
     f.write_text(src.read_text().replace("name wz-plane", f"name {name}"))
     report = tmp_path / "r.json"
-    assert main(["check", "--file", str(f), "--suite", "confluence",
-                 "--report", str(report)]) == 0
-    checks = json.loads(report.read_text())["suites"][0]["checks"]
+    assert main(["check", "--file", str(f), "--report", str(report)]) == 0
+    suites = json.loads(report.read_text())["suites"]
+    checks = suites[0]["checks"]
     assert [c["name"] for c in checks] == [
         f"validate[{name}]", f"local-confluence[{name}]",
         f"strategy-independence[{name}]"]
     assert "50 random words" in checks[-1]["details"]
+    assert [s["name"] for s in suites] == list(SUITE_NAMES)
+    ran = {s["name"] for s in suites
+           if any(c["status"] != "skipped" for c in s["checks"])}
+    assert ran == {"confluence", "classical-limit"}
+    assert [c["name"] for c in suites[SUITE_NAMES.index("classical-limit")]["checks"]] \
+        == [f"classical-limit[{name}]"]
+    assert all(c["status"] in ("pass", "skipped") for s in suites for c in s["checks"])
+
+
+def test_user_copy_of_a_calculus_preset_gets_no_per_preset_data():
+    p = parse_presentation("name glq2-left\nextends glq2-left\n")
+    rep = run_suite(SuiteConfig(suites=("confluence", "delta2", "qtrace",
+                                        "vector-fields"), source=p, max_degree=2))
+    names = {c.name: c.status for s in rep.suites for c in s.checks}
+    assert names == {
+        "validate[glq2-left]": "pass", "local-confluence[glq2-left]": "pass",
+        "strategy-independence[glq2-left]": "pass",
+        "nilpotent[glq2-left]": "pass", "delta-respects-rules[glq2-left]": "pass",
+        "form-diff-roundtrip[glq2-left]": "pass",
+        "qtrace[glq2-left]": "skipped", "vector-fields[glq2-left]": "skipped"}
+
+
+_CONFLUENCE = ("validate", "local-confluence", "strategy-independence")
+
+
+@pytest.mark.parametrize("stem, passing", [
+    ("q-line", _CONFLUENCE + ("nilpotent", "delta-respects-rules",
+                              "form-diff-roundtrip", "classical-limit")),
+    ("wz-plane", _CONFLUENCE + ("classical-limit",)),
+])
+def test_every_suite_on_the_example_files(tmp_path, stem, passing):
+    report = tmp_path / "r.json"
+    assert main(["check", "--file", str(EXAMPLES / f"{stem}.preset"),
+                 "--report", str(report)]) == 0
+    checks = [c for s in json.loads(report.read_text())["suites"] for c in s["checks"]]
+    want = [f"{n}[{stem}]" for n in passing]
+    if stem == "q-line":                        # the example with a calculus
+        want.append(f"classical-limit[{stem}-diff]")
+    assert [c["name"] for c in checks if c["status"] == "pass"] == want
+    assert all(c["status"] == "skipped" for c in checks if c["name"] not in want)
+
+
+def test_underivable_differential_system_is_a_failed_check():
+    # without its form line, q-line's derivatives cannot be rewritten over del_x
+    text = EXAMPLES.joinpath("q-line.preset").read_text()
+    p = parse_presentation(text.replace("form th -> xi.del_x", ""))
+    rep = run_suite(SuiteConfig(suites=("classical-limit",), source=p))
+    checks = rep.suites[0].checks
+    assert [(c.name, c.status) for c in checks] == [
+        ("classical-limit[q-line]", "pass"), ("classical-limit[q-line-diff]", "fail")]
+    assert checks[1].residual == "form th has no form line"
+
+
+@pytest.mark.parametrize("path", ["missing.preset", "."])
+def test_cli_check_unreadable_file(tmp_path, capsys, path):
+    assert main(["check", "--file", str(tmp_path / path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["list-presets"],
+                                  ["export-preset", "--preset", "glq2-left"]])
+def test_cli_closed_stdout_ends_quietly(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)                  # the reader is gone before the first write
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qncalc.cli", *argv],
+                              stdout=write, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 def test_cli_export_roundtrip(tmp_path, capsys):
