@@ -397,7 +397,9 @@ class _Steps:
 
     Each word normal form is charged its cost (see
     :meth:`Presentation.word_normal_form`) whether or not it was cached, so
-    whether a budget trips does not depend on what ran before.
+    whether a budget trips does not depend on what ran before.  A budget
+    that trips names the word whose normal form was being computed; the
+    naming is done in an ``except`` clause, so it costs nothing until then.
     """
 
     __slots__ = ("count", "budget")
@@ -409,12 +411,13 @@ class _Steps:
     def charge(self, cost, presentation):
         self.count += cost
         if self.count > self.budget:
-            self.exceeded(presentation)
+            raise StepBudgetExceededError(presentation)   # named by the caller
 
-    def exceeded(self, presentation):
+    def exceeded(self, presentation, word):
         raise StepBudgetExceededError(
-            f"step budget {self.budget} exceeded while normalizing under "
-            f"{presentation!r}; the rule set may not terminate")
+            f"step budget {self.budget} exceeded while normalizing "
+            f"{'.'.join(word) or '1'} under {presentation!r}; the rule set "
+            f"may not terminate") from None
 
 
 class Presentation:
@@ -515,7 +518,10 @@ class Presentation:
         cost = hit.cost
         if cost is None:
             cost = hit.cost = hit.closure_size()
-        steps.charge(cost, self.name)
+        try:
+            steps.charge(cost, self.name)
+        except StepBudgetExceededError:
+            steps.exceeded(self.name, word)     # name the word on the way out
         return hit
 
     def _rewrite(self, word: Word):
@@ -552,7 +558,7 @@ class Presentation:
                         f"{self.name!r}; the rule set does not terminate")
                 pushed += 1
                 if pushed > room:
-                    steps.exceeded(self.name)
+                    steps.exceeded(self.name, word)
                 path.append((nxt, self._rewrite(nxt)))
                 on_path.add(nxt)
                 nxt = None

@@ -1,6 +1,7 @@
 """Differential calculus: derivations, traces, derived rules, vector fields."""
 
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from qncalc.calculus import (
     CALCULUS_PRESETS,
     VECTOR_RELATIONS,
     DiffStructure,
+    _check_nilpotent,
     apply_delta,
     check_nilpotent,
     check_vector_algebra,
@@ -127,12 +129,23 @@ def test_nilpotency_degree_three(pid):
                          f"degree <= 3")
 
 
-def test_nilpotency_reports_broken_differential():
-    # flipping the sign of d(tht4) breaks d^2 = 0; the memoized check must
-    # report the first failing word with the full residual d(d(word))
-    pid = "glq2-left"
+@pytest.mark.parametrize("pid", CALCULUS_PRESETS)
+def test_recursive_derivative_matches_apply_delta(pid):
+    # the check peels one letter per word; every d(word) it memoizes must be
+    # the full Leibniz expansion's normal form
+    p, d = preset(pid), preset(pid).calculus
+    memo = {}
+    assert _check_nilpotent(d, p, 3, memo).status == "pass"
+    assert len(memo) > NILPOTENT_WORDS_DEGREE_3[pid]
+    for word, dw in memo.items():
+        assert dw == apply_delta(Element.term(ONE, word), d, p), word
+
+
+def assert_first_failure_reported(pid, form):
+    """Flipping the sign of d(form) breaks d^2 = 0; the memoized check must
+    report the first failing word with the full residual d(d(word))."""
     p, good = preset(pid), preset(pid).calculus
-    bad = DiffStructure("left", {**good.images, "tht4": -good.images["tht4"]})
+    bad = DiffStructure(good.side, {**good.images, form: -good.images[form]})
     def twice(word):
         return product_expansion(product_expansion(Element.term(ONE, word), bad, p), bad, p)
 
@@ -141,6 +154,14 @@ def test_nilpotency_reports_broken_differential():
     first = next(word for word in normal_words(p, 3) if not twice(word).is_zero)
     assert c.details == f"d^2 != 0 on {'.'.join(first)}"
     assert c.residual == str(twice(first))
+
+
+def test_nilpotency_reports_broken_differential():
+    assert_first_failure_reported("glq2-left", "tht4")
+
+
+def test_nilpotency_reports_broken_right_differential():
+    assert_first_failure_reported("slq2-right", "w1")
 
 
 def test_delta_budget_holds_after_nilpotency_check():
@@ -161,6 +182,22 @@ def test_delta_budget_is_independent_of_the_memo():
     assert check_nilpotent(d, p).status == "pass"
     with pytest.raises(StepBudgetExceededError):
         apply_delta(w("b.a"), d, p, budget=2)
+
+
+def test_budget_error_names_the_word():
+    # a budget trips while filling the cache (fresh presentation) or when
+    # charging a cached normal form; both name the word being normalized
+    pid = "glq2-left"
+    p, d = preset(pid), preset(pid).calculus
+    fresh = Presentation(p.name, p.generators, p.order, p.rules,
+                         form_position=p.form_position)
+    msg = re.escape("step budget 2 exceeded while normalizing b.tht4.a under 'glq2-left'")
+    with pytest.raises(StepBudgetExceededError, match=msg):
+        apply_delta(w("b.a"), d, fresh, budget=2)
+    normalize(w("b.tht4.a"), fresh)            # cached now: the charge trips
+    with pytest.raises(StepBudgetExceededError, match=msg) as info:
+        apply_delta(w("b.a"), d, fresh, budget=2)
+    assert info.value.__suppress_context__
 
 
 @pytest.mark.parametrize("pid", ("glq2-left", "slq2-left", "glq2-right", "slq2-right"))

@@ -213,6 +213,25 @@ def test_underivable_differential_system_is_a_failed_check():
     assert checks[1].residual == "form th has no form line"
 
 
+def test_odd_generator_without_a_form_line_fails_the_roundtrip(tmp_path, capsys):
+    # the roundtrip covers every odd generator, so a formless calculus
+    # cannot pass it with zero checks
+    f = tmp_path / "q-line.preset"
+    f.write_text(EXAMPLES.joinpath("q-line.preset").read_text()
+                 .replace("form th -> xi.del_x", ""))
+    report = tmp_path / "r.json"
+    assert main(["check", "--file", str(f), "--suite", "delta2",
+                 "--report", str(report)]) == 1
+    assert ("[FAIL] delta2: form-diff-roundtrip[q-line]  "
+            "(1 of 1 failed; first: form-roundtrip[q-line][th])") in capsys.readouterr().out
+    [suite] = json.loads(report.read_text())["suites"]
+    checks = suite["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("nilpotent[q-line]", "pass"), ("delta-respects-rules[q-line]", "pass"),
+        ("form-diff-roundtrip[q-line]", "fail")]
+    assert checks[-1]["residual"] == "form th has no form line"
+
+
 @pytest.mark.parametrize("path", ["missing.preset", "."])
 def test_cli_check_unreadable_file(tmp_path, capsys, path):
     assert main(["check", "--file", str(tmp_path / path)]) == 2
