@@ -2,9 +2,11 @@
 
 Expression syntax: integers, ``q``, ``+ - * / ^`` (integer exponents,
 negative allowed), parentheses, and dotted words of generator names
-(``a.d``, ``del_a.a``); juxtaposition multiplies, so ``q b.c`` and
-``(q - q^-1) b.c`` are products.  Division requires a scalar divisor,
-``^`` a scalar base.
+(``a.d``, ``del_a.a``; whitespace around a dot is allowed, and ``q``,
+the deformation parameter, may not appear in a word); juxtaposition
+multiplies, so ``q b.c`` and ``(q - q^-1) b.c`` are products and
+``a b`` is ``a.b``.  Division requires a scalar divisor, ``^`` a scalar
+base.
 
 Presentation files are line oriented::
 
@@ -31,6 +33,7 @@ expression carries its line and column.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from itertools import groupby
 
 from .calculus import DiffStructure
@@ -84,88 +87,94 @@ def _scalar_size(s: Scalar) -> int:
     return max(len(s.num) - 1, len(s.den) - 1, (norm - 1).bit_length())
 
 
-def _size(x: Element) -> int:
+def _size(x) -> int:
     """Largest :func:`_scalar_size` of a coefficient of ``x``."""
+    if isinstance(x, Scalar):
+        return _scalar_size(x)
     return max((_scalar_size(c) for _, c in x.items() if c is not ONE), default=0)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([().+\-*/^]))")
-_KINDS = (None, "int", "ident", "op")     # by the index of the matching group
+def _element(x) -> Element:
+    """``x``, a parsed value, as an :class:`Element`."""
+    return Element.term(x, ()) if isinstance(x, Scalar) else x
+
+
+# A dotted word is one token, with any whitespace around its dots; a lone
+# ``q`` is its own token, so ``q.a`` is ``q``, ``.``, ``a`` as before.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"\s*(?:(\d+)|(q)(?![A-Za-z0-9_])|({_NAME}(?:\s*\.\s*{_NAME})*)"
+                    r"|([().+\-*/^])|(\S))")
+_KINDS = (None, "int", "q", "word", None)   # by group index; an operator is its own kind
+_FACTOR = frozenset(("int", "q", "word", "("))     # kinds that start a factor
+_Q = Scalar.q_power(1)
+_Q_IN_WORD = "'q' is the deformation parameter, not a generator"
+# Scalars are immutable, so literals and powers of q can be shared
+_int = lru_cache(maxsize=1 << 10)(Scalar.from_int)
+_q_power = lru_cache(maxsize=1 << 10)(Scalar.q_power)
 
 
 def _tokenize(text, line=None, offset=0):
-    """(kind, value, position) tokens; positions are 0-based and count
-    ``offset`` characters before ``text``."""
-    pos = 0
+    """(kind, value, position) tokens and an end-of-input token; positions
+    are 0-based and count ``offset`` characters before ``text``."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            rest = text[pos:].lstrip()
-            if rest:
-                raise DslError(f"bad character {rest[0]!r}", line,
-                               offset + len(text) - len(rest) + 1)
-            break
+    for m in _TOKEN.finditer(text):
         kind = m.lastindex
-        start, pos = m.span(kind)       # each token ends its match
-        val = text[start:pos]
+        val = m[kind]
         if kind == 1:
             if len(val) > _MAX_DIGITS:
                 raise DslError(f"integer literal longer than {_MAX_DIGITS} digits",
-                               line, offset + start + 1)
-            out.append(("int", int(val), offset + start))
-        else:
-            out.append((_KINDS[kind], val, offset + start))
+                               line, offset + m.start(kind) + 1)
+            val = int(val)
+        elif kind == 5:
+            raise DslError(f"bad character {val!r}", line, offset + m.start(kind) + 1)
+        out.append((_KINDS[kind] or val, val, offset + m.start(kind)))
+    out.append((None, None, offset + len(text.rstrip())))
     return out
 
 
 class _ExprParser:
+    """Recursive descent over the tokens of one expression.  A value is a
+    :class:`Scalar` until a word joins it, then an :class:`Element`;
+    ``unary``, ``power`` and ``primary`` return a value and a bound on its
+    :func:`_size`."""
+
     def __init__(self, text, names, line, offset=0):
         self.toks = _tokenize(text, line, offset)
-        # an end-of-input token, which every take() checks for first
-        self.toks.append((None, None, offset + len(text.rstrip())))
         self.i = 0
         self.depth = 0
-        self.names = names
+        self.names = names          # never holds 'q'
         self.line = line
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
 
     def error(self, msg, at=None):
         """Raise at the token with index ``at``, by default the next one."""
-        tok = self.peek() if at is None else self.toks[at]
-        raise DslError(msg, self.line, tok[2] + 1)
+        raise DslError(msg, self.line, self.toks[self.i if at is None else at][2] + 1)
 
     def parse(self) -> Element:
         out = self.expr()
-        if self.peek()[0] is not None:
-            self.error(f"unexpected {self.peek()[1]!r}")
-        return out
+        kind, val, _ = self.toks[self.i]
+        if kind is not None:
+            self.error(f"unexpected {val!r}")
+        return _element(out)
 
-    def expr(self) -> Element:
+    def expr(self):
         out = self.term()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                out = out + rhs if val == "+" else out - rhs
-            else:
+            op = self.toks[self.i][0]
+            if op != "+" and op != "-":
                 return out
+            self.i += 1
+            rhs = self.term()
+            if not (isinstance(out, Scalar) and isinstance(rhs, Scalar)):
+                out, rhs = _element(out), _element(rhs)
+            out = out + rhs if op == "+" else out - rhs
 
-    def term(self) -> Element:
+    def term(self):
         out, size = self.unary()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-            elif not (kind in ("int", "ident") or (kind == "op" and val == "(")):
+            op = self.toks[self.i][0]
+            if op == "*" or op == "/":
+                self.i += 1
+            elif op not in _FACTOR:
                 return out
             at = self.i
             factor, factor_size = self.unary()
@@ -173,20 +182,25 @@ class _ExprParser:
             if size > _MAX_PRODUCT:
                 self.error(f"product too large (factor sizes add up to more than "
                            f"{_MAX_PRODUCT})", at)
-            if val == "/":
+            if op == "/":
                 div = self.scalar(factor, "division requires a scalar divisor", at)
                 if div.is_zero:
                     self.error("division by zero", at)
-                out = out.scale(ONE / div)
-            else:
+                out = out / div if isinstance(out, Scalar) else out.scale(ONE / div)
+            elif isinstance(factor, Scalar):
+                out = out * factor if isinstance(out, Scalar) else out.scale(factor)
+            elif not isinstance(out, Scalar):
                 out = out * factor
-
-    # unary, power and primary return a factor and a bound on its _size
+            elif self.toks[at][0] == "word":      # a bare word: no sign, no power
+                (word,) = factor.words()
+                out = Element.term(out, word)
+            else:
+                out = _element(out) * factor
 
     def unary(self):
         negate = False
-        while self.peek()[:2] == ("op", "-"):
-            self.take()
+        while self.toks[self.i][0] == "-":
+            self.i += 1
             negate = not negate
         out, size = self.power()
         return (-out if negate else out), size
@@ -194,81 +208,82 @@ class _ExprParser:
     def power(self):
         at = self.i
         base, size = self.primary()
-        if self.peek()[:2] != ("op", "^"):
+        if self.toks[self.i][0] != "^":
             return base, size
-        self.take()
+        self.i += 1
         sign = 1
-        if self.peek()[:2] == ("op", "-"):
-            self.take()
+        if self.toks[self.i][0] == "-":
+            self.i += 1
             sign = -1
-        kind, k, _ = self.peek()
+        kind, k, _ = self.toks[self.i]
         if kind != "int":
             self.error("integer exponent expected after '^'")
-        self.take()
+        self.i += 1
         s = self.scalar(base, "'^' requires a scalar base", at)
-        size = k * _scalar_size(s)
+        size = k if s is _Q else k * _scalar_size(s)
         if size > _MAX_POWER:
             self.error(f"power too large (exponent times base size exceeds "
                        f"{_MAX_POWER})", at)
         if sign < 0 and s.is_zero:
             self.error("division by zero: negative power of 0", at)
-        return Element.term(s ** (sign * k), ()), size
+        return (_q_power(sign * k) if s is _Q else s ** (sign * k)), size
 
-    def scalar(self, x: Element, msg, at) -> Scalar:
+    def scalar(self, x, msg, at) -> Scalar:
+        if isinstance(x, Scalar):
+            return x
         try:
             return x.as_scalar()
         except ValueError:
             self.error(msg, at)
 
     def primary(self):
-        kind, val, _ = self.peek()
+        kind, val, _ = self.toks[self.i]
         if kind == "int":
-            self.take()
-            return Element.term(Scalar.from_int(val), ()), (val - 1).bit_length()
-        if kind == "op" and val == "(":
+            self.i += 1
+            return _int(val), (val - 1).bit_length()
+        if kind == "q":
+            self.i += 1
+            return _Q, 1
+        if kind == "word":
+            return Element.term(ONE, self.word()), 0
+        if kind == "(":
             if self.depth == _MAX_NESTING:
                 self.error(f"parentheses nested deeper than {_MAX_NESTING}")
-            self.take()
+            self.i += 1
             self.depth += 1
             out = self.expr()
             self.depth -= 1
-            kind, val, _ = self.peek()
-            if not (kind == "op" and val == ")"):
+            if self.toks[self.i][0] != ")":
                 self.error("')' expected")
-            self.take()
+            self.i += 1
             return out, _size(out)
-        if kind == "ident":
-            if val == "q":
-                self.take()
-                return Element.term(Scalar.q_power(1), ()), 1
-            return Element.word(*self.word()), 0
         self.error("expression expected")
 
-    def word(self):
-        letters = []
-        while True:
-            kind, val, _ = self.peek()
-            if kind != "ident":
-                self.error("generator name expected")
-            if val == "q":
-                self.error("'q' is the deformation parameter, not a generator")
-            if val not in self.names:
-                self.error(f"unknown generator {val!r}")
-            self.take()
-            letters.append(val)
-            kind, val, _ = self.peek()
-            if kind == "op" and val == ".":
-                self.take()
-                continue
-            return tuple(letters)
+    def word(self) -> tuple:
+        kind, val, pos = self.toks[self.i]
+        if kind != "word":
+            self.error(_Q_IN_WORD if kind == "q" else "generator name expected")
+        self.i += 1
+        letters = val.split(".")
+        for g in letters:
+            if g not in self.names:     # whitespace around a dot, or a bad name
+                letters = []
+                for m in re.finditer(_NAME, val):
+                    g = m.group()
+                    if g not in self.names:
+                        raise DslError(_Q_IN_WORD if g == "q" else f"unknown generator {g!r}",
+                                       self.line, pos + m.start() + 1)
+                    letters.append(g)
+                break
+        if self.toks[self.i][0] == ".":
+            self.error("generator name expected", self.i + 1)
+        return tuple(letters)
 
 
-def _namespace(p) -> frozenset:
-    if p is None:
-        return frozenset()
-    if isinstance(p, Presentation):
-        return frozenset(g.name for g in p.generators)
-    return frozenset(p)
+def _namespace(p):
+    """The generator names of ``p``, a presentation or names, without 'q'."""
+    names = p.parity if isinstance(p, Presentation) else frozenset(p or ())
+    return frozenset(names) - {"q"} if "q" in names else names
 
 
 def parse_expression(text: str, p=None, line=1) -> Element:
@@ -292,7 +307,7 @@ def _arrow_line(raw, rest, lineno, what, lhs_names, rhs_names):
     start = re.match(r"\s*\S+\s+", raw).end()
     lhs_parser = _ExprParser(rest[:arrow], lhs_names, lineno, start)
     lhs = lhs_parser.word()
-    if lhs_parser.peek()[0] is not None:
+    if lhs_parser.toks[lhs_parser.i][0] is not None:
         lhs_parser.error(f"{what} LHS must be a single dotted word")
     rhs = _ExprParser(rest[arrow + 2:], rhs_names, lineno, start + arrow + 2).parse()
     return lhs, rhs

@@ -236,6 +236,8 @@ class Element:
                     if " " in cs or "/" in cs:
                         cs = f"({cs})"
                     body = f"{cs} {ws}"
+            elif neg and "/" not in cs and (" + " in cs or " - " in cs):
+                body = f"({cs})"        # a negated sum: -(q - 1), not -q - 1
             else:
                 body = cs
             if not parts:
@@ -398,8 +400,9 @@ class _Steps:
     Each word normal form is charged its cost (see
     :meth:`Presentation.word_normal_form`) whether or not it was cached, so
     whether a budget trips does not depend on what ran before.  A budget
-    that trips names the word whose normal form was being computed; the
-    naming is done in an ``except`` clause, so it costs nothing until then.
+    that trips names the word whose normal form was being computed and
+    the rule at that word's leftmost redex, by its tag; the naming is done
+    on the way out, so it costs nothing until then.
     """
 
     __slots__ = ("count", "budget")
@@ -413,10 +416,12 @@ class _Steps:
         if self.count > self.budget:
             raise StepBudgetExceededError(presentation)   # named by the caller
 
-    def exceeded(self, presentation, word):
+    def exceeded(self, p, word):
+        r = (p.find_redex(word) or (0, None))[1]
+        rule = f" (rule {r.provenance or '.'.join(r.lhs)} at its leftmost redex)" if r else ""
         raise StepBudgetExceededError(
             f"step budget {self.budget} exceeded while normalizing "
-            f"{'.'.join(word) or '1'} under {presentation!r}; the rule set "
+            f"{'.'.join(word) or '1'} under {p.name!r}{rule}; the rule set "
             f"may not terminate") from None
 
 
@@ -521,7 +526,7 @@ class Presentation:
         try:
             steps.charge(cost, self.name)
         except StepBudgetExceededError:
-            steps.exceeded(self.name, word)     # name the word on the way out
+            steps.exceeded(self, word)     # name the word on the way out
         return hit
 
     def _rewrite(self, word: Word):
@@ -558,7 +563,7 @@ class Presentation:
                         f"{self.name!r}; the rule set does not terminate")
                 pushed += 1
                 if pushed > room:
-                    steps.exceeded(self.name, word)
+                    steps.exceeded(self, word)
                 path.append((nxt, self._rewrite(nxt)))
                 on_path.add(nxt)
                 nxt = None

@@ -216,6 +216,80 @@ def test_element_str_reparses():
     assert parse_expression(str(x), p) == x
 
 
+# -- the error table and term order -----------------------------------------------
+
+@pytest.mark.parametrize("text, message, column", [
+    ("a.", "generator name expected", 3),
+    ("a..b", "generator name expected", 3),
+    (".a", "expression expected", 1),
+    ("a.d.", "generator name expected", 5),
+    ("a .", "generator name expected", 4),
+    ("a . .b", "generator name expected", 5),
+    ("()", "expression expected", 2),
+    ("(", "expression expected", 2),
+    (")", "expression expected", 1),
+    ("-", "expression expected", 2),
+    ("2 -", "expression expected", 4),
+    ("q.a", "unexpected '.'", 2),
+    ("q.", "unexpected '.'", 2),
+    ("a.d q.b", "unexpected '.'", 6),
+    ("(q.a)", "')' expected", 3),
+    ("a.q", "'q' is the deformation parameter, not a generator", 3),
+    ("a. q", "'q' is the deformation parameter, not a generator", 4),
+    ("a.2", "generator name expected", 3),
+    ("a.zz", "unknown generator 'zz'", 3),
+    ("a2", "unknown generator 'a2'", 1),
+    ("a$b", "bad character '$'", 2),
+    ("q^a", "integer exponent expected after '^'", 3),
+    ("a^2", "'^' requires a scalar base", 1),
+    ("(a.d)^0", "'^' requires a scalar base", 1),
+    ("1/(a)", "division requires a scalar divisor", 3),
+])
+def test_expression_error_table(text, message, column):
+    with pytest.raises(DslError) as info:
+        parse_expression(text, preset("glq2"))
+    assert str(info.value) == f"{message} (line 1, column {column})"
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a . d", w("a.d")), ("a.\tb", w("a.b")), ("a b", w("a.b")), ("2a", 2 * w("a"))])
+def test_word_spellings(text, expected):
+    assert parse_expression(text, preset("glq2")) == expected
+
+
+def test_parsed_terms_keep_source_order():
+    x = parse_expression("b.c + a.d - q a.a", preset("glq2"))
+    assert list(x.words()) == [("b", "c"), ("a", "d"), ("a", "a")]
+    assert [str(c) for _, c in x.items()] == ["1", "1", "-q"]
+
+
+_COEFS = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
+
+
+@st.composite
+def _scalars(draw):
+    """Laurent polynomials, and quotients by a non-monomial polynomial."""
+    s = Scalar(tuple(draw(_COEFS))) * q(draw(st.integers(-3, 3)))
+    if draw(st.booleans()):
+        s = s / Scalar(tuple(draw(_COEFS.filter(lambda c: sum(map(bool, c)) > 1))))
+    return s
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS + tuple(f"{c}-diff" for c in CALCULUS_PRESETS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_element_str_reparses_on_every_system(pid, data):
+    p = diff_presentation(pid[:-5]) if pid.endswith("-diff") else preset(pid)
+    names = [g.name for g in p.generators]
+    terms = data.draw(st.lists(st.tuples(st.lists(st.sampled_from(names), max_size=4),
+                                         _scalars()), max_size=4))
+    x = Element.zero()
+    for word, c in terms:
+        x = x + Element.term(c, word)
+    assert parse_expression(str(x), p) == x
+
+
 # -- presentations -----------------------------------------------------------------
 
 QPLANE_TEXT = """

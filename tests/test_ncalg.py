@@ -65,6 +65,9 @@ def test_element_product_is_concatenation():
 def test_element_str():
     x = el((ONE, "a.d"), (-LAM, "b.c"))
     assert str(x) == "a.d - (q - q^-1) b.c"
+    # a negated sum as the scalar term keeps its parentheses
+    assert str(el((ONE - q(1), ""), (ONE, "a"))) == "-(q - 1) + a"
+    assert str(el((-q(2) * 2, ""))) == "-2 q^2"
 
 
 # -- normalization: frozen oracles against glq2 -------------------------------
@@ -196,6 +199,26 @@ def test_step_budget_stops_non_terminating_rules():
     for budget in (1, 2, 1000):
         with pytest.raises(StepBudgetExceededError, match=f"step budget {budget} "):
             normalize(w("x.x"), grow, budget=budget)
+
+
+@pytest.mark.parametrize("word, budget, rule", [
+    ("z.y.x", 1, " (rule zy at its leftmost redex)"),      # cold: tripped while filling
+    ("z.y.x", 3, " (rule zy at its leftmost redex)"),      # warm: tripped by the charge
+    ("y.x", 1, " (rule y.x at its leftmost redex)"),       # an untagged rule: its LHS
+    ("x.y", 0, ""),                                        # a normal word has no redex
+])
+def test_step_budget_error_names_the_leftmost_rule(word, budget, rule):
+    gens = [Generator(g, 0, i) for i, g in enumerate("xyz")]
+    p = Presentation("tags", gens, TerminationOrder("deglex"), [
+        RewriteRule(("y", "x"), w("x.y")),
+        RewriteRule(("z", "x"), w("x.z"), "zx"),
+        RewriteRule(("z", "y"), w("y.z"), "zy")])
+    if budget == 3:
+        normalize(w(word), p)       # cache the normal form first
+    msg = f"step budget {budget} exceeded while normalizing {word} under 'tags'{rule};"
+    with pytest.raises(StepBudgetExceededError) as info:
+        normalize(w(word), p, budget=budget)
+    assert str(info.value).startswith(msg)
 
 
 # -- invariants ----------------------------------------------------------------
