@@ -471,37 +471,32 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation,
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-def _apply_basic_field(x: Element, k: int, d: DiffStructure, p: Presentation,
-                       memo: dict) -> Element:
-    """The k-th basic field on x; ``memo`` maps a word to its components."""
-    out: dict = {}
-    for word, coef in x.items():
-        comps = memo.get(word)
-        if comps is None:
-            comps = memo[word] = vector_field_components(
-                Element({word: ONE}, _trusted=True), d, p)
-        comp = comps.get(k)
-        if comp is not None:
-            add_scaled(out, comp.items(), coef)
-    return Element(out, _trusted=True)
-
-
-def _hatted(side: str) -> dict:
-    shrink = _q(2) if side == "left" else _q(-2)
-    return {
-        "h1": ((ONE, 1), (-shrink, 4)),
-        "h4": ((ONE, 1), (ONE, 4)),
-    }
+# the hatted fields as combinations of the standard ones, per side
+_HATTED = {side: {"h1": ((ONE, "1"), (-shrink, "4")), "h4": ((ONE, "1"), (ONE, "4"))}
+           for side, shrink in (("left", _q(2)), ("right", _q(-2)))}
 
 
 def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
               memo: dict) -> Element:
-    if op.startswith("h"):
-        out = Element.zero()
-        for coef, k in _hatted(d.side)[op]:
-            out = out + _apply_basic_field(x, k, d, p, memo).scale(coef)
-        return out
-    return _apply_basic_field(x, int(op), d, p, memo)
+    """The field ``op`` on x: a standard index ``"1"``..``"4"`` or a hatted
+    combination.  ``memo`` maps (word, op) to the terms of that field on
+    that word; the first op asked of a word fills every op of that word
+    from one decomposition of d(word)."""
+    out: dict = {}
+    for word, coef in x.items():
+        terms = memo.get((word, op))
+        if terms is None:
+            comps = vector_field_components(Element({word: ONE}, _trusted=True), d, p)
+            for k in "1234":
+                memo[word, k] = tuple(comps.get(int(k), Element.zero()).items())
+            for h, combo in _HATTED[d.side].items():
+                acc: dict = {}
+                for c, k in combo:
+                    add_scaled(acc, memo[word, k], c)
+                memo[word, h] = tuple(acc.items())
+            terms = memo[word, op]
+        add_scaled(out, terms, coef)
+    return Element(out, _trusted=True)
 
 
 def _apply_ops(x: Element, ops, d: DiffStructure, p: Presentation,
@@ -568,7 +563,8 @@ def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
     """Evaluate each relation on every even normal-form monomial of
     degree <= max_degree under the frozen composition convention.
 
-    The components of d(word) are memoized per word for this call only.
+    The terms of each field on each word are memoized for this call
+    only (see :func:`_apply_op`).
     """
     pid = p.name
     corpus = list(normal_words(p, max_degree, alphabet=p.even_names()))
@@ -578,13 +574,13 @@ def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
         bad = None
         for word in corpus:
             f = Element({word: ONE}, _trusted=True)
-            acc = Element.zero()
+            acc: dict = {}
             for coef, ops in rel.lhs:
-                acc = acc + _apply_ops(f, ops, d, p, memo).scale(coef)
+                add_scaled(acc, _apply_ops(f, ops, d, p, memo).items(), coef)
             for coef, ops in rel.rhs:
-                acc = acc - _apply_ops(f, ops, d, p, memo).scale(coef)
-            if not acc.is_zero:
-                bad = (word, acc)
+                add_scaled(acc, _apply_ops(f, ops, d, p, memo).items(), -coef)
+            if acc:
+                bad = (word, Element(acc, _trusted=True))
                 break
         if bad is None:
             checks.append(Check.passed(

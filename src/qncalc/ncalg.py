@@ -10,8 +10,11 @@ locally confluent presentation (checked, never assumed) the result is the
 unique normal form regardless of strategy, which
 :func:`random_strategy_normalize` exercises independently.
 
-Presentations, rules, and elements are immutable after construction; the
-per-presentation normal-form cache is an internal memo keyed by word.
+Presentations, rules, and elements are immutable after construction.  A
+presentation indexes its rules once, by the first two letters of the LHS,
+with each right-hand side as a tuple of (word, Scalar) pairs.  Its
+normal-form cache, an internal memo, maps a word to such a tuple, linked
+to the cached words its leftmost rewrite produces (:class:`_NormalForm`).
 """
 
 from __future__ import annotations
@@ -355,26 +358,28 @@ class ConfluenceReport:
         return not self.unresolved
 
 
-class _NormalForm(Element):
+class _NormalForm:
     """A cached word normal form, linked to the normal forms of the words
     its leftmost rewrite produces.
 
-    ``kids`` is None for a normal word, the one normal form itself when
-    the rewrite produces one word (as most rules do), else a tuple.
-    ``cost`` is the number of distinct words in the rewrite closure, or
-    None until it is first needed.  The closure of a one-kid word is the
-    word plus its kid's closure (cached words never rewrite back to
-    themselves), so its cost follows from the kid's when that is known.
+    ``terms`` is a tuple of (word, Scalar) pairs with nonzero coefficients
+    and distinct words.  ``kids`` is None for a normal word, the one
+    normal form itself when the rewrite produces one word (as most rules
+    do), else a tuple.  ``cost`` is the number of distinct words in the
+    rewrite closure, or None until it is first needed.  The closure of a
+    one-kid word is the word plus its kid's closure (cached words never
+    rewrite back to themselves), so its cost follows from the kid's when
+    that is known.
     """
 
-    __slots__ = ("kids", "cost")
+    __slots__ = ("terms", "kids", "cost")
 
-    def __init__(self, terms: dict, kids=None):
-        super().__init__(terms, _trusted=True)
+    def __init__(self, terms: tuple, kids=None):
+        self.terms = terms
         self.kids = kids
         if kids is None:
             self.cost = 1
-        elif isinstance(kids, _NormalForm) and kids.cost is not None:
+        elif kids.__class__ is _NormalForm and kids.cost is not None:
             self.cost = kids.cost + 1
         else:
             self.cost = None
@@ -411,11 +416,6 @@ class _Steps:
         self.count = 0
         self.budget = budget
 
-    def charge(self, cost, presentation):
-        self.count += cost
-        if self.count > self.budget:
-            raise StepBudgetExceededError(presentation)   # named by the caller
-
     def exceeded(self, p, word):
         r = (p.find_redex(word) or (0, None))[1]
         rule = f" (rule {r.provenance or '.'.join(r.lhs)} at its leftmost redex)" if r else ""
@@ -441,11 +441,13 @@ class Presentation:
         self.calculus = calculus    # a calculus.DiffStructure, if one is declared
         self.parity = {g.name: g.parity for g in self.generators}
         self.precedence = {g.name: g.precedence for g in self.generators}
-        self._by_first = {}
-        self._by_pair = {}
+        self._by_first = {}     # for all_redexes, the witness's own index
+        self._index = {}        # LHS pair -> [(lhs, len, rhs terms, rule)]
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
-            self._by_pair.setdefault(r.lhs[:2], []).append(r)
+            self._index.setdefault(r.lhs[:2], []).append(
+                (r.lhs, len(r.lhs), tuple(r.rhs.items()), r))
+        self._reach = max((len(r.lhs) for r in self.rules), default=2) - 1
         self._nf_cache: dict = {}
 
     # -- generator helpers ----------------------------------------------------
@@ -478,18 +480,23 @@ class Presentation:
 
     # -- rewriting ------------------------------------------------------------
 
-    def find_redex(self, word: Word):
-        """Leftmost redex, first matching rule in rule order; rules are
-        indexed by their first two letters, so a LHS shorter than 2 (which
+    def find_redex(self, word: Word, start: int = 0):
+        """(position, rule) of the leftmost redex at or after ``start``,
+        first matching rule in rule order, or None; rules are indexed by
+        their first two letters, so a LHS shorter than 2 (which
         :func:`validate_presentation` rejects) never matches."""
-        by_pair = self._by_pair
-        for i in range(len(word) - 1):
-            rules = by_pair.get(word[i:i + 2])
-            if rules:
-                for r in rules:
-                    L = r.lhs
-                    if word[i:i + len(L)] == L:
-                        return i, r
+        m = self._redex(word, start)
+        return None if m is None else (m[0], m[3])
+
+    def _redex(self, word: Word, start: int):
+        """:meth:`find_redex` as (position, LHS length, RHS terms, rule)."""
+        index = self._index
+        for i in range(start, len(word) - 1):
+            entries = index.get(word[i:i + 2])
+            if entries:
+                for L, n, rhs, r in entries:
+                    if word[i:i + n] == L:
+                        return i, n, rhs, r
         return None
 
     def all_redexes(self, word: Word):
@@ -509,12 +516,12 @@ class Presentation:
     def is_normal(self, word: Word) -> bool:
         return self.find_redex(word) is None
 
-    def word_normal_form(self, word: Word, steps: _Steps) -> Element:
-        """Normal form of ``word``, charged to ``steps`` at its cost on a
-        cache hit as on a miss.  The cost is the number of distinct words
-        in the word's rewrite closure: the word and, recursively, the
-        words its leftmost rewrite produces.  A cold miss computes exactly
-        these words once each.
+    def word_normal_form(self, word: Word, steps: _Steps) -> tuple:
+        """Terms of the normal form of ``word``, as (word, Scalar) pairs,
+        charged to ``steps`` at its cost on a cache hit as on a miss.  The
+        cost is the number of distinct words in the word's rewrite
+        closure: the word and, recursively, the words its leftmost rewrite
+        produces.  A cold miss computes exactly these words once each.
         """
         hit = self._nf_cache.get(word)
         if hit is None:
@@ -523,25 +530,20 @@ class Presentation:
         cost = hit.cost
         if cost is None:
             cost = hit.cost = hit.closure_size()
-        try:
-            steps.charge(cost, self.name)
-        except StepBudgetExceededError:
-            steps.exceeded(self, word)     # name the word on the way out
-        return hit
-
-    def _rewrite(self, word: Word):
-        """(word, coefficient) pairs of the leftmost rewrite of ``word``,
-        or None if it is normal."""
-        m = self.find_redex(word)
-        if m is None:
-            return None
-        i, rule = m
-        prefix, suffix = word[:i], word[i + len(rule.lhs):]
-        return [(prefix + w + suffix, c) for w, c in rule.rhs.items()]
+        steps.count += cost
+        if steps.count > steps.budget:
+            steps.exceeded(self, word)
+        return hit.terms
 
     def _fill(self, word: Word, steps: _Steps) -> None:
         """Cache the normal forms of ``word`` and the uncached words of its
         rewrite closure, depth first.
+
+        A word made by rewriting its parent at position i is searched for
+        its leftmost redex from i - (longest LHS - 1) on (Baader & Nipkow
+        1998): its letters before i are the parent's, and the parent had
+        no redex before i, so a redex of the child that starts earlier
+        would have to reach position i, and no LHS is that long.
 
         Every word pushed is a distinct uncached word of the closure, so
         giving up once more words have been pushed than the budget has
@@ -550,11 +552,13 @@ class Presentation:
         path never terminates, whatever the budget.
         """
         cache = self._nf_cache
+        redex = self._redex
+        reach = self._reach
         room = steps.budget - steps.count
         path = []
         on_path = set()
         pushed = 0
-        nxt = word
+        nxt, start = word, 0
         while True:
             if nxt is not None:
                 if nxt in on_path:
@@ -564,12 +568,18 @@ class Presentation:
                 pushed += 1
                 if pushed > room:
                     steps.exceeded(self, word)
-                path.append((nxt, self._rewrite(nxt)))
+                m = redex(nxt, start)
+                if m is None:
+                    path.append((nxt, None, 0))
+                else:
+                    i, n, rhs, _ = m
+                    path.append((nxt, [(nxt[:i] + v + nxt[i + n:], c) for v, c in rhs],
+                                 max(0, i - reach)))
                 on_path.add(nxt)
                 nxt = None
-            cur, children = path[-1]
+            cur, children, start = path[-1]       # start: where its children resume
             if children is None:
-                cache[cur] = _NormalForm({cur: ONE})
+                cache[cur] = _NormalForm(((cur, ONE),))
             else:
                 for w, _ in children:
                     if w not in cache:
@@ -577,13 +587,16 @@ class Presentation:
                         break
                 if nxt is not None:
                     continue
-                acc: dict = {}
-                kids = []
-                for w, c in children:
-                    nf = cache[w]
-                    add_scaled(acc, nf.items(), c)
-                    kids.append(nf)
-                cache[cur] = _NormalForm(acc, kids[0] if len(kids) == 1 else tuple(kids))
+                if len(children) == 1:
+                    w, c = children[0]
+                    kid = cache[w]
+                    cache[cur] = _NormalForm(tuple((v, c * x) for v, x in kid.terms), kid)
+                else:
+                    acc: dict = {}
+                    for w, c in children:
+                        add_scaled(acc, cache[w].terms, c)
+                    cache[cur] = _NormalForm(tuple(acc.items()),
+                                             tuple(cache[w] for w, _ in children))
             path.pop()
             on_path.discard(cur)
             if not path:
@@ -603,7 +616,7 @@ def normalize(x: Element, p: Presentation, budget: int = DEFAULT_STEP_BUDGET) ->
     out: dict = {}
     for w, c in x.items():
         p.check_word(w)
-        add_scaled(out, p.word_normal_form(w, steps).items(), c)
+        add_scaled(out, p.word_normal_form(w, steps), c)
     return Element(out, _trusted=True)
 
 

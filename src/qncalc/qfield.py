@@ -273,7 +273,7 @@ class Scalar:
         return None
 
     def __add__(self, other):
-        o = Scalar._coerce(other)
+        o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
         return _sum(self._n, self._d, o._n, o._d)
@@ -296,7 +296,7 @@ class Scalar:
         return o - self
 
     def __mul__(self, other):
-        o = Scalar._coerce(other)
+        o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
         return _product(self._n, self._d, o._n, o._d)
@@ -374,6 +374,9 @@ class Scalar:
         return self._n == o._n and self._d == o._d
 
     def __hash__(self):
+        # an integer hashes like the int it equals
+        if self._d == (1,) and len(self._n) < 2:
+            return hash(self._n[0]) if self._n else 0
         return hash((self._n, self._d))
 
     def __bool__(self):

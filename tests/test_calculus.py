@@ -1,5 +1,6 @@
 """Differential calculus: derivations, traces, derived rules, vector fields."""
 
+import dataclasses
 import random
 import re
 
@@ -344,6 +345,23 @@ def test_vector_algebra(pid):
                                   preset(pid), 2)
     for c in checks:
         assert c.status == "pass", (c.name, c.residual, c.details)
+
+
+@pytest.mark.parametrize("pid, tag, monomial", [
+    ("glq2-left", "eq-3.25[32]", "c"),
+    ("glq2-right", "eq-5.14[32]", "b"),
+])
+def test_vector_algebra_fails_on_a_changed_coefficient(pid, tag, monomial):
+    # doubling the coefficient of V3 V2 leaves exactly that term as residual
+    p = preset(pid)
+    rel = next(r for r in VECTOR_RELATIONS[pid] if r.tag == tag)
+    (coef, ops), *rest = rel.lhs
+    assert ops == ("3", "2") and coef == ONE
+    bad = dataclasses.replace(rel, lhs=((coef * 2, ops), *rest))
+    [check] = check_vector_algebra((bad,), p.calculus, p, 3)
+    assert check.status == "fail"
+    assert check.details == f"fails on {monomial}"
+    assert check.residual == monomial
 
 
 # -- conjugated forms -----------------------------------------------------------------

@@ -5,6 +5,7 @@ are frozen as oracles; strategy independence is exercised against an
 implementation that shares no code with the cached normalizer.
 """
 
+import itertools
 import random
 
 import pytest
@@ -308,6 +309,82 @@ def test_find_redex_is_first_of_all_redexes(pid):
         everything = p.all_redexes(word)
         want = (everything[0][0], everything[0][2]) if everything else None
         assert p.find_redex(word) == want, word
+
+
+KERNEL_PIDS = PRESET_IDS + tuple(f"{c}-diff" for c in CALCULUS_PRESETS) + ("shared-prefix",)
+
+
+def _kernel_presentation(pid):
+    if pid == "shared-prefix":
+        return _shared_prefix_presentation()
+    return diff_presentation(pid) if pid.endswith("-diff") else preset(pid)
+
+
+@pytest.mark.parametrize("pid", KERNEL_PIDS)
+def test_find_redex_resumes_where_a_rewrite_can_start_one(pid):
+    # a child of a rewrite at i is searched from i - (longest LHS - 1), as
+    # the cached normalizer does; that must find the child's leftmost redex
+    p = _kernel_presentation(pid)
+    reach = max(len(r.lhs) for r in p.rules) - 1
+    for word in random_words(p, random.Random(37), 200, 6):
+        m = p.find_redex(word)
+        if m is None:
+            continue
+        i, rule = m
+        for v in rule.rhs.words():
+            child = word[:i] + v + word[i + len(rule.lhs):]
+            assert p.find_redex(child, max(0, i - reach)) == p.find_redex(child), child
+
+
+@pytest.mark.parametrize("pid", KERNEL_PIDS)
+def test_normal_words_are_the_normal_words(pid):
+    p = _kernel_presentation(pid)
+    letters = [g.name for g in p.generators]
+    brute = [word for n in range(4) for word in itertools.product(letters, repeat=n)
+             if p.is_normal(word)]
+    assert list(normal_words(p, 3)) == brute
+
+
+def _leftmost_reference(x, p):
+    """Normal form by rewriting every term at its leftmost redex (first
+    matching rule in rule order, found by a plain scan of the rules), one
+    round at a time, with no cache."""
+    todo, done = dict(x.items()), {}
+    for _ in range(10_000):
+        if not todo:
+            return Element(done)
+        out = {}
+        for word, c in todo.items():
+            hit = next(((i, r) for i in range(len(word)) for r in p.rules
+                        if word[i:i + len(r.lhs)] == r.lhs), None)
+            if hit is None:
+                done[word] = done[word] + c if word in done else c
+                continue
+            i, r = hit
+            for v, c2 in r.rhs.items():
+                v = word[:i] + v + word[i + len(r.lhs):]
+                out[v] = out[v] + c * c2 if v in out else c * c2
+        todo = {v: c for v, c in out.items() if not c.is_zero}
+    raise AssertionError("reference rewriting did not stop")
+
+
+@pytest.mark.parametrize("pid", KERNEL_PIDS)
+def test_normalize_matches_cache_free_leftmost_rewriting(pid):
+    # words of form degree <= 1: two odd letters make -diff closures of
+    # thousands of words, which the reference rewrites without sharing
+    shared = _kernel_presentation(pid)
+    fresh = Presentation(shared.name, shared.generators, shared.order, shared.rules)
+    rng = random.Random(41)
+    words = random_words(fresh, rng, 60, 4, shared.even_names())
+    for k in range(0, len(words), 3):
+        terms = []
+        for v in words[k:k + 3]:
+            v = list(v)
+            if shared.odd_names() and rng.random() < 0.7:
+                v.insert(rng.randint(0, len(v)), rng.choice(shared.odd_names()))
+            terms.append((q(rng.randint(-2, 2)) * rng.randint(1, 3), ".".join(v)))
+        x = el(*terms)
+        assert normalize(x, fresh) == _leftmost_reference(x, fresh), x
 
 
 # -- termination orders ----------------------------------------------------------

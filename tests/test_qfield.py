@@ -67,6 +67,14 @@ def test_equality_is_canonical_identity():
     assert hash(a) == hash(b)
 
 
+@pytest.mark.parametrize("k", range(-5, 6))
+def test_integer_scalar_hashes_like_its_int(k):
+    s = Scalar.from_int(k)
+    assert s == k and hash(s) == hash(k)
+    assert k in {s} and s in {k}
+    assert Scalar.fraction(2 * k, 2) in {k: None}
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(DivisionByZeroError):
         Scalar((1,), ())
