@@ -13,8 +13,12 @@ unique normal form regardless of strategy, which
 Presentations, rules, and elements are immutable after construction.  A
 presentation indexes its rules once, by the first two letters of the LHS,
 with each right-hand side as a tuple of (word, Scalar) pairs.  Its
-normal-form cache, an internal memo, maps a word to such a tuple, linked
-to the cached words its leftmost rewrite produces (:class:`_NormalForm`).
+normal-form cache, an internal memo, maps a word to a record of two
+parallel tuples, the words of its normal form and their coefficients,
+linked to the records of the words its leftmost rewrite produces
+(:class:`_NormalForm`).  A word whose rewrite produces a single word
+shares that word's tuple of words and has its own coefficients only.  A
+normalization that exceeds its step budget removes the entries it added.
 """
 
 from __future__ import annotations
@@ -362,20 +366,24 @@ class _NormalForm:
     """A cached word normal form, linked to the normal forms of the words
     its leftmost rewrite produces.
 
-    ``terms`` is a tuple of (word, Scalar) pairs with nonzero coefficients
-    and distinct words.  ``kids`` is None for a normal word, the one
-    normal form itself when the rewrite produces one word (as most rules
-    do), else a tuple.  ``cost`` is the number of distinct words in the
-    rewrite closure, or None until it is first needed.  The closure of a
-    one-kid word is the word plus its kid's closure (cached words never
-    rewrite back to themselves), so its cost follows from the kid's when
-    that is known.
+    ``words`` is a tuple of distinct words and ``coefs`` the parallel tuple
+    of their nonzero Scalar coefficients.  A normal word ``w`` has the
+    words ``(w,)`` and the shared coefficients :data:`_ONE_COEFS`.
+    ``kids`` is None for a normal word, the one normal form itself when
+    the rewrite produces one word (as most rules do), else a tuple.  A
+    one-kid record's ``words`` is its kid's ``words`` object, and only its
+    coefficients are its own.  ``cost`` is the number of distinct words
+    in the rewrite closure, or None until it is first needed.  The closure
+    of a one-kid word is the word plus its kid's closure (cached words
+    never rewrite back to themselves), so its cost follows from the kid's
+    when that is known.
     """
 
-    __slots__ = ("terms", "kids", "cost")
+    __slots__ = ("words", "coefs", "kids", "cost")
 
-    def __init__(self, terms: tuple, kids=None):
-        self.terms = terms
+    def __init__(self, words: tuple, coefs: tuple, kids=None):
+        self.words = words
+        self.coefs = coefs
         self.kids = kids
         if kids is None:
             self.cost = 1
@@ -397,6 +405,9 @@ class _NormalForm:
                     seen.add(id(nf))
                     todo.append(nf)
         return len(seen)
+
+
+_ONE_COEFS = (ONE,)     # the coefficients of every normal word's record
 
 
 class _Steps:
@@ -516,15 +527,17 @@ class Presentation:
     def is_normal(self, word: Word) -> bool:
         return self.find_redex(word) is None
 
-    def word_normal_form(self, word: Word, steps: _Steps) -> tuple:
-        """Terms of the normal form of ``word``, as (word, Scalar) pairs,
+    def word_normal_form(self, word: Word, steps: _Steps) -> _NormalForm:
+        """The cached normal form of ``word`` (:class:`_NormalForm`),
         charged to ``steps`` at its cost on a cache hit as on a miss.  The
         cost is the number of distinct words in the word's rewrite
         closure: the word and, recursively, the words its leftmost rewrite
-        produces.  A cold miss computes exactly these words once each.
+        produces.  A cold miss checks the word's letters and computes
+        exactly these words once each.
         """
         hit = self._nf_cache.get(word)
         if hit is None:
+            self.check_word(word)
             self._fill(word, steps)
             hit = self._nf_cache[word]
         cost = hit.cost
@@ -533,11 +546,19 @@ class Presentation:
         steps.count += cost
         if steps.count > steps.budget:
             steps.exceeded(self, word)
-        return hit.terms
+        return hit
 
     def _fill(self, word: Word, steps: _Steps) -> None:
         """Cache the normal forms of ``word`` and the uncached words of its
         rewrite closure, depth first.
+
+        A chain of rewrites that each produce one word is walked in an
+        inner loop: each word of it goes on the path with its one child,
+        and its record is built from the child's when the walk comes back,
+        sharing the child's words and scaling its coefficients.  A word
+        whose rewrite produces several words goes on the path with the
+        list of its children, which are filled one after the other and
+        then summed.
 
         A word made by rewriting its parent at position i is searched for
         its leftmost redex from i - (longest LHS - 1) on (Baader & Nipkow
@@ -555,12 +576,12 @@ class Presentation:
         redex = self._redex
         reach = self._reach
         room = steps.budget - steps.count
-        path = []
+        path = []       # (word, child, coefficient) or (word, [(child, coefficient)], start)
         on_path = set()
         pushed = 0
         nxt, start = word, 0
         while True:
-            if nxt is not None:
+            while nxt is not None:
                 if nxt in on_path:
                     raise StepBudgetExceededError(
                         f"{'.'.join(nxt)} rewrites back to itself under "
@@ -570,36 +591,43 @@ class Presentation:
                     steps.exceeded(self, word)
                 m = redex(nxt, start)
                 if m is None:
-                    path.append((nxt, None, 0))
-                else:
-                    i, n, rhs, _ = m
-                    path.append((nxt, [(nxt[:i] + v + nxt[i + n:], c) for v, c in rhs],
-                                 max(0, i - reach)))
-                on_path.add(nxt)
-                nxt = None
-            cur, children, start = path[-1]       # start: where its children resume
-            if children is None:
-                cache[cur] = _NormalForm(((cur, ONE),))
-            else:
-                for w, _ in children:
-                    if w not in cache:
-                        nxt = w
-                        break
-                if nxt is not None:
+                    cache[nxt] = _NormalForm((nxt,), _ONE_COEFS)
+                    nxt = None
                     continue
-                if len(children) == 1:
-                    w, c = children[0]
-                    kid = cache[w]
-                    cache[cur] = _NormalForm(tuple((v, c * x) for v, x in kid.terms), kid)
+                i, n, rhs, _ = m
+                start = max(0, i - reach)           # where its children resume
+                on_path.add(nxt)
+                if len(rhs) == 1:
+                    v, c = rhs[0]
+                    child = nxt[:i] + v + nxt[i + n:]
+                    path.append((nxt, child, c))
+                    nxt = None if child in cache else child
                 else:
+                    path.append((nxt, [(nxt[:i] + v + nxt[i + n:], c) for v, c in rhs],
+                                 start))
+                    nxt = None
+            while path:
+                cur, kids, c = path[-1]
+                if kids.__class__ is list:
+                    for v, _ in kids:
+                        if v not in cache:
+                            nxt, start = v, c
+                            break
+                    if nxt is not None:
+                        break
                     acc: dict = {}
-                    for w, c in children:
-                        add_scaled(acc, cache[w].terms, c)
-                    cache[cur] = _NormalForm(tuple(acc.items()),
-                                             tuple(cache[w] for w, _ in children))
-            path.pop()
-            on_path.discard(cur)
-            if not path:
+                    for v, x in kids:
+                        kid = cache[v]
+                        add_scaled(acc, zip(kid.words, kid.coefs), x)
+                    cache[cur] = _NormalForm(tuple(acc), tuple(acc.values()),
+                                             tuple(cache[v] for v, _ in kids))
+                else:
+                    kid = cache[kids]
+                    cache[cur] = _NormalForm(kid.words, tuple([c * x for x in kid.coefs]),
+                                             kid)
+                path.pop()
+                on_path.discard(cur)
+            if nxt is None:
                 return
 
     def __repr__(self):
@@ -611,12 +639,24 @@ class Presentation:
 # ---------------------------------------------------------------------------
 
 def normalize(x: Element, p: Presentation, budget: int = DEFAULT_STEP_BUDGET) -> Element:
-    """Unique rewriting fixed point of ``x`` under ``p`` (leftmost strategy)."""
+    """Unique rewriting fixed point of ``x`` under ``p`` (leftmost strategy).
+
+    A call that exceeds ``budget`` removes the normal forms it cached
+    before it raises: cache entries are only ever added, so the newest
+    ones are its own.
+    """
     steps = _Steps(budget)
+    cache = p._nf_cache
+    size = len(cache)
     out: dict = {}
-    for w, c in x.items():
-        p.check_word(w)
-        add_scaled(out, p.word_normal_form(w, steps), c)
+    try:
+        for w, c in x.items():
+            nf = p.word_normal_form(w, steps)
+            add_scaled(out, zip(nf.words, nf.coefs), c)
+    except StepBudgetExceededError:
+        while len(cache) > size:
+            cache.popitem()
+        raise
     return Element(out, _trusted=True)
 
 

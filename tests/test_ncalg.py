@@ -18,6 +18,7 @@ from qncalc.ncalg import (
     RewriteRule,
     StepBudgetExceededError,
     TerminationOrder,
+    UnknownGeneratorError,
     check_local_confluence,
     equal_mod_ideal,
     mul,
@@ -183,6 +184,35 @@ def test_long_words_fit_the_default_budget():
     out = normalize(w(*word), fresh)
     assert len(fresh._nf_cache) == 837
     assert out == normalize(w(*word), p)
+
+
+def test_failed_normalization_leaves_the_cache_as_it_found_it():
+    # without the rollback, the failed call keeps about one entry per step
+    shared = diff_presentation("slq2-right")
+    fresh = Presentation(shared.name, shared.generators, shared.order, shared.rules)
+    normalize(w("d.del_a") + w("a.d"), fresh)
+    before = dict(fresh._nf_cache)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(StepBudgetExceededError) as info:
+            normalize(w("d.del_a") + w("d.d.del_a.del_c.del_b"), fresh, budget=2000)
+        messages.append(str(info.value))
+        assert fresh._nf_cache == before
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("step budget 2000 exceeded while normalizing "
+                                  "d.d.del_a.del_c.del_b under 'slq2-right-diff'")
+
+
+def test_unknown_generator_raises_cold_or_warm():
+    p = preset("glq2")
+    fresh = Presentation(p.name, p.generators, p.order, p.rules)
+    for warm in (False, True):
+        if warm:
+            normalize(w("d.a.c.b") + w("c.a"), fresh)
+        for bad in (w("zz"), w("d.zz.a"), w("d.a") + w("a.zz")):
+            with pytest.raises(UnknownGeneratorError):
+                normalize(bad, fresh)
+        assert not any("zz" in word for word in fresh._nf_cache)
 
 
 def test_step_budget_stops_non_terminating_rules():
@@ -385,6 +415,31 @@ def test_normalize_matches_cache_free_leftmost_rewriting(pid):
             terms.append((q(rng.randint(-2, 2)) * rng.randint(1, 3), ".".join(v)))
         x = el(*terms)
         assert normalize(x, fresh) == _leftmost_reference(x, fresh), x
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS + tuple(f"{c}-diff" for c in CALCULUS_PRESETS))
+def test_cached_records_share_words_along_one_word_rewrites(pid):
+    shared = _kernel_presentation(pid)
+    p = Presentation(shared.name, shared.generators, shared.order, shared.rules)
+    rng = random.Random(43)
+    for word in random_words(p, rng, 40, 5, shared.even_names()):
+        word = list(word)
+        if shared.odd_names():
+            word.insert(rng.randint(0, len(word)), rng.choice(shared.odd_names()))
+        normalize(w(*word), p)
+    normal_coefs = set()
+    for word, nf in p._nf_cache.items():
+        assert len(nf.words) == len(nf.coefs)
+        assert len(set(nf.words)) == len(nf.words)
+        assert not any(c.is_zero for c in nf.coefs)
+        if nf.kids is None:
+            assert p.is_normal(word)
+            assert (nf.words, nf.coefs) == ((word,), (ONE,))
+            normal_coefs.add(id(nf.coefs))
+        elif not isinstance(nf.kids, tuple):            # one kid
+            assert nf.words is nf.kids.words
+        assert Element(dict(zip(nf.words, nf.coefs))) == normalize(w(*word), shared)
+    assert len(normal_coefs) == 1                       # one shared (ONE,)
 
 
 # -- termination orders ----------------------------------------------------------
