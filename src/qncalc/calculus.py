@@ -27,9 +27,8 @@ against the cubic relation sets; recorded in reports):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .ncalg import (
     DEFAULT_STEP_BUDGET,
@@ -46,7 +45,7 @@ from .ncalg import (
 )
 from .presentations import ANTIPODE_IMAGES, builtin_id, preset, qdet
 from .qfield import ONE, Scalar
-from .reports import Check
+from .reports import Check, Record
 
 __all__ = [
     "DiffStructure",
@@ -86,22 +85,29 @@ COMPOSITION_CONVENTION = (
 )
 
 
-@dataclass(frozen=True)
-class DiffStructure:
+class DiffStructure(Record):
     """A calculus: its side and generator differentials, plus what a preset
     declares for the differential mode: the coordinates x whose ``del_x``
     span it, each form over the parameters and ``del_x``, and the linear
-    relations among the ``del_x``."""
+    relations among the ``del_x``.  Immutable."""
 
-    side: str                               # "left" | "right"
-    images: Mapping[str, Element]
-    coords: tuple = ()
-    forms: Mapping[str, Element] = field(default_factory=dict)
-    dependencies: tuple = ()
+    __slots__ = ("side", "images", "coords", "forms", "dependencies")
 
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError(f"bad side {self.side!r}")
+    def __init__(self, side: str, images: Mapping[str, Element], coords: tuple = (),
+                 forms: Mapping[str, Element] | None = None, dependencies: tuple = ()):
+        if side not in ("left", "right"):
+            raise ValueError(f"bad side {side!r}")
+        values = (side, images, coords, {} if forms is None else forms, dependencies)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"DiffStructure is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):           # copy and pickle without __setattr__
+        return DiffStructure, self._values()
 
     def del_images(self) -> dict:
         """``del_x -> d(x)`` for each coordinate x: the substitution that
@@ -509,8 +515,7 @@ def _apply_ops(x: Element, ops, d: DiffStructure, p: Presentation,
     return x
 
 
-@dataclass(frozen=True)
-class VectorRelation:
+class VectorRelation(NamedTuple):
     tag: str
     lhs: tuple   # ((Scalar, (op, ...)), ...)
     rhs: tuple

@@ -119,6 +119,17 @@ def cmd_export_preset(args) -> int:
     return 0
 
 
+def _degree(text: str) -> int:
+    """A ``--max-degree`` value: 0 (each suite's default) or a positive bound."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected 0 or a positive integer, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qncalc",
@@ -138,14 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap_check.add_argument("--file", help="DSL presentation file")
     ap_check.add_argument("--suite", action="append", choices=SUITE_NAMES,
                           help="repeatable; default: all suites")
-    ap_check.add_argument("--max-degree", type=int, default=0)
+    ap_check.add_argument("--max-degree", type=_degree, default=0)
     ap_check.add_argument("--seed", type=int, default=2024)
     ap_check.add_argument("--report", help="JSON report path")
     ap_check.add_argument("--allow-mismatch", action="store_true")
 
     ap_verify = sub.add_parser("verify-paper",
                                help="full verification matrix over all presets")
-    ap_verify.add_argument("--max-degree", type=int, default=0)
+    ap_verify.add_argument("--max-degree", type=_degree, default=0)
     ap_verify.add_argument("--seed", type=int, default=2024)
     ap_verify.add_argument("--report", help="JSON report path")
     ap_verify.add_argument("--allow-mismatch", action="store_true")
@@ -178,7 +189,7 @@ def main(argv=None) -> int:
         # to /dev/null, so that the interpreter's last flush is quiet too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (DslError, StepBudgetExceededError, OSError) as exc:
+    except (DslError, StepBudgetExceededError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

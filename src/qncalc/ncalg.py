@@ -24,8 +24,7 @@ normalization that exceeds its step budget removes the entries it added.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .qfield import ONE, Scalar, ZERO
 
@@ -63,8 +62,7 @@ class UnknownGeneratorError(KeyError):
     """A word references a generator the presentation does not declare."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     name: str
     parity: int          # 0 even, 1 odd
     precedence: int
@@ -261,8 +259,7 @@ _ZERO_ELEMENT = Element({}, _trusted=True)
 _UNIT_ELEMENT = Element({(): ONE}, _trusted=True)
 
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     lhs: Word
     rhs: Element
     provenance: str = ""
@@ -272,8 +269,7 @@ class RewriteRule:
         return Element.word(*self.lhs) - self.rhs
 
 
-@dataclass(frozen=True)
-class TerminationOrder:
+class TerminationOrder(NamedTuple):
     """Well-founded word order used to orient rules.
 
     ``deglex`` compares word length, then precedence sequences.
@@ -314,15 +310,13 @@ class TerminationOrder:
         return self.key(w1, parity, prec) > self.key(w2, parity, prec)
 
 
-@dataclass
-class ValidationIssue:
+class ValidationIssue(NamedTuple):
     rule: str
     kind: str
     message: str
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     presentation: str
     issues: list
 
@@ -331,8 +325,7 @@ class ValidationReport:
         return not self.issues
 
 
-@dataclass
-class CriticalPair:
+class CriticalPair(NamedTuple):
     rule1: str
     rule2: str
     word: Word
@@ -348,8 +341,7 @@ class CriticalPair:
         return self.branch1 == self.branch2
 
 
-@dataclass
-class ConfluenceReport:
+class ConfluenceReport(NamedTuple):
     presentation: str
     pairs: list
 

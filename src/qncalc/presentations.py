@@ -11,10 +11,9 @@ relation they orient; reports are keyed by these tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.resources import files
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .ncalg import (
     Element,
@@ -246,8 +245,7 @@ _SCALAR_MAPS: dict[str, Callable[[Scalar], Scalar]] = {
 }
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(NamedTuple):
     """Generator substitution plus a coefficient map into a target presentation."""
 
     name: str

@@ -17,7 +17,6 @@ exit code unless explicitly allowed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 __all__ = ["Check", "Suite", "SuiteReport", "REPORT_VERSION"]
 
@@ -26,18 +25,37 @@ REPORT_VERSION = "1"
 _STATUSES = ("pass", "fail", "mismatch", "skipped")
 
 
-@dataclass
-class Check:
-    name: str
-    paper_ref: str = ""
-    status: str = "pass"
-    residual: str | None = None
-    details: str = ""
-    ms: float = 0.0
+class Record:
+    """Equality and a repr over the ``__slots__`` of a record class.
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
+    The records that validate or need fresh mutable defaults subclass it
+    with an explicit ``__init__``; the others are ``typing.NamedTuple``s.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Check(Record):
+    __slots__ = ("name", "paper_ref", "status", "residual", "details", "ms")
+
+    def __init__(self, name: str, paper_ref: str = "", status: str = "pass",
+                 residual: str | None = None, details: str = "", ms: float = 0.0):
+        if status not in _STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        self.name, self.paper_ref, self.status = name, paper_ref, status
+        self.residual, self.details, self.ms = residual, details, ms
 
     def to_json(self):
         return {
@@ -63,23 +81,27 @@ class Check:
                      None if ok else residual, details, ms)
 
 
-@dataclass
-class Suite:
-    name: str
-    checks: list = field(default_factory=list)
+class Suite(Record):
+    __slots__ = ("name", "checks")
+
+    def __init__(self, name: str, checks: list | None = None):
+        self.name = name
+        self.checks = [] if checks is None else checks
 
     def to_json(self):
         return {"name": self.name, "checks": [c.to_json() for c in self.checks]}
 
 
-@dataclass
-class SuiteReport:
-    preset: str
-    suites: list = field(default_factory=list)
-    seed: int = 0
-    max_degree: int = 3
-    conventions: dict = field(default_factory=dict)
-    version: str = REPORT_VERSION
+class SuiteReport(Record):
+    __slots__ = ("preset", "suites", "seed", "max_degree", "conventions", "version")
+
+    def __init__(self, preset: str, suites: list | None = None, seed: int = 0,
+                 max_degree: int = 3, conventions: dict | None = None,
+                 version: str = REPORT_VERSION):
+        self.preset, self.seed, self.max_degree = preset, seed, max_degree
+        self.suites = [] if suites is None else suites
+        self.conventions = {} if conventions is None else conventions
+        self.version = version
 
     def all_checks(self):
         for s in self.suites:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import rmatrix
 from .calculus import (
@@ -75,8 +75,7 @@ CONVENTIONS = {
 }
 
 
-@dataclass
-class SuiteConfig:
+class SuiteConfig(NamedTuple):
     preset: str = "glq2"
     suites: tuple = ()
     max_degree: int = 0          # 0 = per-suite default
@@ -409,7 +408,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     names = config.suites or SUITE_NAMES
     p = config.presentation()
     report = SuiteReport(preset=p.name, seed=config.seed,
-                         max_degree=config.degree(0) or 3,
+                         max_degree=config.degree(3),
                          conventions=dict(CONVENTIONS))
     for name in names:
         if name not in SUITES:
@@ -429,7 +428,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 def run_all(seed: int = 2024, max_degree: int = 0) -> SuiteReport:
     """The full verification matrix: every suite over every preset it covers."""
     report = SuiteReport(preset="all", seed=seed,
-                         max_degree=max_degree or 3,
+                         max_degree=SuiteConfig(max_degree=max_degree).degree(3),
                          conventions=dict(CONVENTIONS))
     for name in SUITE_NAMES:
         if name not in _APPLIES:

@@ -238,12 +238,52 @@ def test_cli_check_unreadable_file(tmp_path, capsys, path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [["list-presets"],
-                                  ["export-preset", "--preset", "glq2-left"]])
-def test_cli_closed_stdout_ends_quietly(argv):
+def test_cli_non_utf8_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    f = tmp_path / "latin1.preset"
+    f.write_bytes(b"gen x parity even\n# \xff\n")
+    assert main(["normalize", "--file", str(f), "--expr", "x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("command", ["check", "verify-paper"])
+@pytest.mark.parametrize("value", ["-1", "two"])
+def test_cli_rejects_a_negative_max_degree(command, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--max-degree", value])
+    assert exc.value.code == 2
+    assert f"argument --max-degree: expected 0 or a positive integer, not {value!r}" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("max_degree, recorded", [(-1, 3), (0, 3), (2, 2)])
+def test_run_all_records_the_degree_as_run_suite_does(monkeypatch, max_degree,
+                                                      recorded):
+    monkeypatch.setattr("qncalc.suites.SUITE_NAMES", ())     # no checks to run
+    assert run_all(max_degree=max_degree).max_degree == recorded
+    cfg = SuiteConfig(preset="glq2", suites=("ybe",), max_degree=max_degree)
+    assert run_suite(cfg).max_degree == recorded
+
+
+def _subprocess_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_m_qncalc_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "qncalc", "list-presets"],
+                          capture_output=True, text=True, env=_subprocess_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[0] == "glq2" and "glq2-left-diff" in proc.stdout
+
+
+@pytest.mark.parametrize("argv", [["list-presets"],
+                                  ["export-preset", "--preset", "glq2-left"]])
+def test_cli_closed_stdout_ends_quietly(argv):
+    env = _subprocess_env()
     read, write = os.pipe()
     os.close(read)                  # the reader is gone before the first write
     try:
