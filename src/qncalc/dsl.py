@@ -23,11 +23,15 @@ A differential calculus is declared with ``side``, ``coords``, ``diff``,
 ``form`` and ``dependency`` lines (see ``docs/dsl.md``); the built-in
 presets are files of this format in the ``presets`` directory.
 
+An expression is read by one ``findall`` of token strings and a
+recursive descent over them; a sum keeps its terms in source order.
+
 Parsed presentations are validated (orientation, parity, generator
 references) before being returned.  Bad input of any kind, division by
 zero, over-deep nesting and oversized literals, powers or products
 included, is rejected with a :class:`DslError`; one raised inside an
-expression carries its line and column.
+expression carries its line and column.  A bad character or an oversized
+literal is reported before any syntax error.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ class DslError(ValueError):
 
 
 # Bounds on expression input, checked before any work is done.
-_MAX_NESTING = 100     # parenthesis depth; each level is five Python frames
+_MAX_NESTING = 100     # parenthesis depth; each level is three Python frames
 _MAX_DIGITS = 1000     # digits of one integer literal
 _MAX_POWER = 500       # |k| * _scalar_size(s) for s ^ k; keeps one power under ~1 s
 _MAX_PRODUCT = 4000    # sum of the factors' sizes in one product: a bound on
@@ -88,24 +92,46 @@ def _scalar_size(s: Scalar) -> int:
 
 
 def _size(x) -> int:
-    """Largest :func:`_scalar_size` of a coefficient of ``x``."""
+    """Largest :func:`_scalar_size` of a coefficient of ``x``, a parsed value."""
     if isinstance(x, Scalar):
         return _scalar_size(x)
-    return max((_scalar_size(c) for _, c in x.items() if c is not ONE), default=0)
+    return max((_scalar_size(c) for _, c in _element(x).items() if c is not ONE),
+               default=0)
 
 
 def _element(x) -> Element:
     """``x``, a parsed value, as an :class:`Element`."""
-    return Element.term(x, ()) if isinstance(x, Scalar) else x
+    if isinstance(x, Scalar):
+        return Element.term(x, ())
+    return Element.term(ONE, x) if x.__class__ is tuple else x
+
+
+def _accumulate(terms: dict, x, op) -> dict:
+    """Add ``x``, a parsed value, into ``terms`` (subtract it if ``op`` is
+    ``-``), dropping zero coefficients as :meth:`Element.__add__` does."""
+    for w, c in _element(x).items():
+        if op == "-":
+            c = -c
+        s = terms.get(w)
+        if s is None:
+            terms[w] = c
+        elif s := s + c:
+            terms[w] = s
+        else:
+            del terms[w]
+    return terms
 
 
 # A dotted word is one token, with any whitespace around its dots; a lone
-# ``q`` is its own token, so ``q.a`` is ``q``, ``.``, ``a`` as before.
+# ``q`` is its own token, so ``q.a`` is ``q``, ``.``, ``a``.  The pattern
+# has no group, so ``findall`` returns the token strings.
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN = re.compile(rf"\s*(?:(\d+)|(q)(?![A-Za-z0-9_])|({_NAME}(?:\s*\.\s*{_NAME})*)"
-                    r"|([().+\-*/^])|(\S))")
-_KINDS = (None, "int", "q", "word", None)   # by group index; an operator is its own kind
-_FACTOR = frozenset(("int", "q", "word", "("))     # kinds that start a factor
+_TOKEN = re.compile(rf"\d+|q(?![A-Za-z0-9_])|{_NAME}(?:\s*\.\s*{_NAME})*|[().+\-*/^]|\S")
+# a character that starts no token, or digits that may make a literal
+# longer than _MAX_DIGITS
+_SUSPECT = re.compile(rf"[^\dA-Za-z_\s().+\-*/^]|\d{{{_MAX_DIGITS + 1}}}")
+_WORD_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_STOP = frozenset((")", "+", "-", "^", ".", ""))   # tokens that end a product
 _Q = Scalar.q_power(1)
 _Q_IN_WORD = "'q' is the deformation parameter, not a generator"
 # Scalars are immutable, so literals and powers of q can be shared
@@ -113,71 +139,71 @@ _int = lru_cache(maxsize=1 << 10)(Scalar.from_int)
 _q_power = lru_cache(maxsize=1 << 10)(Scalar.q_power)
 
 
-def _tokenize(text, line=None, offset=0):
-    """(kind, value, position) tokens and an end-of-input token; positions
-    are 0-based and count ``offset`` characters before ``text``."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        val = m[kind]
-        if kind == 1:
-            if len(val) > _MAX_DIGITS:
-                raise DslError(f"integer literal longer than {_MAX_DIGITS} digits",
-                               line, offset + m.start(kind) + 1)
-            val = int(val)
-        elif kind == 5:
-            raise DslError(f"bad character {val!r}", line, offset + m.start(kind) + 1)
-        out.append((_KINDS[kind] or val, val, offset + m.start(kind)))
-    out.append((None, None, offset + len(text.rstrip())))
-    return out
-
-
 class _ExprParser:
-    """Recursive descent over the tokens of one expression.  A value is a
-    :class:`Scalar` until a word joins it, then an :class:`Element`;
-    ``unary``, ``power`` and ``primary`` return a value and a bound on its
-    :func:`_size`."""
+    """Recursive descent over the tokens of one expression: the strings of
+    one ``findall``, then ``""``.  A token's column is computed, by scanning
+    the text again, only when an error is raised.  A value is a
+    :class:`Scalar`, a bare word kept as its tuple, or an :class:`Element`;
+    a sum that a word joins is one word -> Scalar dict.  ``factor``
+    returns a value and a bound on its :func:`_size`."""
 
     def __init__(self, text, names, line, offset=0):
-        self.toks = _tokenize(text, line, offset)
+        self.text = text
+        self.offset = offset        # characters before ``text`` on its line
+        self.line = line
+        self.names = names          # never holds 'q'
         self.i = 0
         self.depth = 0
-        self.names = names          # never holds 'q'
-        self.line = line
+        self.toks = toks = _TOKEN.findall(text)
+        toks.append("")
+        if _SUSPECT.search(text):   # reported before any syntax error
+            for i, t in enumerate(toks):
+                if _SUSPECT.match(t):
+                    self.error(f"integer literal longer than {_MAX_DIGITS} digits"
+                               if t[0].isdecimal() else f"bad character {t!r}", i)
 
-    def error(self, msg, at=None):
-        """Raise at the token with index ``at``, by default the next one."""
-        raise DslError(msg, self.line, self.toks[self.i if at is None else at][2] + 1)
+    def error(self, msg, at=None, shift=0):
+        """Raise ``shift`` characters into the token with index ``at``, by
+        default the next one."""
+        starts = [m.start() for m in _TOKEN.finditer(self.text)]
+        starts.append(len(self.text.rstrip()))
+        column = self.offset + starts[self.i if at is None else at] + shift + 1
+        raise DslError(msg, self.line, column)
 
     def parse(self) -> Element:
         out = self.expr()
-        kind, val, _ = self.toks[self.i]
-        if kind is not None:
-            self.error(f"unexpected {val!r}")
+        if self.toks[self.i]:
+            self.error(f"unexpected {self.toks[self.i]!r}")
         return _element(out)
 
     def expr(self):
+        toks = self.toks
         out = self.term()
-        while True:
-            op = self.toks[self.i][0]
-            if op != "+" and op != "-":
-                return out
+        terms = None                # word -> Scalar, once a word joins the sum
+        op = toks[self.i]
+        while op == "+" or op == "-":
             self.i += 1
             rhs = self.term()
-            if not (isinstance(out, Scalar) and isinstance(rhs, Scalar)):
-                out, rhs = _element(out), _element(rhs)
-            out = out + rhs if op == "+" else out - rhs
+            if terms is not None:
+                _accumulate(terms, rhs, op)
+            elif isinstance(out, Scalar) and isinstance(rhs, Scalar):
+                out = out + rhs if op == "+" else out - rhs
+            else:
+                terms = _accumulate(_accumulate({}, out, "+"), rhs, op)
+            op = toks[self.i]
+        return out if terms is None else Element(terms, _trusted=True)
 
     def term(self):
-        out, size = self.unary()
+        toks = self.toks
+        out, size = self.factor()
         while True:
-            op = self.toks[self.i][0]
+            op = toks[self.i]
             if op == "*" or op == "/":
                 self.i += 1
-            elif op not in _FACTOR:
+            elif op in _STOP:
                 return out
             at = self.i
-            factor, factor_size = self.unary()
+            factor, factor_size = self.factor()
             size += factor_size
             if size > _MAX_PRODUCT:
                 self.error(f"product too large (factor sizes add up to more than "
@@ -186,96 +212,97 @@ class _ExprParser:
                 div = self.scalar(factor, "division requires a scalar divisor", at)
                 if div.is_zero:
                     self.error("division by zero", at)
-                out = out / div if isinstance(out, Scalar) else out.scale(ONE / div)
-            elif isinstance(factor, Scalar):
-                out = out * factor if isinstance(out, Scalar) else out.scale(factor)
-            elif not isinstance(out, Scalar):
+                out = out / div if isinstance(out, Scalar) else _element(out).scale(ONE / div)
+            elif isinstance(out, Scalar) and isinstance(factor, Scalar):
                 out = out * factor
-            elif self.toks[at][0] == "word":      # a bare word: no sign, no power
-                (word,) = factor.words()
-                out = Element.term(out, word)
+            elif isinstance(out, Scalar) and factor.__class__ is tuple:
+                out = Element.term(out, factor)     # a coefficient and a word
+            elif out.__class__ is tuple and factor.__class__ is tuple:
+                out = out + factor                  # ``a b`` is ``a.b``
             else:
-                out = _element(out) * factor
+                out = _element(out) * _element(factor)
 
-    def unary(self):
+    def factor(self):
+        """A signed, parenthesized or literal base and its optional power."""
+        toks = self.toks
         negate = False
-        while self.toks[self.i][0] == "-":
-            self.i += 1
+        t = toks[self.i]
+        while t == "-":             # a loop, so a long run costs no frames
             negate = not negate
-        out, size = self.power()
-        return (-out if negate else out), size
-
-    def power(self):
+            self.i += 1
+            t = toks[self.i]
         at = self.i
-        base, size = self.primary()
-        if self.toks[self.i][0] != "^":
-            return base, size
-        self.i += 1
-        sign = 1
-        if self.toks[self.i][0] == "-":
-            self.i += 1
-            sign = -1
-        kind, k, _ = self.toks[self.i]
-        if kind != "int":
-            self.error("integer exponent expected after '^'")
-        self.i += 1
-        s = self.scalar(base, "'^' requires a scalar base", at)
-        size = k if s is _Q else k * _scalar_size(s)
-        if size > _MAX_POWER:
-            self.error(f"power too large (exponent times base size exceeds "
-                       f"{_MAX_POWER})", at)
-        if sign < 0 and s.is_zero:
-            self.error("division by zero: negative power of 0", at)
-        return (_q_power(sign * k) if s is _Q else s ** (sign * k)), size
-
-    def scalar(self, x, msg, at) -> Scalar:
-        if isinstance(x, Scalar):
-            return x
-        try:
-            return x.as_scalar()
-        except ValueError:
-            self.error(msg, at)
-
-    def primary(self):
-        kind, val, _ = self.toks[self.i]
-        if kind == "int":
-            self.i += 1
-            return _int(val), (val - 1).bit_length()
-        if kind == "q":
-            self.i += 1
-            return _Q, 1
-        if kind == "word":
-            return Element.term(ONE, self.word()), 0
-        if kind == "(":
+        if t == "(":
             if self.depth == _MAX_NESTING:
                 self.error(f"parentheses nested deeper than {_MAX_NESTING}")
             self.i += 1
             self.depth += 1
             out = self.expr()
             self.depth -= 1
-            if self.toks[self.i][0] != ")":
+            if toks[self.i] != ")":
                 self.error("')' expected")
             self.i += 1
-            return out, _size(out)
-        self.error("expression expected")
+            size = _size(out)
+        elif t == "q":
+            self.i += 1
+            out, size = _Q, 1
+        elif t[:1].isdecimal():     # not isdigit: int() rejects '²'
+            self.i += 1
+            k = int(t)
+            out, size = _int(k), (k - 1).bit_length()
+        elif t[:1] in _WORD_START:
+            out, size = self.word(), 0
+        else:
+            self.error("expression expected")
+        if toks[self.i] == "^":
+            self.i += 1
+            sign = 1
+            if toks[self.i] == "-":
+                self.i += 1
+                sign = -1
+            k = toks[self.i]
+            if not k[:1].isdecimal():
+                self.error("integer exponent expected after '^'")
+            self.i += 1
+            k = int(k)
+            s = self.scalar(out, "'^' requires a scalar base", at)
+            size = k if s is _Q else k * _scalar_size(s)
+            if size > _MAX_POWER:
+                self.error(f"power too large (exponent times base size exceeds "
+                           f"{_MAX_POWER})", at)
+            if sign < 0 and s.is_zero:
+                self.error("division by zero: negative power of 0", at)
+            out = _q_power(sign * k) if s is _Q else s ** (sign * k)
+        if negate:
+            out = -out if isinstance(out, Scalar) else -_element(out)
+        return out, size
+
+    def scalar(self, x, msg, at) -> Scalar:
+        if isinstance(x, Scalar):
+            return x
+        try:
+            return _element(x).as_scalar()
+        except ValueError:
+            self.error(msg, at)
 
     def word(self) -> tuple:
-        kind, val, pos = self.toks[self.i]
-        if kind != "word":
-            self.error(_Q_IN_WORD if kind == "q" else "generator name expected")
+        t = self.toks[self.i]
+        if t == "q" or t[:1] not in _WORD_START:
+            self.error(_Q_IN_WORD if t == "q" else "generator name expected")
+        at = self.i
         self.i += 1
-        letters = val.split(".")
+        letters = t.split(".")
         for g in letters:
             if g not in self.names:     # whitespace around a dot, or a bad name
                 letters = []
-                for m in re.finditer(_NAME, val):
+                for m in re.finditer(_NAME, t):
                     g = m.group()
                     if g not in self.names:
-                        raise DslError(_Q_IN_WORD if g == "q" else f"unknown generator {g!r}",
-                                       self.line, pos + m.start() + 1)
+                        self.error(_Q_IN_WORD if g == "q" else f"unknown generator {g!r}",
+                                   at, m.start())
                     letters.append(g)
                 break
-        if self.toks[self.i][0] == ".":
+        if self.toks[self.i] == ".":
             self.error("generator name expected", self.i + 1)
         return tuple(letters)
 
@@ -307,7 +334,7 @@ def _arrow_line(raw, rest, lineno, what, lhs_names, rhs_names):
     start = re.match(r"\s*\S+\s+", raw).end()
     lhs_parser = _ExprParser(rest[:arrow], lhs_names, lineno, start)
     lhs = lhs_parser.word()
-    if lhs_parser.toks[lhs_parser.i][0] is not None:
+    if lhs_parser.toks[lhs_parser.i]:
         lhs_parser.error(f"{what} LHS must be a single dotted word")
     rhs = _ExprParser(rest[arrow + 2:], rhs_names, lineno, start + arrow + 2).parse()
     return lhs, rhs

@@ -11,8 +11,8 @@ relation they orient; reports are keyed by these tags.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
-from importlib.resources import files
 from typing import Callable, Mapping, NamedTuple
 
 from .ncalg import (
@@ -57,6 +57,8 @@ PRESET_IDS = (
     "qplane-right-c0",
 )
 
+_PRESET_DIR = os.path.join(os.path.dirname(__file__), "presets")
+
 
 @lru_cache(maxsize=None)
 def preset(preset_id: str) -> Presentation:
@@ -64,9 +66,8 @@ def preset(preset_id: str) -> Presentation:
     if preset_id not in PRESET_IDS:
         raise KeyError(f"unknown preset {preset_id!r}; known: {', '.join(PRESET_IDS)}")
     from .dsl import parse_presentation     # dsl imports this module, for ``extends``
-    text = (files(__package__).joinpath("presets", f"{preset_id}.preset")
-            .read_text(encoding="utf-8"))
-    return parse_presentation(text)
+    with open(os.path.join(_PRESET_DIR, f"{preset_id}.preset"), encoding="utf-8") as f:
+        return parse_presentation(f.read())
 
 
 def builtin_id(p: Presentation) -> str | None:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd as _int_gcd
+from operator import neg as _neg
 
 __all__ = [
     "Scalar",
@@ -71,7 +72,7 @@ def _padd(a, b):
 
 
 def _pneg(a):
-    return tuple(-c for c in a)
+    return tuple(map(_neg, a))
 
 
 def _pmul(a, b):
@@ -281,7 +282,11 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(_pneg(self._n), self._d)
+        # -n/d is canonical when n/d is: the same gcd, the same denominator
+        out = object.__new__(Scalar)
+        out._n = _pneg(self._n)
+        out._d = self._d
+        return out
 
     def __sub__(self, other):
         o = Scalar._coerce(other)

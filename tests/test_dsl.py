@@ -264,6 +264,23 @@ def test_parsed_terms_keep_source_order():
     assert [str(c) for _, c in x.items()] == ["1", "1", "-q"]
 
 
+def test_parser_outcomes_match_pinned_file():
+    # values with their term order, or exact errors, of 633 seeded inputs;
+    # the generator and the file it wrote are in tests/data
+    import importlib.util
+    import json
+    from pathlib import Path
+    path = Path(__file__).resolve().parent / "data" / "dsl_expressions.py"
+    spec = importlib.util.spec_from_file_location("dsl_expressions", path)
+    pinned = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pinned)
+    want = json.loads(pinned.JSON_PATH.read_text())
+    got = pinned.outcomes()
+    assert len(got) == len(want)
+    for g, x in zip(got, want):
+        assert g == x
+
+
 _COEFS = st.lists(st.integers(-5, 5), min_size=1, max_size=4)
 
 

@@ -24,6 +24,7 @@ from qncalc.qfield import (
     _padd,
     _pdiv_exact,
     _pmul,
+    _pneg,
 )
 
 SAMPLE_POINTS = [Fraction(3, 2), Fraction(7, 5), Fraction(-4, 3), Fraction(11, 7)]
@@ -163,6 +164,15 @@ def test_invert_q_maps_left_parameter_to_right_parameter():
 @given(scalars())
 def test_invert_q_involution(x):
     assert x.invert_q().invert_q() == x
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars())
+def test_negation_is_canonical_without_recanonicalizing(x):
+    y = -x
+    z = Scalar(_pneg(x.num), x.den)
+    assert (y.num, y.den, hash(y)) == (z.num, z.den, hash(z))
+    assert -y == x and (-y).num == x.num and (-y).den == x.den
 
 
 # -- field axioms -------------------------------------------------------------

@@ -103,9 +103,11 @@ def test_morphism_apply_is_a_plain_class_attribute():
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
+    # nor, to read the preset files, importlib.resources and what it loads
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = ("import qncalc, sys; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import qncalc, sys; qncalc.preset('glq2'); "
+            "print(sorted({'dataclasses', 'inspect', 'tempfile', 'shutil', "
+            "'importlib.resources'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
