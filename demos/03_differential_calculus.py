@@ -14,7 +14,8 @@ from qncalc import (
     qtrace_check,
     vector_field_components,
 )
-from qncalc.calculus import VECTOR_RELATIONS, check_vector_algebra
+from qncalc.calculus import VECTOR_FIELDS, check_vector_algebra
+from qncalc.targets import printed
 
 w = Element.word
 
@@ -42,8 +43,10 @@ for g in "abcd":
     print(f"  components of {g}: "
           + ", ".join(f"V{k} -> {v}" for k, v in sorted(comps.items())))
 
-print("\ncubic vector-field relations on all monomials of degree <= 2:")
-for c in check_vector_algebra(VECTOR_RELATIONS["slq2-left"], dsl_, sl, 2):
+print("\nthe printed vector-field relations (src/qncalc/paper/vector-slq2-left.eqs)")
+print("on all monomials of degree <= 2:")
+relations = printed("vector-slq2-left", VECTOR_FIELDS)
+for c in check_vector_algebra(relations, dsl_, sl, 2):
     print(f"  {c.name}: {c.status}")
 
 print("\n== machine-derived differential-mode rules ==")

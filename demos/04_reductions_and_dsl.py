@@ -13,7 +13,7 @@ from qncalc import (
     preset,
     reduction_morphisms,
 )
-from qncalc.targets import PRINTED_5_22, printed_relation_checks, wz_plane_checks
+from qncalc.targets import printed_relation_checks, wz_plane_checks
 
 print("== nested reductions (GL -> SL -> plane, both calculi) ==")
 for m in reduction_morphisms():
@@ -22,7 +22,8 @@ for m in reduction_morphisms():
           f"{'all vanish' if all(x.is_zero for x in images) else 'FAILED'}")
 
 print("\n== regression against the printed right-differential table ==")
-for c in printed_relation_checks("glq2-right", PRINTED_5_22):
+print("   (src/qncalc/paper/eq-5.22.eqs, one printed line per text line)")
+for c in printed_relation_checks("glq2-right", "eq-5.22"):
     mark = "ok " if c.status == "pass" else "MISPRINT"
     print(f"  [{mark}] {c.name}")
     if c.status != "pass":

@@ -13,7 +13,6 @@ from .calculus import (
     apply_delta,
     check_nilpotent,
     check_vector_algebra,
-    conjugate_forms_check,
     derive_diff_rules,
     diff_presentation,
     qtrace_check,
@@ -22,6 +21,7 @@ from .calculus import (
 from .dsl import (
     DslError,
     export_presentation,
+    parse_equations,
     parse_expression,
     parse_presentation,
     parse_scalar,
@@ -64,5 +64,6 @@ from .rmatrix import (
     ybe_residual,
 )
 from .suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
+from .targets import conjugate_forms_check, printed
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ against the cubic relation sets; recorded in reports):
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 from .ncalg import (
     DEFAULT_STEP_BUDGET,
@@ -43,7 +43,7 @@ from .ncalg import (
     normalize,
     validate_presentation,
 )
-from .presentations import ANTIPODE_IMAGES, builtin_id, preset, qdet
+from .presentations import builtin_id, preset, qdet
 from .qfield import ONE, Scalar
 from .reports import Check, Record
 
@@ -61,10 +61,8 @@ __all__ = [
     "CALCULUS_PRESETS",
     "TRACE_FORM",
     "vector_field_components",
-    "VectorRelation",
-    "VECTOR_RELATIONS",
+    "VECTOR_FIELDS",
     "check_vector_algebra",
-    "conjugate_forms_check",
     "COMPOSITION_CONVENTION",
 ]
 
@@ -241,18 +239,16 @@ def standard_form_basis(p: Presentation) -> dict:
             t + "2": {2: ONE}, t + "3": {3: ONE},
             f4: {1: ONE / den, 4: -(ONE / den)},
         }
-        return {"standard": std, "primitive": prim, "indices": (1, 2, 3, 4)}
+        return {"standard": std, "primitive": prim}
     std = {1: Element.word(t + "1"), 2: Element.zero(), 3: Element.zero(),
            4: Element.term(shrink, (t + "1",))}
     prim = {t + "1": {1: ONE}}
-    indices = [1]
     for k in (2, 3):
         name = f"{t}{k}"
         if name in p.parity:
             std[k] = Element.word(name)
             prim[name] = {k: ONE}
-            indices.append(k)
-    return {"standard": std, "primitive": prim, "indices": tuple(indices)}
+    return {"standard": std, "primitive": prim}
 
 
 def maurer_cartan_check(p: Presentation) -> list:
@@ -277,35 +273,23 @@ def maurer_cartan_check(p: Presentation) -> list:
 
 
 def qtrace_check(p: Presentation) -> list:
-    """The trace form reproduces d(qdet) and its two printed left
-    expressions agree (matched parameter values)."""
+    """The trace form reproduces d(qdet), and the two printed expressions
+    of it in the standard forms (``paper/trace-<id>.eqs``) hold."""
+    from .targets import printed       # targets imports this module
     pid = builtin_id(p)
     if pid not in TRACE_FORM:
         raise ValueError("quantum-trace check applies to the GL calculus presets")
-    left = p.calculus.side == "left"
     std = standard_form_basis(p)["standard"]
+    subst = {f"S{k}": x for k, x in std.items()}
+    tr = subst["Tr"] = Element.word(TRACE_FORM[pid])
     checks = []
-    two = Scalar.from_int(2)
-    if left:
-        alpha = two / (ONE + _q(2))
-        expr1 = (alpha * _q(2)) * std[1] + alpha * std[4]
-        expr2 = (two / (_q(1) + _q(-1))) * (_q(1) * std[1] + _q(-1) * std[4])
-        tag1, tag2 = "post-3.17", "eq-3.24-footnote"
-    else:
-        t_par = two / (ONE + _q(-2))
-        expr1 = (t_par * _q(-2)) * std[1] + t_par * std[4]
-        expr2 = (two / (_q(1) + _q(-1))) * (_q(-1) * std[1] + _q(1) * std[4])
-        tag1, tag2 = "eq-5.11", "eq-5.19"
-    tr = Element.word(TRACE_FORM[pid])
-    r1 = normalize(expr1 - tr, p)
-    checks.append(Check.of(r1.is_zero, f"trace-expression-1[{pid}]", tag1,
-                           residual=str(r1)))
-    r2 = normalize(expr2 - tr, p)
-    checks.append(Check.of(r2.is_zero, f"trace-expression-2[{pid}]", tag2,
-                           residual=str(r2)))
+    for i, (tag, lhs, rhs) in enumerate(printed(f"trace-{pid}", subst), 1):
+        res = normalize((rhs - lhs).substitute(subst), p)
+        checks.append(Check.of(res.is_zero, f"trace-expression-{i}[{pid}]", tag,
+                               residual=str(res)))
     det = qdet(p)
     ddet = apply_delta(det, p.calculus, p)
-    want = normalize(det * tr if left else tr * det, p)
+    want = normalize(det * tr if p.calculus.side == "left" else tr * det, p)
     r3 = ddet - want
     checks.append(Check.of(r3.is_zero, f"d(qdet) = trace rule[{pid}]", "eq-3.6",
                            residual=str(r3)))
@@ -477,24 +461,25 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation,
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-# the hatted fields as combinations of the standard ones, per side
-_HATTED = {side: {"h1": ((ONE, "1"), (-shrink, "4")), "h4": ((ONE, "1"), (ONE, "4"))}
+# the fields a ``vector-<id>`` block names; the hatted ones combine the others
+VECTOR_FIELDS = ("V1", "V2", "V3", "V4", "Vh1", "Vh4")
+_HATTED = {side: {"Vh1": ((ONE, "V1"), (-shrink, "V4")), "Vh4": ((ONE, "V1"), (ONE, "V4"))}
            for side, shrink in (("left", _q(2)), ("right", _q(-2)))}
 
 
 def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
               memo: dict) -> Element:
-    """The field ``op`` on x: a standard index ``"1"``..``"4"`` or a hatted
-    combination.  ``memo`` maps (word, op) to the terms of that field on
-    that word; the first op asked of a word fills every op of that word
-    from one decomposition of d(word)."""
+    """The field ``op`` on x: a standard field ``"V1"``..``"V4"`` or a
+    hatted combination.  ``memo`` maps (word, op) to the terms of that
+    field on that word; the first op asked of a word fills every op of
+    that word from one decomposition of d(word)."""
     out: dict = {}
     for word, coef in x.items():
         terms = memo.get((word, op))
         if terms is None:
             comps = vector_field_components(Element({word: ONE}, _trusted=True), d, p)
-            for k in "1234":
-                memo[word, k] = tuple(comps.get(int(k), Element.zero()).items())
+            for k in (1, 2, 3, 4):
+                memo[word, f"V{k}"] = tuple(comps.get(k, Element.zero()).items())
             for h, combo in _HATTED[d.side].items():
                 acc: dict = {}
                 for c, k in combo:
@@ -515,58 +500,11 @@ def _apply_ops(x: Element, ops, d: DiffStructure, p: Presentation,
     return x
 
 
-class VectorRelation(NamedTuple):
-    tag: str
-    lhs: tuple   # ((Scalar, (op, ...)), ...)
-    rhs: tuple
-
-
-def _vr(tag, lhs, rhs):
-    return VectorRelation(tag,
-                          tuple((c, tuple(ops)) for c, ops in lhs),
-                          tuple((c, tuple(ops)) for c, ops in rhs))
-
-
-_Q2, _QM2 = _q(2), _q(-2)
-
-VECTOR_RELATIONS = {
-    "slq2-left": (
-        _vr("eq-4.3[13]", [(_Q2, ["1", "3"]), (-_QM2, ["3", "1"])],
-            [(ONE + _Q2, ["3"])]),
-        _vr("eq-4.3[21]", [(_Q2, ["2", "1"]), (-_QM2, ["1", "2"])],
-            [(ONE + _Q2, ["2"])]),
-        _vr("eq-4.3[32]", [(ONE, ["3", "2"]), (-_Q2, ["2", "3"])],
-            [(ONE, ["1"])]),
-    ),
-    "glq2-left": (
-        _vr("eq-3.25[32]", [(ONE, ["3", "2"]), (-_Q2, ["2", "3"])],
-            [(ONE, ["h1"])]),
-        _vr("eq-3.25[2h1]", [(_Q2, ["2", "h1"]), (-_QM2, ["h1", "2"])],
-            [(ONE + _Q2, ["2"])]),
-        _vr("eq-3.25[h13]", [(_Q2, ["h1", "3"]), (-_QM2, ["3", "h1"])],
-            [(ONE + _Q2, ["3"])]),
-        _vr("eq-3.25[h4,h1]", [(ONE, ["h4", "h1"]), (-ONE, ["h1", "h4"])], []),
-        _vr("eq-3.25[h4,2]", [(ONE, ["h4", "2"]), (-ONE, ["2", "h4"])], []),
-        _vr("eq-3.25[h4,3]", [(ONE, ["h4", "3"]), (-ONE, ["3", "h4"])], []),
-    ),
-    "glq2-right": (
-        _vr("eq-5.14[2h1]", [(_QM2, ["2", "h1"]), (-_Q2, ["h1", "2"])],
-            [(ONE + _QM2, ["2"])]),
-        _vr("eq-5.14[h13]", [(_QM2, ["h1", "3"]), (-_Q2, ["3", "h1"])],
-            [(ONE + _QM2, ["3"])]),
-        _vr("eq-5.14[32]", [(ONE, ["3", "2"]), (-_QM2, ["2", "3"])],
-            [(ONE, ["h1"])]),
-        _vr("eq-5.18[h4,h1]", [(ONE, ["h4", "h1"]), (-ONE, ["h1", "h4"])], []),
-        _vr("eq-5.18[h4,2]", [(ONE, ["h4", "2"]), (-ONE, ["2", "h4"])], []),
-        _vr("eq-5.18[h4,3]", [(ONE, ["h4", "3"]), (-ONE, ["3", "h4"])], []),
-    ),
-}
-
-
 def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
                          max_degree: int = 3) -> list:
-    """Evaluate each relation on every even normal-form monomial of
-    degree <= max_degree under the frozen composition convention.
+    """Evaluate each ``(tag, lhs, rhs)`` relation over words of
+    :data:`VECTOR_FIELDS` on every even normal-form monomial of degree
+    <= max_degree under the frozen composition convention.
 
     The terms of each field on each word are memoized for this call
     only (see :func:`_apply_op`).
@@ -575,122 +513,25 @@ def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
     corpus = list(normal_words(p, max_degree, alphabet=p.even_names()))
     memo: dict = {}
     checks = []
-    for rel in relations:
+    for tag, lhs, rhs in relations:
+        rel = (lhs - rhs).items()
         bad = None
         for word in corpus:
             f = Element({word: ONE}, _trusted=True)
             acc: dict = {}
-            for coef, ops in rel.lhs:
+            for ops, coef in rel:
                 add_scaled(acc, _apply_ops(f, ops, d, p, memo).items(), coef)
-            for coef, ops in rel.rhs:
-                add_scaled(acc, _apply_ops(f, ops, d, p, memo).items(), -coef)
             if acc:
                 bad = (word, Element(acc, _trusted=True))
                 break
         if bad is None:
             checks.append(Check.passed(
-                f"vector[{pid}][{rel.tag}]", rel.tag.split("[")[0],
+                f"vector[{pid}][{tag}]", tag.split("[")[0],
                 details=f"{len(corpus)} monomials, degree <= {max_degree}; "
                         f"{COMPOSITION_CONVENTION}"))
         else:
             checks.append(Check.failed(
-                f"vector[{pid}][{rel.tag}]", rel.tag.split("[")[0],
+                f"vector[{pid}][{tag}]", tag.split("[")[0],
                 residual=str(bad[1]),
                 details=f"fails on {'.'.join(bad[0]) or '1'}"))
     return checks
-
-
-# ---------------------------------------------------------------------------
-# conjugated left forms inside the right calculus
-# ---------------------------------------------------------------------------
-
-def _conjugated_theta(p: Presentation) -> dict:
-    """theta = S(T) . omega . T computed inside a right calculus preset.
-
-    The printed sample relations live in the unimodular case, where the
-    antipode images lose their Dinv factor.
-    """
-    std = standard_form_basis(p)["standard"]
-    om = {(1, 1): std[1], (1, 2): std[2], (2, 1): std[3], (2, 2): std[4]}
-    t = {(1, 1): Element.word("a"), (1, 2): Element.word("b"),
-         (2, 1): Element.word("c"), (2, 2): Element.word("d")}
-    unimodular = "Dinv" not in p.parity
-    s_img = ({k: v.substitute({"Dinv": Element.unit()}) for k, v in
-              ANTIPODE_IMAGES.items()} if unimodular else ANTIPODE_IMAGES)
-    s = {(1, 1): s_img["a"], (1, 2): s_img["b"],
-         (2, 1): s_img["c"], (2, 2): s_img["d"]}
-    out = {}
-    for i in (1, 2):
-        for j in (1, 2):
-            acc = Element.zero()
-            for k in (1, 2):
-                for l in (1, 2):
-                    acc = acc + s[(i, k)] * om[(k, l)] * t[(l, j)]
-            out[(i, j)] = normalize(acc, p)
-    return {1: out[(1, 1)], 2: out[(1, 2)], 3: out[(2, 1)], 4: out[(2, 2)]}
-
-
-_CONJ_TARGETS = (
-    # (tag, theta index, parameter, ((coef, param-word, theta index), ...))
-    ("sec5-end[th1.b]", 1, "b", (
-        (_q(-2), "b", 1),
-        (-((_q(4) - 1) / _q(4)), "b.b.a.c.d", 1),
-        (-((_q(2) - 1) / _q(3)), "b.b.a.d.d", 3),
-        ((_q(2) - 1) / _q(4), "b.b.a.c.c", 2),
-    )),
-    ("sec5-end[th1.c]", 1, "c", (
-        (_q(2), "c", 1),
-        (_q(2) * (_q(4) - 1), "d.c.c.b.a", 1),
-        (_q(2) * (_q(2) - 1), "d.c.c.b.b", 3),
-        (-(_q(1) * (_q(2) - 1)), "d.c.c.a.a", 2),
-    )),
-    ("sec5-end[th2.b]", 2, "b", (
-        (_q(-3), "b", 2),
-        (-((_q(4) - 1) / _q(5)), "b.b.b.c.d", 1),
-        (-((_q(2) - 1) / _q(4)), "b.b.b.d.d", 3),
-        ((_q(2) - 1) / _q(5), "b.b.b.c.c", 2),
-    )),
-    ("sec5-end[th2.c]", 2, "c", (
-        (_q(1), "c", 2),
-        (_q(4) - 1, "c.d.d.b.a", 1),
-        (_q(2) - 1, "c.d.d.b.b", 3),
-        (-((_q(2) - 1) / _q(1)), "c.d.d.a.a", 2),
-    )),
-)
-
-
-def conjugate_forms_check(samples=_CONJ_TARGETS) -> list:
-    """Compare theta^k . parameter in ``slq2-right`` against the printed
-    higher-degree relations; leading (lowest-degree) terms must agree,
-    full coefficients are reported CONFIRMED or MISMATCH with the residual
-    attached."""
-    p = preset("slq2-right")
-    theta = _conjugated_theta(p)
-    checks = []
-    for tag, idx, param, rhs_terms in samples:
-        lhs = normalize(theta[idx] * Element.word(param), p)
-        rhs = Element.zero()
-        for coef, word, tidx in rhs_terms:
-            rhs = rhs + (Element.word(*word.split(".")) * theta[tidx]).scale(coef)
-        rhs = normalize(rhs, p)
-        res = lhs - rhs
-        lead_ok = _leading_part(lhs) == _leading_part(rhs)
-        if res.is_zero:
-            checks.append(Check.passed(f"conjugation[{tag}]", "sec-5",
-                                       details="CONFIRMED; leading term matches"))
-        else:
-            checks.append(Check(
-                f"conjugation[{tag}]", "sec-5",
-                "mismatch" if lead_ok else "fail",
-                residual=str(res),
-                details=("leading term matches; printed higher-degree "
-                         "coefficients differ from the derived relation")
-                if lead_ok else "leading term differs"))
-    return checks
-
-
-def _leading_part(x: Element) -> Element:
-    if x.is_zero:
-        return x
-    m = min(len(w_) for w_ in x.words())
-    return Element({w_: c for w_, c in x.items() if len(w_) == m})

@@ -37,7 +37,7 @@ def _resolve_presentation(args):
     """The presentation named on the command line, and its preset id
     (None for a ``--file``)."""
     if getattr(args, "file", None):
-        return parse_presentation(Path(args.file).read_text()), None
+        return parse_presentation(Path(args.file).read_text(encoding="utf-8")), None
     pid = getattr(args, "preset", None) or "glq2"
     if pid.endswith("-diff") and pid[:-5] in CALCULUS_PRESETS:
         return diff_presentation(pid), pid

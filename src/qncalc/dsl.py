@@ -1,4 +1,4 @@
-"""Text formats: scalar/element expressions and the presentation DSL.
+"""Text formats: expressions, the presentation DSL and printed-equation lines.
 
 Expression syntax: integers, ``q``, ``+ - * / ^`` (integer exponents,
 negative allowed), parentheses, and dotted words of generator names
@@ -21,7 +21,8 @@ Presentation files are line oriented::
 
 A differential calculus is declared with ``side``, ``coords``, ``diff``,
 ``form`` and ``dependency`` lines (see ``docs/dsl.md``); the built-in
-presets are files of this format in the ``presets`` directory.
+presets are files of this format in ``presets``.  The printed equations
+in ``paper`` are lines ``<expression> = <expression>  @tag``.
 
 An expression is read by one ``findall`` of token strings and a
 recursive descent over them; a sum keeps its terms in source order.
@@ -57,6 +58,7 @@ __all__ = [
     "parse_scalar",
     "parse_expression",
     "parse_presentation",
+    "parse_equations",
     "export_presentation",
 ]
 
@@ -357,6 +359,7 @@ def parse_presentation(text: str) -> Presentation:
     parity: dict = {}       # generator name -> parity; changes on gen and extends
     declared: dict = {}     # generator name -> the line that declared it
     rules: list[RewriteRule] = []
+    rule_lines: list = []   # the line of each rule declared here, None if inherited
     side, coords, diff, forms, deps = None, (), {}, {}, []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -377,6 +380,7 @@ def parse_presentation(text: str) -> Presentation:
             parity = dict(base.parity)
             declared = dict.fromkeys(parity, lineno)
             rules = list(base.rules)
+            rule_lines = [None] * len(rules)
             if order is None:
                 order = base.order
             c = base.calculus
@@ -410,6 +414,7 @@ def parse_presentation(text: str) -> Presentation:
                 rest = rest[:tag.start()]
             lhs, rhs = _arrow_line(raw, rest, lineno, "rule", parity, parity)
             rules.append(RewriteRule(lhs, rhs, tag.group(1) if tag else f"user:{lineno}"))
+            rule_lines.append(lineno)
         elif head == "side":
             if rest not in ("left", "right"):
                 raise DslError("side must be 'left' or 'right'", lineno)
@@ -461,8 +466,34 @@ def parse_presentation(text: str) -> Presentation:
     report = validate_presentation(p)
     if not report.valid:
         msgs = "; ".join(f"[{i.rule}] {i.kind}: {i.message}" for i in report.issues)
-        raise DslError(f"presentation invalid: {msgs}")
+        # the line of the first issue's rule, when its tag names one rule only
+        lines = [n for r, n in zip(rules, rule_lines)
+                 if r.provenance == report.issues[0].rule]
+        raise DslError(f"presentation invalid: {msgs}",
+                       lines[0] if len(lines) == 1 else None)
     return p
+
+
+def parse_equations(text: str, names) -> list:
+    """Parse printed-equation lines ``<expression> = <expression>  @tag``
+    over the generator ``names``; ``#`` starts a comment and blank lines
+    are skipped.  Returns ``(tag, lhs, rhs)`` triples in file order."""
+    names = _namespace(names)
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line.strip():
+            continue
+        tag = _TAG.search(line)
+        body = line[:tag.start(1) - 1] if tag else line
+        eqs = [m.start() for m in re.finditer("=", body)]
+        if tag is None or len(eqs) != 1:    # point at a second '=', else the end
+            raise DslError("expected: <expression> = <expression>  @tag", lineno,
+                           (eqs[1] if tag and eqs[1:] else len(body)) + 1)
+        eq = eqs[0]
+        out.append((tag.group(1), _ExprParser(body[:eq], names, lineno).parse(),
+                    _ExprParser(body[eq + 1:], names, lineno, eq + 1).parse()))
+    return out
 
 
 def export_presentation(p: Presentation) -> str:

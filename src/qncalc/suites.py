@@ -19,10 +19,9 @@ from .calculus import (
     CALCULUS_PRESETS,
     COMPOSITION_CONVENTION,
     TRACE_FORM,
-    VECTOR_RELATIONS,
+    VECTOR_FIELDS,
     check_nilpotent,
     check_vector_algebra,
-    conjugate_forms_check,
     delta_respects_rules,
     diff_presentation,
     form_diff_roundtrip_check,
@@ -53,9 +52,9 @@ from .presentations import (
 from .qfield import PoleAtOneError, Scalar
 from .reports import Check, Suite, SuiteReport
 from .targets import (
-    PRINTED_3_24,
-    PRINTED_4_4,
-    PRINTED_5_22,
+    VECTOR_FIELD_PRESETS,
+    conjugate_forms_check,
+    printed,
     printed_relation_checks,
     wz_plane_checks,
 )
@@ -154,17 +153,13 @@ def suite_confluence(cfg: SuiteConfig) -> list:
 
 def _cubic_chain_checks(p: Presentation) -> list:
     checks = []
-    for word, coef, target in (
-            (("tht4", "th3", "th2"), -_q(2), ("th2", "th3", "tht4")),
-            (("tht4", "th2", "tht1"), -_q(4), ("tht1", "th2", "tht4"))):
-        expected = Element.term(coef, target)
-        canonical = normalize(Element.word(*word), p)
-        routes_agree = all(
-            random_strategy_normalize(Element.word(*word), p, seed=s) == expected
-            for s in range(5))
+    for tag, word, expected in printed("cubic-chain", p.parity):
+        canonical = normalize(word, p)
+        routes_agree = all(random_strategy_normalize(word, p, seed=s) == expected
+                           for s in range(5))
         ok = canonical == expected and routes_agree
         checks.append(Check.of(
-            ok, f"cubic-chain[{'.'.join(word)}]", "sec-3-diamond",
+            ok, tag, "sec-3-diamond",
             residual=str(canonical - expected),
             details=f"all reduction routes give {expected}"))
     return checks
@@ -254,8 +249,8 @@ def suite_delta2(cfg: SuiteConfig) -> list:
 
 def suite_vector_fields(cfg: SuiteConfig) -> list:
     p = cfg.presentation()
-    return check_vector_algebra(VECTOR_RELATIONS[builtin_id(p)], p.calculus,
-                                p, cfg.degree(3))
+    return check_vector_algebra(printed(f"vector-{builtin_id(p)}", VECTOR_FIELDS),
+                                p.calculus, p, cfg.degree(3))
 
 
 # -- global suites ----------------------------------------------------------------
@@ -359,10 +354,10 @@ SUITES = {
     "reductions": suite_reductions,
     "interchange": suite_interchange,
     "classical-limit": suite_classical_limit,
-    "regression-3.24": lambda cfg: printed_relation_checks("glq2-left", PRINTED_3_24),
-    "regression-4.4": lambda cfg: (printed_relation_checks("slq2-left", PRINTED_4_4)
+    "regression-3.24": lambda cfg: printed_relation_checks("glq2-left", "eq-3.24"),
+    "regression-4.4": lambda cfg: (printed_relation_checks("slq2-left", "eq-4.4")
                                    + wz_plane_checks("left")),
-    "regression-5.22": lambda cfg: (printed_relation_checks("glq2-right", PRINTED_5_22)
+    "regression-5.22": lambda cfg: (printed_relation_checks("glq2-right", "eq-5.22")
                                     + wz_plane_checks("right")),
     "conjugation": lambda cfg: conjugate_forms_check(),
 }
@@ -383,13 +378,13 @@ _APPLIES = {
     "delta2": (lambda p: p.calculus is not None, "no differential calculus"),
     "qtrace": (lambda p: builtin_id(p) in TRACE_FORM,
                "the quantum trace lives in the built-in GL calculi"),
-    "vector-fields": (lambda p: builtin_id(p) in VECTOR_RELATIONS,
+    "vector-fields": (lambda p: builtin_id(p) in VECTOR_FIELD_PRESETS,
                       "no printed vector-field relations for this presentation"),
     "classical-limit": (lambda p: True, ""),
 }
 
 # run_all reports these suites in the order of their data, not PRESET_IDS
-_ORDER = {"delta2": CALCULUS_PRESETS, "vector-fields": tuple(VECTOR_RELATIONS)}
+_ORDER = {"delta2": CALCULUS_PRESETS, "vector-fields": VECTOR_FIELD_PRESETS}
 
 
 def _timed(name: str, cfg: SuiteConfig) -> list:

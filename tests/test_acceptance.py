@@ -14,10 +14,9 @@ import jsonschema
 
 from qncalc.calculus import (
     CALCULUS_PRESETS,
-    VECTOR_RELATIONS,
+    VECTOR_FIELDS,
     check_nilpotent,
     check_vector_algebra,
-    conjugate_forms_check,
     qtrace_check,
 )
 from qncalc.cli import main
@@ -48,9 +47,8 @@ from qncalc.rmatrix import (
 )
 from qncalc.suites import SuiteConfig, run_all, run_suite
 from qncalc.targets import (
-    PRINTED_3_24,
-    PRINTED_4_4,
-    PRINTED_5_22,
+    conjugate_forms_check,
+    printed,
     printed_relation_checks,
     wz_plane_checks,
 )
@@ -137,8 +135,8 @@ def test_criterion_06_quantum_trace():
 def test_criterion_07_vector_fields():
     ok = True
     for pid in ("slq2-left", "glq2-left", "glq2-right"):
-        checks = check_vector_algebra(VECTOR_RELATIONS[pid],
-                                      preset(pid).calculus, preset(pid), 3)
+        relations = printed(f"vector-{pid}", VECTOR_FIELDS)
+        checks = check_vector_algebra(relations, preset(pid).calculus, preset(pid), 3)
         ok = ok and all(c.status == "pass" for c in checks)
         ok = ok and all("reading order" in c.details or c.status != "pass"
                         for c in checks)  # frozen convention recorded
@@ -146,9 +144,9 @@ def test_criterion_07_vector_fields():
 
 
 def test_criterion_08_printed_regressions():
-    c324 = printed_relation_checks("glq2-left", PRINTED_3_24)
-    c44 = printed_relation_checks("slq2-left", PRINTED_4_4)
-    c522 = printed_relation_checks("glq2-right", PRINTED_5_22)
+    c324 = printed_relation_checks("glq2-left", "eq-3.24")
+    c44 = printed_relation_checks("slq2-left", "eq-4.4")
+    c522 = printed_relation_checks("glq2-right", "eq-5.22")
     verdicts_ok = all(c.status in ("pass", "mismatch") for c in c324 + c44 + c522)
     corrections_ok = all("derived:" in c.details
                          for c in c324 + c44 + c522 if c.status == "mismatch")

@@ -7,14 +7,12 @@ import pytest
 
 from qncalc.calculus import (
     CALCULUS_PRESETS,
-    VECTOR_RELATIONS,
+    VECTOR_FIELDS,
     DiffStructure,
-    VectorRelation,
     _check_nilpotent,
     apply_delta,
     check_nilpotent,
     check_vector_algebra,
-    conjugate_forms_check,
     delta_respects_rules,
     diff_presentation,
     form_diff_roundtrip_check,
@@ -35,6 +33,8 @@ from qncalc.ncalg import (
 )
 from qncalc.presentations import preset, qdet
 from qncalc.qfield import ONE, Scalar
+from qncalc.suites import SuiteConfig, run_suite
+from qncalc.targets import VECTOR_FIELD_PRESETS, conjugate_forms_check, printed
 
 q = Scalar.q_power
 w = Element.word
@@ -215,6 +215,17 @@ def test_qtrace(pid):
         assert c.status == "pass", (c.name, c.residual)
 
 
+def test_qtrace_judges_the_printed_trace_file(edit_paper):
+    # the left calculus's footnote expression does not hold on the right
+    edit_paper("trace-glq2-right", "eq-5.19", "(q^-1 S1 + q S4)", "(q S1 + q^-1 S4)")
+    checks = qtrace_check(preset("glq2-right"))
+    assert [(c.name, c.paper_ref, c.status) for c in checks] == [
+        ("trace-expression-1[glq2-right]", "eq-5.11", "pass"),
+        ("trace-expression-2[glq2-right]", "eq-5.19", "fail"),
+        ("d(qdet) = trace rule[glq2-right]", "eq-3.6", "pass")]
+    assert checks[1].residual
+
+
 def test_trace_scalar_identity():
     # 2q^2/(1+q^2) equals (2/(q+q^-1)) q exactly
     two = Scalar.from_int(2)
@@ -339,10 +350,11 @@ def test_right_recombination_identity():
         assert normalize(rebuilt, p) == apply_delta(f, d, p)
 
 
-@pytest.mark.parametrize("pid", tuple(VECTOR_RELATIONS))
+@pytest.mark.parametrize("pid", VECTOR_FIELD_PRESETS)
 def test_vector_algebra(pid):
-    checks = check_vector_algebra(VECTOR_RELATIONS[pid], preset(pid).calculus,
-                                  preset(pid), 2)
+    relations = printed(f"vector-{pid}", VECTOR_FIELDS)
+    checks = check_vector_algebra(relations, preset(pid).calculus, preset(pid), 2)
+    assert len(checks) == len(relations) > 0
     for c in checks:
         assert c.status == "pass", (c.name, c.residual, c.details)
 
@@ -351,17 +363,16 @@ def test_vector_algebra(pid):
     ("glq2-left", "eq-3.25[32]", "c"),
     ("glq2-right", "eq-5.14[32]", "b"),
 ])
-def test_vector_algebra_fails_on_a_changed_coefficient(pid, tag, monomial):
-    # doubling the coefficient of V3 V2 leaves exactly that term as residual
-    p = preset(pid)
-    rel = next(r for r in VECTOR_RELATIONS[pid] if r.tag == tag)
-    (coef, ops), *rest = rel.lhs
-    assert ops == ("3", "2") and coef == ONE
-    bad = VectorRelation(rel.tag, ((coef * 2, ops), *rest), rel.rhs)
-    [check] = check_vector_algebra((bad,), p.calculus, p, 3)
+def test_vector_algebra_fails_on_a_changed_coefficient(edit_paper, pid, tag, monomial):
+    # doubling the coefficient of V3 V2 in the printed line leaves exactly
+    # that term as residual
+    edit_paper(f"vector-{pid}", tag, "V3.V2 - ", "2 V3.V2 - ")
+    [suite] = run_suite(SuiteConfig(preset=pid, suites=("vector-fields",))).suites
+    [check] = [c for c in suite.checks if c.name == f"vector[{pid}][{tag}]"]
     assert check.status == "fail"
     assert check.details == f"fails on {monomial}"
     assert check.residual == monomial
+    assert all(c.status == "pass" for c in suite.checks if c is not check)
 
 
 # -- conjugated forms -----------------------------------------------------------------

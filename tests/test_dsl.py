@@ -12,6 +12,7 @@ from qncalc.calculus import (
 from qncalc.dsl import (
     DslError,
     export_presentation,
+    parse_equations,
     parse_expression,
     parse_presentation,
     parse_scalar,
@@ -342,6 +343,23 @@ def test_parity_violation_rejected():
         parse_presentation(bad)
 
 
+@pytest.mark.parametrize("text, tag, line", [
+    # a tagged rule after a blank line and a comment: its own line
+    ("gen x y z parity even\nrule z.x -> q x.z  @ok\n\n# a comment\n"
+     "rule y.x -> y.x + x.y  @t1\n", "t1", 5),
+    # an untagged rule is tagged by its line
+    ("gen x y parity even\n\nrule y.x -> y.x + x.y\n", "user:3", 3),
+    # a tag that two rules share names neither
+    ("gen x y z parity even\nrule z.x -> q x.z  @t\nrule y.x -> y.x + x.y  @t\n",
+     "t", None),
+])
+def test_a_rule_that_fails_validation_reports_its_line(text, tag, line):
+    with pytest.raises(DslError, match=rf"\[{tag}\] orientation") as exc:
+        parse_presentation(text)
+    assert exc.value.line == line
+    assert str(exc.value).endswith(f"(line {line})" if line else "LHS")
+
+
 def test_syntax_error_carries_line():
     with pytest.raises(DslError, match="line 2"):
         parse_presentation("gen x parity even\nrule x.x -> @\n")
@@ -461,3 +479,26 @@ def _record(p):
 def test_preset_roundtrip(pid):
     p = diff_presentation(pid) if pid.endswith("-diff") else preset(pid)
     assert _record(parse_presentation(export_presentation(p))) == _record(p)
+
+
+# -- printed equations ---------------------------------------------------------
+
+def test_parse_equations_reads_tagged_lines():
+    text = "# a comment\n\nx.y = q y.x  @eq-1[a]   # and another\ny = 0  @b\n"
+    assert parse_equations(text, "xy") == [
+        ("eq-1[a]", w("x.y"), Element.term(q(1), ("y", "x"))),
+        ("b", w("y"), Element.zero())]
+
+
+@pytest.mark.parametrize("text, message, line, column", [
+    ("\nx.y = y.x", "expected: <expression> = <expression>  @tag", 2, 10),
+    ("x.y  @t", "expected: <expression> = <expression>  @tag", 1, 6),
+    ("x = y = x  @t", "expected: <expression> = <expression>  @tag", 1, 7),
+    ("x = q z  @t", "unknown generator 'z'", 1, 7),
+    ("z = x  @t", "unknown generator 'z'", 1, 1),
+])
+def test_parse_equations_errors_carry_line_and_column(text, message, line, column):
+    with pytest.raises(DslError) as exc:
+        parse_equations(text, "xy")
+    assert str(exc.value).startswith(message)
+    assert (exc.value.line, exc.value.column) == (line, column)

@@ -60,6 +60,21 @@ def test_shipped_preset_files_are_the_preset_ids():
     assert [preset(pid).name for pid in PRESET_IDS] == list(PRESET_IDS)
 
 
+def test_every_data_file_of_the_package_is_package_data():
+    tomllib = pytest.importorskip("tomllib")
+    from fnmatch import fnmatch
+    from pathlib import Path
+    root = Path(__file__).resolve().parent.parent
+    globs = tomllib.loads(root.joinpath("pyproject.toml").read_text())[
+        "tool"]["setuptools"]["package-data"]["qncalc"]
+    package = root / "src" / "qncalc"
+    data = [f.relative_to(package).as_posix() for f in package.rglob("*")
+            if f.is_file() and f.suffix not in (".py", ".pyc")
+            and "__pycache__" not in f.parts]
+    assert {f.split("/")[0] for f in data} >= {"presets", "paper"}
+    assert [f for f in data if not any(fnmatch(f, g) for g in globs)] == []
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(KeyError):
         preset("nope")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qncalc.calculus import DiffStructure, VectorRelation
+from qncalc.calculus import DiffStructure
 from qncalc.ncalg import (
     ConfluenceReport,
     CriticalPair,
@@ -22,7 +22,6 @@ from qncalc.ncalg import (
     ValidationReport,
 )
 from qncalc.presentations import Morphism, preset
-from qncalc.qfield import ONE
 from qncalc.reports import REPORT_VERSION, Check, Suite, SuiteReport
 from qncalc.suites import SuiteConfig
 
@@ -48,8 +47,6 @@ RECORDS = [
      ([], 0, 3, {}, REPORT_VERSION), False),
     (DiffStructure, "side images coords forms dependencies", ("left", {"x": x}),
      ((), {}, ()), True),
-    (VectorRelation, "tag lhs rhs", ("eq-4.3[13]", ((ONE, ("1",)),), ((ONE, ("3",)),)),
-     (), True),
     (Morphism, "name source target images scalar_map", ("m", "glq2", preset("glq2"),
                                                         {"a": x}), ("id",), True),
     (SuiteConfig, "preset suites max_degree seed source", (), ("glq2", (), 0, 2024, None),

@@ -246,6 +246,16 @@ def test_cli_non_utf8_file_is_an_error_not_a_traceback(tmp_path, capsys):
     assert err.startswith("error: ") and "can't decode byte 0xff" in err
 
 
+def test_cli_reads_a_file_as_utf8_whatever_the_locale(tmp_path):
+    f = tmp_path / "theta.preset"
+    f.write_bytes("gen x parity even  # \u03b8\n".encode("utf-8"))
+    env = dict(_subprocess_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run([sys.executable, "-m", "qncalc", "normalize", "--file", str(f),
+                           "--expr", "x.x"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x.x\n", "")
+
+
 @pytest.mark.parametrize("command", ["check", "verify-paper"])
 @pytest.mark.parametrize("value", ["-1", "two"])
 def test_cli_rejects_a_negative_max_degree(command, value, capsys):
