@@ -20,9 +20,11 @@ from qncalc.qfield import (
     DivisionByZeroError,
     PoleAtOneError,
     Scalar,
+    _cancel_at,
     _canonical,
+    _cofactor,
+    _first_point,
     _padd,
-    _pdiv_exact,
     _pmul,
     _pneg,
 )
@@ -81,14 +83,16 @@ def test_zero_denominator_rejected():
         Scalar((1,), ())
 
 
-def test_exact_division_rejects_remainder():
-    assert _pdiv_exact((-1, 0, 1), (-1, 1)) == (1, 1)      # (q^2 - 1)/(q - 1)
-    with pytest.raises(ArithmeticError):
-        _pdiv_exact((1, 0, 1), (1, 1))                     # remainder 2
-    with pytest.raises(ArithmeticError):
-        _pdiv_exact((1, 2), (2,))                          # quotient not integral
-    with pytest.raises(ArithmeticError):
-        _pdiv_exact((1,), (1, 1))                          # divisor of higher degree
+def test_certification_rejects_non_divisor_and_broken_bound():
+    xi = 101
+    # h = q + 1 and its cofactor q - 1 in a = q^2 - 1
+    assert _cofactor(xi ** 2 - 1, xi + 1, 2, xi) == (-1, 1)
+    # h = q + 2: h(xi) = 103 does not divide a(xi) = 10200
+    assert _cofactor(xi ** 2 - 1, xi + 2, 3, xi) is None
+    # (q + 1)(q + 50) = q^2 + 51 q + 50 has a coefficient past xi/2, so the
+    # digits of its value are another polynomial; 2 * 2 * 50 >= xi rejects
+    # the cofactor q + 50
+    assert _cofactor((xi + 1) * (xi + 50), xi + 1, 2, xi) is None
 
 
 # -- arithmetic: spec examples ------------------------------------------------
@@ -221,24 +225,79 @@ def _convention(num, den):
     return tuple(ints[:len(num)]), tuple(ints[len(num):])
 
 
+def _sympy_cancel(n, d):
+    """(num, den) of sympy's cancel(n/d) in qncalc's convention."""
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    expr = sympy.Poly(n[::-1], q).as_expr() / sympy.Poly(d[::-1], q).as_expr()
+    num, den = sympy.fraction(sympy.cancel(expr))
+    return _convention(sympy.Poly(num, q).all_coeffs(), sympy.Poly(den, q).all_coeffs())
+
+
+def _convolve(a, b):
+    """Schoolbook product of little-endian integer polynomials."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
 def _polys(max_deg=8, max_coef=50):
     coefs = st.integers(min_value=-max_coef, max_value=max_coef)
     return st.lists(coefs, min_size=1, max_size=max_deg + 1).filter(any)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_polys(), _polys(), _polys())
-def test_canonical_form_matches_sympy_cancel(a, b, g):
-    # n = a g and d = b g share the planted factor g (and whatever a, b share)
-    sympy = pytest.importorskip("sympy")
-    q = sympy.Symbol("q")
-    pa, pb, pg = (sympy.Poly(c[::-1], q) for c in (a, b, g))
-    n = tuple(int(c) for c in (pa * pg).all_coeffs()[::-1])
-    d = tuple(int(c) for c in (pb * pg).all_coeffs()[::-1])
-    num, den = sympy.fraction(sympy.cancel((pa * pg).as_expr() / (pb * pg).as_expr()))
-    want = _convention(sympy.Poly(num, q).all_coeffs(), sympy.Poly(den, q).all_coeffs())
-    s = Scalar(n, d)
-    assert (s.num, s.den) == want
+_SHAPES = ["planted", "monomial numerator", "monomial denominator",
+           "q^k (1 + q^2)^m denominator", "negative-lead divisor"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys(), _polys(), _polys(), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from(_SHAPES), st.integers(0, 3), st.integers(0, 3))
+def test_canonical_form_matches_sympy_cancel(a, b, g, ca, cb, shape, k, m):
+    # n = ca a g and d = cb b g share the planted factor g, the content
+    # gcd(ca, cb) and whatever a, b share
+    a, b, g = (0,) * k + _convolve(a, (1,)), _convolve(b, (1,)), _convolve(g, (1,))
+    if shape == "monomial numerator":
+        a, g = (0,) * k + (a[-1],), (1,)
+    elif shape == "monomial denominator":
+        b, g = (0,) * m + (b[-1],), (1,)
+    elif shape == "q^k (1 + q^2)^m denominator":
+        b = (0,) * k + (1,)
+        for _ in range(m):
+            b = _convolve(b, (1, 0, 1))
+        g = _convolve(g, (1, 0, 1)) if m > 1 else g
+    n = tuple(ca * c for c in _convolve(a, g))
+    d = tuple(cb * c for c in _convolve(b, g))
+    if shape == "negative-lead divisor":
+        d = _pneg(d) if d[-1] > 0 else d
+        s = Scalar(n) / Scalar(d)
+    else:
+        s = Scalar(n, d)
+    assert (s.num, s.den) == _sympy_cancel(n, d)
+
+
+@pytest.mark.parametrize("a, b", [((4, 3, 4, -1), (9, -4, -7, 2)),
+                                  ((3, -6, -5), (-4, 1, 6))])
+def test_first_point_without_certificate_is_squared(a, b):
+    # coprime, yet gcd(a(xi), b(xi)) at the first point is 3065 and 647
+    xi = _first_point(a, b)
+    assert _cancel_at(a, b, xi) is None
+    assert _cancel_at(a, b, xi * xi) == (a, b)
+    s = Scalar(a, b)
+    assert (s.num, s.den) == _sympy_cancel(a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_polys(max_deg=5), st.integers(0, 4), st.integers(-9, 9).filter(bool), st.booleans())
+def test_pmul_by_a_monomial_matches_schoolbook(a, k, c, swap):
+    a = _convolve(a, (1,))
+    mono = (0,) * k + (c,)
+    got = _pmul(a, mono) if swap else _pmul(mono, a)
+    assert got == _convolve(a, mono)
 
 
 # -- memoized addition ---------------------------------------------------------
