@@ -46,6 +46,7 @@ from .ncalg import (
 from .presentations import builtin_id, preset, qdet
 from .qfield import ONE, Scalar
 from .reports import Check, Record
+from .rmatrix import matmul, matrix
 
 __all__ = [
     "DiffStructure",
@@ -255,16 +256,11 @@ def maurer_cartan_check(p: Presentation) -> list:
     """Entrywise closure of the form-valued matrix: which sign of
     d(form) -/+ form.form vanishes (the + closure is the consistent one)."""
     std = standard_form_basis(p)["standard"]
-    mat = {(1, 1): std[1], (1, 2): std[2], (2, 1): std[3], (2, 2): std[4]}
+    omega = matrix(std[1], std[2], std[3], std[4])
     checks = []
-    for i in (1, 2):
-        for j in (1, 2):
-            lhs = apply_delta(mat[(i, j)], p.calculus, p)
-            square = Element.zero()
-            for k in (1, 2):
-                square = square + mat[(i, k)] * mat[(k, j)]
-            square = normalize(square, p)
-            plus = lhs - square
+    for i, (row, square) in enumerate(zip(omega, matmul(omega, omega)), 1):
+        for j, (x, sq) in enumerate(zip(row, square), 1):
+            plus = apply_delta(x, p.calculus, p) - normalize(sq, p)
             checks.append(Check.of(
                 plus.is_zero, f"maurer-cartan[{p.name}][{i}{j}]", "sec-3-IV",
                 residual=str(plus),
@@ -432,14 +428,11 @@ class DecompositionError(ValueError):
     """A normalized differential has a form away from its boundary slot."""
 
 
-def vector_field_components(f: Element, d: DiffStructure, p: Presentation,
-                            basis: str = "standard") -> dict:
-    """Coefficients of d(f) in the chosen 1-form basis.
+def vector_field_components(f: Element, d: DiffStructure, p: Presentation) -> dict:
+    """Coefficients of d(f) in the standard (matrix-position) 1-form basis.
 
     Left structures decompose d(f) = sum_k (component_k) theta^k with the
     form rightmost; right structures as d(f) = sum_k omega^k (component_k).
-    ``basis`` is ``"standard"`` (matrix-position indices) or
-    ``"primitive"`` (the preset's diagonalized generators).
     """
     df = apply_delta(f, d, p)
     prim: dict = {}
@@ -451,8 +444,6 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation,
             raise DecompositionError(f"form away from boundary in {word}")
         rest = word[:-1] if slot else word[1:]
         prim[form] = prim.get(form, Element.zero()) + Element.term(coef, rest)
-    if basis == "primitive":
-        return prim
     table = standard_form_basis(p)["primitive"]
     out: dict = {}
     for form, comp in prim.items():

@@ -11,7 +11,7 @@ base.
 Presentation files are line oriented::
 
     name my-algebra          # optional
-    extends glq2             # optional: start from a built-in preset
+    extends glq2             # optional, first: start from a built-in preset
     order deglex             # or: order migration [left|right]
     gen x y parity even      # declaration order fixes precedence
     gen f parity odd
@@ -361,12 +361,18 @@ def parse_presentation(text: str) -> Presentation:
     rules: list[RewriteRule] = []
     rule_lines: list = []   # the line of each rule declared here, None if inherited
     side, coords, diff, forms, deps = None, (), {}, {}, []
+    first = None            # the first line that an extends line would drop
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split(None, 1)
         head, rest = parts[0], (parts[1] if len(parts) > 1 else "")
+        if head not in ("name", "order"):
+            if head == "extends" and first is not None:
+                raise DslError(f"extends must come first; it would drop line {first}",
+                               lineno)
+            first = first or lineno
         if head == "name":
             if not rest:
                 raise DslError("name requires a value", lineno)

@@ -23,8 +23,9 @@ from .ncalg import (
     TerminationOrder,
     normalize,
 )
-from .qfield import Scalar
+from .qfield import ONE, ZERO, Scalar
 from .reports import Check
+from .rmatrix import T, matmul, matrix, transpose
 
 __all__ = [
     "PRESET_IDS",
@@ -98,41 +99,35 @@ def preset_without_rule(p: Presentation, lhs: str) -> Presentation:
 # ---------------------------------------------------------------------------
 
 def qdet(p: Presentation) -> Element:
-    """The quantum determinant element a.d - q b.c (inversion-signed sum)."""
+    """The quantum determinant element a.d - q b.c."""
     p.check_word(("a", "d"))
-    out = Element.zero()
-    for (i, k), inversions in (((1, 2), 0), ((2, 1), 1)):
-        word = (_T_NAMES[(1, i)], _T_NAMES[(2, k)])
-        out = out + Element.term((-_q(1)) ** inversions, word)
-    return out
+    return T[0][0] * T[1][1] - _q(1) * (T[0][1] * T[1][0])
 
 
-_T_NAMES = {(1, 1): "a", (1, 2): "b", (2, 1): "c", (2, 2): "d"}
+def _entry_checks(label: str, got, want, p: Presentation, tag: str, **kw) -> list:
+    """One check per entry of the matrix ``got``: it equals the same entry
+    of ``want`` modulo the relations of ``p``."""
+    checks = []
+    for i, (row, want_row) in enumerate(zip(got, want), 1):
+        for j, (x, y) in enumerate(zip(row, want_row), 1):
+            res = normalize(x - y, p)
+            checks.append(Check.of(res.is_zero, f"{label}[{i}{j}]", tag,
+                                   residual=str(res), **kw))
+    return checks
 
 
 def epsilon_identity_check(p: Presentation) -> list:
     """Entrywise check of the deformed Levi-Civita identities (eq 2.8),
     reading the dagger as transpose."""
-    eps = {(1, 1): Element.zero(), (1, 2): Element.unit(),
-           (2, 1): Element.term(-_q(1), ()), (2, 2): Element.zero()}
+    eps = matrix(ZERO, ONE, -_q(1), ZERO)
     det = normalize(qdet(p), p)
-    t = {ik: Element.word(n) for ik, n in _T_NAMES.items()}
-    tt = {(i, k): t[(k, i)] for i, k in t}   # transpose
+    want = [[c * det for c in row] for row in eps]
+    tt = transpose(T)
     checks = []
-    for label, left_mat in (("T^t.eps.T", tt), ("T.eps.T^t", t)):
-        right_mat = t if left_mat is tt else tt
-        for i in (1, 2):
-            for j in (1, 2):
-                acc = Element.zero()
-                for k in (1, 2):
-                    for l in (1, 2):
-                        acc = acc + left_mat[(i, k)] * eps[(k, l)] * right_mat[(l, j)]
-                want = normalize(eps[(i, j)] * det, p)
-                got = normalize(acc, p)
-                res = got - want
-                checks.append(Check.of(
-                    res.is_zero, f"{label}[{i}{j}]", "eq-2.8",
-                    residual=str(res), details="dagger read as transpose"))
+    for label, got in (("T^t.eps.T", matmul(matmul(tt, eps), T)),
+                       ("T.eps.T^t", matmul(matmul(T, eps), tt))):
+        checks += _entry_checks(label, got, want, p, "eq-2.8",
+                                details="dagger read as transpose")
     return checks
 
 
@@ -157,17 +152,12 @@ def tensor_square(p: Presentation) -> Presentation:
                         form_position=None, tags=p.tags)
 
 
-def _coproduct_images(suffixes=("1", "2")) -> dict:
-    s1, s2 = suffixes
-    leg = lambda name, s: Element.word(name + s)
-    return {
-        "a": leg("a", s1) * leg("a", s2) + leg("b", s1) * leg("c", s2),
-        "b": leg("a", s1) * leg("b", s2) + leg("b", s1) * leg("d", s2),
-        "c": leg("c", s1) * leg("a", s2) + leg("d", s1) * leg("c", s2),
-        "d": leg("c", s1) * leg("b", s2) + leg("d", s1) * leg("d", s2),
-        "D": leg("D", s1) * leg("D", s2),
-        "Dinv": leg("Dinv", s1) * leg("Dinv", s2),
-    }
+def _coproduct_images() -> dict:
+    """Delta(T) = T1.T2 with D and Dinv grouplike; legs suffixed 1 and 2."""
+    t1, t2 = ([[Element.word(f"{x}{leg}") for x in row] for row in T] for leg in "12")
+    images = {str(x): y for row, out in zip(T, matmul(t1, t2)) for x, y in zip(row, out)}
+    images.update((n, Element.word(n + "1", n + "2")) for n in ("D", "Dinv"))
+    return images
 
 
 _COUNIT_IMAGES = {
@@ -215,21 +205,13 @@ ANTIPODE_IMAGES: Mapping[str, Element] = {
 
 def antipode_check(p: Presentation) -> list:
     """S(T) is the two-sided matrix inverse, and S(qdet) is Dinv."""
-    s = {(i, k): ANTIPODE_IMAGES[_T_NAMES[(i, k)]] for i in (1, 2) for k in (1, 2)}
-    t = {ik: Element.word(n) for ik, n in _T_NAMES.items()}
-    checks = []
-    for label, first, second in (("S(T).T", s, t), ("T.S(T)", t, s)):
-        for i in (1, 2):
-            for j in (1, 2):
-                acc = Element.zero()
-                for k in (1, 2):
-                    acc = acc + first[(i, k)] * second[(k, j)]
-                want = Element.unit() if i == j else Element.zero()
-                res = normalize(acc, p) - want
-                checks.append(Check.of(res.is_zero, f"{label}[{i}{j}]", "eq-2.3",
-                                       residual=str(res)))
+    s = [[x.substitute(ANTIPODE_IMAGES) for x in row] for row in T]
+    one, zero = Element.unit(), Element.zero()
+    ident = matrix(one, zero, zero, one)
+    checks = (_entry_checks("S(T).T", matmul(s, T), ident, p, "eq-2.3")
+              + _entry_checks("T.S(T)", matmul(T, s), ident, p, "eq-2.3"))
     # S is an antihomomorphism; on the determinant it must give Dinv
-    s_det = (s[(2, 2)] * s[(1, 1)]) - _q(1) * (s[(2, 1)] * s[(1, 2)])
+    s_det = (s[1][1] * s[0][0]) - _q(1) * (s[1][0] * s[0][1])
     res = normalize(s_det, p) - Element.word("Dinv")
     checks.append(Check.of(res.is_zero, "S(qdet) = Dinv", "eq-2.9",
                            residual=str(res)))
@@ -240,71 +222,51 @@ def antipode_check(p: Presentation) -> list:
 # morphisms
 # ---------------------------------------------------------------------------
 
-_SCALAR_MAPS: dict[str, Callable[[Scalar], Scalar]] = {
-    "id": lambda s: s,
-    "invq": lambda s: s.invert_q(),
-}
-
-
 class Morphism(NamedTuple):
-    """Generator substitution plus a coefficient map into a target presentation."""
+    """Generator substitution plus a coefficient map into a target
+    presentation.  A generator without an image maps to itself;
+    ``scalar_fn``, when given, maps every coefficient."""
 
     name: str
     source: str
     target: Presentation
     images: Mapping[str, Element]
-    scalar_map: str = "id"
+    scalar_fn: Callable[[Scalar], Scalar] | None = None
 
     def apply(self, x: Element, normalized: bool = True) -> Element:
-        out = x.substitute(self.images, scalar_fn=_SCALAR_MAPS[self.scalar_map])
+        out = x.substitute(self.images, scalar_fn=self.scalar_fn)
         return normalize(out, self.target) if normalized else out
 
 
-def _identity_images(names) -> dict:
-    return {n: Element.word(n) for n in names}
-
-
 # a <-> d, each left form onto its right counterpart
-_INTERCHANGE = {"a": "d", "d": "a", "b": "b", "c": "c", "D": "D", "Dinv": "Dinv",
-                "tht1": "wb1", "th2": "w2", "th3": "w3", "tht4": "wb4"}
+_INTERCHANGE = {"a": "d", "d": "a", "tht1": "wb1", "th2": "w2", "th3": "w3",
+                "tht4": "wb4"}
 
 
 def interchange_left_to_right() -> Morphism:
     """a <-> d with q -> 1/q, matching left forms onto right forms."""
     images = {x: Element.word(y) for x, y in _INTERCHANGE.items()}
     return Morphism("interchange", "glq2-left", preset("glq2-right"),
-                    images, "invq")
+                    images, Scalar.invert_q)
 
 
 def interchange_right_to_left() -> Morphism:
     images = {y: Element.word(x) for x, y in _INTERCHANGE.items()}
     return Morphism("interchange-rev", "glq2-right", preset("glq2-left"),
-                    images, "invq")
+                    images, Scalar.invert_q)
 
 
 def reduction_morphisms() -> list[Morphism]:
-    """The six nested reductions (left and right chains)."""
-    unit = Element.unit()
-    zero = Element.zero()
-    out = []
-    out.append(Morphism(
-        "glq2-left->slq2-left", "glq2-left", preset("slq2-left"),
-        {**_identity_images(("a", "b", "c", "d", "th2", "th3")),
-         "D": unit, "Dinv": unit, "tht1": zero, "tht4": Element.word("th1")}))
-    out.append(Morphism(
-        "slq2-left->qplane-left-c0", "slq2-left", preset("qplane-left-c0"),
-        {**_identity_images(("a", "b", "d", "th1", "th2")), "c": zero, "th3": zero}))
-    out.append(Morphism(
-        "slq2-left->qplane-left-b0", "slq2-left", preset("qplane-left-b0"),
-        {**_identity_images(("a", "c", "d", "th1", "th3")), "b": zero, "th2": zero}))
-    out.append(Morphism(
-        "glq2-right->slq2-right", "glq2-right", preset("slq2-right"),
-        {**_identity_images(("a", "b", "c", "d", "w2", "w3")),
-         "D": unit, "Dinv": unit, "wb1": zero, "wb4": Element.word("w1")}))
-    out.append(Morphism(
-        "slq2-right->qplane-right-c0", "slq2-right", preset("qplane-right-c0"),
-        {**_identity_images(("a", "b", "d", "w1", "w2")), "c": zero, "w3": zero}))
-    out.append(Morphism(
-        "slq2-right->qplane-right-b0", "slq2-right", preset("qplane-right-b0"),
-        {**_identity_images(("a", "c", "d", "w1", "w3")), "b": zero, "w2": zero}))
-    return out
+    """The six nested reductions (left and right chains), each given by
+    the generators that do not map to themselves."""
+    one, zero, w = Element.unit(), Element.zero(), Element.word
+    table = (
+        ("glq2-left", "slq2-left", {"D": one, "Dinv": one, "tht1": zero, "tht4": w("th1")}),
+        ("slq2-left", "qplane-left-c0", {"c": zero, "th3": zero}),
+        ("slq2-left", "qplane-left-b0", {"b": zero, "th2": zero}),
+        ("glq2-right", "slq2-right", {"D": one, "Dinv": one, "wb1": zero, "wb4": w("w1")}),
+        ("slq2-right", "qplane-right-c0", {"c": zero, "w3": zero}),
+        ("slq2-right", "qplane-right-b0", {"b": zero, "w2": zero}),
+    )
+    return [Morphism(f"{source}->{target}", source, preset(target), images)
+            for source, target, images in table]

@@ -1,18 +1,30 @@
-"""The fundamental 4x4 R-matrix, Yang-Baxter and RTT residuals.
+"""The matrix layer, the fundamental 4x4 R-matrix, and the Yang-Baxter
+and RTT residuals.
 
-Composite indices flatten pairs (i,j) with i,j in {1,2} in the order
-11, 12, 21, 22, so entries line up with the printed matrix (eq 2.6).
-All arrays are plain tuples of Scalars; the products are explicit index
-contractions.
+A matrix is a tuple of rows whose entries are Scalars or Elements; :data:`T`
+is the quantum matrix (a b; c d).  :func:`matmul` keeps the order of the
+factors in each term, so Element entries need not commute.  The paper's
+matrix identities (RTT, Yang-Baxter, the Hopf maps, the Maurer-Cartan
+closure) are products in this layer.  Composite indices flatten pairs
+(i,j) with i,j in {1,2} in the order 11, 12, 21, 22, so entries line up
+with the printed matrix (eq 2.6); Yang-Baxter lifts R onto two of three
+tensor slots, with index triples in the same order.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import add, mul, sub
 
 from .ncalg import Element, Presentation, normalize
 from .qfield import ONE, Scalar, ZERO
 from .reports import Check
 
 __all__ = [
+    "T",
+    "matrix",
+    "matmul",
+    "transpose",
     "RMatrix",
     "standard_r",
     "perturbed_r",
@@ -26,6 +38,29 @@ _q = Scalar.q_power
 _LAM = _q(1) - _q(-1)
 
 RMatrix = tuple  # 4x4 tuple of tuples of Scalar
+
+
+def matrix(a, b, c, d) -> tuple:
+    """The 2x2 matrix (a b; c d)."""
+    return ((a, b), (c, d))
+
+
+T = matrix(*map(Element.word, "abcd"))   # the quantum matrix (eq 2.4)
+
+
+def transpose(m) -> tuple:
+    """The transpose of a square matrix."""
+    return tuple(zip(*m))
+
+
+def matmul(x, y) -> tuple:
+    """The product x.y of two square matrices of Scalars or Elements."""
+    cols = tuple(zip(*y))
+    return tuple(tuple(reduce(add, map(mul, row, col)) for col in cols) for row in x)
+
+
+def _minus(x, y) -> tuple:
+    return tuple(tuple(map(sub, u, v)) for u, v in zip(x, y))
 
 
 def _flat(i: int, j: int) -> int:
@@ -55,63 +90,33 @@ def entry(r: RMatrix, i, j, k, l) -> Scalar:
     return r[_flat(i, j)][_flat(k, l)]
 
 
-def ybe_residual(r: RMatrix, swap_sides: bool = False) -> tuple:
-    """Componentwise difference of the two sides of the Yang-Baxter
-    equation (eq 2.5); an 8x8 array indexed by index triples.
-
-    ``swap_sides`` exchanges the roles of the two sides, negating the
-    residual (an invariant the tests assert).
-    """
-    rng = (1, 2)
-    out = []
-    for i1 in rng:
-        for j1 in rng:
-            for k1 in rng:
-                row = []
-                for i3 in rng:
-                    for j3 in rng:
-                        for k3 in rng:
-                            lhs = ZERO
-                            rhs = ZERO
-                            for i2 in rng:
-                                for j2 in rng:
-                                    for k2 in rng:
-                                        lhs = lhs + (entry(r, i1, j1, i2, j2)
-                                                     * entry(r, i2, k1, i3, k2)
-                                                     * entry(r, j2, k2, j3, k3))
-                                        rhs = rhs + (entry(r, j1, k1, j2, k2)
-                                                     * entry(r, i1, k2, i2, k3)
-                                                     * entry(r, i2, j2, i3, j3))
-                            row.append(rhs - lhs if swap_sides else lhs - rhs)
-                out.append(tuple(row))
-    return tuple(out)
+_TRIPLES = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
 
 
-def ybe_holds(r: RMatrix) -> bool:
-    return all(c.is_zero for row in ybe_residual(r) for c in row)
+def _lift(r: RMatrix, s: int, t: int) -> tuple:
+    """R acting on the tensor slots s < t of three (the other slot
+    untouched), as an 8x8 matrix over index triples."""
+    u = 3 - s - t
+    return tuple(tuple(r[2 * x[s] + x[t]][2 * y[s] + y[t]] if x[u] == y[u] else ZERO
+                       for y in _TRIPLES) for x in _TRIPLES)
 
 
-_T = {(1, 1): "a", (1, 2): "b", (2, 1): "c", (2, 2): "d"}
+def ybe_residual(r: RMatrix) -> tuple:
+    """R12.R13.R23 - R23.R13.R12, the Yang-Baxter equation (eq 2.5) as an
+    8x8 array whose rows and columns are index triples (i, j, k)."""
+    r12, r13, r23 = _lift(r, 0, 1), _lift(r, 0, 2), _lift(r, 1, 2)
+    return _minus(matmul(matmul(r12, r13), r23), matmul(matmul(r23, r13), r12))
 
 
 def rtt_components(r: RMatrix) -> dict:
-    """The 16 free-algebra elements R T1 T2 - T2 T1 R (eq 2.4), keyed by
-    the free indices (i, j, m, n)."""
-    rng = (1, 2)
-    comps = {}
-    for i in rng:
-        for j in rng:
-            for m in rng:
-                for n in rng:
-                    acc = Element.zero()
-                    for k in rng:
-                        for l in rng:
-                            acc = acc + entry(r, i, j, k, l) * (
-                                Element.word(_T[(k, m)]) * Element.word(_T[(l, n)]))
-                            acc = acc - entry(r, k, l, m, n) * (
-                                Element.word(_T[(j, l)]) * Element.word(_T[(i, k)]))
-                    comps[(i, j, m, n)] = acc
-    return comps
+    """The 16 free-algebra elements R.(T1.T2) - (T2.T1).R (eq 2.4), keyed
+    by the free indices (i, j, m, n)."""
+    pairs = [(i, j) for i in (0, 1) for j in (0, 1)]
+    t1t2 = tuple(tuple(T[i][m] * T[j][n] for m, n in pairs) for i, j in pairs)
+    t2t1 = tuple(tuple(T[j][n] * T[i][m] for m, n in pairs) for i, j in pairs)
+    res = _minus(matmul(r, t1t2), matmul(t2t1, r))
+    return {(i + 1, j + 1, m + 1, n + 1): x
+            for (i, j), row in zip(pairs, res) for (m, n), x in zip(pairs, row)}
 
 
 def rtt_residual(r: RMatrix, p: Presentation) -> dict:
@@ -156,17 +161,6 @@ def r_inverse_conventions() -> dict:
     """
     r = standard_r()
     rinv = tuple(tuple(c.invert_q() for c in row) for row in r)
-    rinv_t = tuple(tuple(rinv[j][i] for j in range(4)) for i in range(4))
-    out = {}
-    for label, cand in (("plain", rinv), ("transposed", rinv_t)):
-        ok = True
-        for i in range(4):
-            for j in range(4):
-                s = ZERO
-                for k in range(4):
-                    s = s + r[i][k] * cand[k][j]
-                want = ONE if i == j else ZERO
-                if s != want:
-                    ok = False
-        out[label] = ok
-    return out
+    ident = tuple(tuple(ONE if i == j else ZERO for j in range(4)) for i in range(4))
+    return {label: matmul(r, cand) == ident
+            for label, cand in (("plain", rinv), ("transposed", transpose(rinv)))}

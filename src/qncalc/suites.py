@@ -38,6 +38,7 @@ from .ncalg import (
 )
 from .presentations import (
     PRESET_IDS,
+    Morphism,
     antipode_check,
     builtin_id,
     coproduct_check,
@@ -255,31 +256,29 @@ def suite_vector_fields(cfg: SuiteConfig) -> list:
 
 # -- global suites ----------------------------------------------------------------
 
+def _rules_vanish(m: Morphism, name: str, paper_ref: str, details: str) -> Check:
+    """Every relation of the morphism's source maps to 0, one rule at a time."""
+    per_rule = []
+    for r in preset(m.source).rules:
+        image = m.apply(r.relation())
+        per_rule.append(Check.of(image.is_zero, ".".join(r.lhs), r.provenance,
+                                 residual=str(image)))
+    return _aggregate(name, paper_ref, per_rule, details=f"{len(per_rule)} {details}")
+
+
 def suite_reductions(cfg: SuiteConfig) -> list:
-    checks = []
-    for m in reduction_morphisms():
-        per_rule = []
-        for r in preset(m.source).rules:
-            image = m.apply(r.relation())
-            per_rule.append(Check.of(image.is_zero, ".".join(r.lhs),
-                                     r.provenance, residual=str(image)))
-        checks.append(_aggregate(f"reduction[{m.name}]", "sec-4",
-                                 per_rule,
-                                 details=f"{len(per_rule)} source relations "
-                                         f"vanish in {m.target.name}"))
-    return checks
+    return [_rules_vanish(m, f"reduction[{m.name}]", "sec-4",
+                          f"source relations vanish in {m.target.name}")
+            for m in reduction_morphisms()]
 
 
 def suite_interchange(cfg: SuiteConfig) -> list:
     fwd = interchange_left_to_right()
     back = interchange_right_to_left()
-    p = preset("glq2-left")
-    per_rule = [Check.of(fwd.apply(r.relation()).is_zero, ".".join(r.lhs),
-                         r.provenance, residual=str(fwd.apply(r.relation())))
-                for r in p.rules]
-    checks = [_aggregate("interchange[left->right]", "sec-6", per_rule,
-                         details=f"{len(per_rule)} rules map into the "
-                                 f"right-calculus ideal under a<->d, q<->1/q")]
+    p = preset(fwd.source)
+    checks = [_rules_vanish(fwd, "interchange[left->right]", "sec-6",
+                            "rules map into the right-calculus ideal "
+                            "under a<->d, q<->1/q")]
     involutive = all(
         normalize(back.apply(fwd.apply(r.relation(), normalized=False),
                              normalized=False) - r.relation(), p).is_zero

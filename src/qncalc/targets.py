@@ -20,6 +20,7 @@ from .dsl import parse_equations
 from .ncalg import Element, normalize
 from .presentations import ANTIPODE_IMAGES, preset
 from .reports import Check
+from .rmatrix import T, matmul, matrix
 
 __all__ = [
     "VECTOR_FIELD_PRESETS",
@@ -112,17 +113,10 @@ def _conjugated_theta(p) -> dict:
     where the antipode images lose their Dinv factor; entries by
     row-major position 1..4."""
     std = standard_form_basis(p)["standard"]
-    s = {g: x.substitute({"Dinv": Element.unit()}) for g, x in ANTIPODE_IMAGES.items()}
-    out = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            acc = Element.zero()
-            for k in (0, 1):
-                for l in (0, 1):
-                    acc = acc + (s["abcd"[2 * i + k]] * std[2 * k + l + 1]
-                                 * Element.word("abcd"[2 * l + j]))
-            out[2 * i + j + 1] = normalize(acc, p)
-    return out
+    s = [[x.substitute(ANTIPODE_IMAGES).substitute({"Dinv": Element.unit()}) for x in row]
+         for row in T]
+    theta = matmul(matmul(s, matrix(std[1], std[2], std[3], std[4])), T)
+    return dict(enumerate((normalize(x, p) for row in theta for x in row), 1))
 
 
 def conjugate_forms_check() -> list:

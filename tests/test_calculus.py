@@ -31,8 +31,9 @@ from qncalc.ncalg import (
     normalize,
     validate_presentation,
 )
-from qncalc.presentations import preset, qdet
+from qncalc.presentations import ANTIPODE_IMAGES, preset, qdet
 from qncalc.qfield import ONE, Scalar
+from qncalc.rmatrix import T, matmul
 from qncalc.suites import SuiteConfig, run_suite
 from qncalc.targets import VECTOR_FIELD_PRESETS, conjugate_forms_check, printed
 
@@ -205,6 +206,27 @@ def test_budget_error_names_the_word():
 def test_maurer_cartan_plus_closure(pid):
     for c in maurer_cartan_check(preset(pid)):
         assert c.status == "pass", (c.name, c.residual)
+
+
+@pytest.mark.parametrize("pid", CALCULUS_PRESETS)
+def test_standard_forms_are_the_maurer_cartan_forms(pid):
+    # the hand-typed standard basis is S(T).dT on a left calculus and
+    # dT.S(T) on a right one; the generators p lacks go to their values
+    # in the reduction (Dinv to 1, the missing b or c to 0)
+    p = preset(pid)
+    lost = {g: Element.zero() for g in "bc" if g not in p.parity}
+    if "Dinv" not in p.parity:
+        lost["Dinv"] = Element.unit()
+    s = [[x.substitute(ANTIPODE_IMAGES).substitute(lost) for x in row] for row in T]
+    dt = [[apply_delta(x.substitute(lost), p.calculus, p) for x in row] for row in T]
+    std = standard_form_basis(p)["standard"]
+    omega = [[normalize(std[k], p) for k in ks] for ks in ((1, 2), (3, 4))]
+    forms = lambda m: [[normalize(x, p) for x in row] for row in m]
+    ours, other = matmul(s, dt), matmul(dt, s)
+    if p.calculus.side == "right":
+        ours, other = other, ours
+    assert forms(ours) == omega
+    assert forms(other) != omega        # the side of S(T) matters
 
 
 # -- quantum trace ----------------------------------------------------------------

@@ -366,7 +366,7 @@ def test_syntax_error_carries_line():
 
 
 def test_extends_builtin():
-    text = "extends glq2\ngen f parity odd\nrule f.f -> 0\n"
+    text = "order deglex\nextends glq2\ngen f parity odd\nrule f.f -> 0\n"
     p = parse_presentation(text)
     assert "f" in p.parity
     assert normalize(w("d.a"), p) == normalize(w("d.a"), preset("glq2"))
@@ -445,6 +445,10 @@ _CALCULUS_HEAD = "side left\ngen x parity even\ngen f parity odd\ncoords x\n"
     (_CALCULUS_HEAD + "form f -> f\n", 5, 11),
     (_CALCULUS_HEAD + "dependency\n", 5, None),
     (_CALCULUS_HEAD + "dependency x.del_x - del_z\n", 5, 22),
+    # extends replaces what came before it, so it must come first
+    ("gen x parity even\nrule x.x -> 0\nextends glq2\n", 3, None),
+    ("extends glq2\nextends glq2-left\n", 2, None),
+    ("name n\nside left\nextends glq2-left\n", 3, None),
 ])
 def test_calculus_directive_errors(text, line, column):
     with pytest.raises(DslError) as info:

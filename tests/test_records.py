@@ -47,8 +47,8 @@ RECORDS = [
      ([], 0, 3, {}, REPORT_VERSION), False),
     (DiffStructure, "side images coords forms dependencies", ("left", {"x": x}),
      ((), {}, ()), True),
-    (Morphism, "name source target images scalar_map", ("m", "glq2", preset("glq2"),
-                                                        {"a": x}), ("id",), True),
+    (Morphism, "name source target images scalar_fn", ("m", "glq2", preset("glq2"),
+                                                       {"a": x}), (None,), True),
     (SuiteConfig, "preset suites max_degree seed source", (), ("glq2", (), 0, 2024, None),
      True),
 ]
