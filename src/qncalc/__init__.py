@@ -44,9 +44,9 @@ from .ncalg import (
 from .presentations import (
     PRESET_IDS,
     Morphism,
-    antipode_check,
-    coproduct_check,
-    epsilon_identity_check,
+    antipode_residuals,
+    coproduct_residuals,
+    epsilon_identity_residuals,
     interchange_left_to_right,
     interchange_right_to_left,
     preset,

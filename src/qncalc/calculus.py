@@ -46,17 +46,17 @@ from .ncalg import (
 from .presentations import builtin_id, preset, qdet
 from .qfield import ONE, Scalar
 from .reports import Check, Record
-from .rmatrix import matmul, matrix
+from .rmatrix import matmul, matrix, matrix_residuals
 
 __all__ = [
     "DiffStructure",
     "apply_delta",
     "check_nilpotent",
     "delta_respects_rules",
-    "maurer_cartan_check",
+    "maurer_cartan_residuals",
     "qtrace_check",
     "standard_form_basis",
-    "form_diff_roundtrip_check",
+    "form_diff_roundtrip_residuals",
     "derive_diff_rules",
     "diff_presentation",
     "CALCULUS_PRESETS",
@@ -202,13 +202,10 @@ def _check_nilpotent(d: DiffStructure, p: Presentation, max_degree: int,
 
 
 def delta_respects_rules(d: DiffStructure, p: Presentation) -> list:
-    """d applied to every defining relation rewrites to zero."""
-    checks = []
-    for r in p.rules:
-        res = apply_delta(r.relation(), d, p)
-        checks.append(Check.of(res.is_zero, f"delta-respects[{'.'.join(r.lhs)}]",
-                               r.provenance, residual=str(res)))
-    return checks
+    """d applied to every defining relation rewrites to zero, as (label,
+    residual) pairs."""
+    return [(f"delta-respects[{'.'.join(r.lhs)}]", apply_delta(r.relation(), d, p))
+            for r in p.rules]
 
 
 # ---------------------------------------------------------------------------
@@ -252,20 +249,13 @@ def standard_form_basis(p: Presentation) -> dict:
     return {"standard": std, "primitive": prim}
 
 
-def maurer_cartan_check(p: Presentation) -> list:
-    """Entrywise closure of the form-valued matrix: which sign of
-    d(form) -/+ form.form vanishes (the + closure is the consistent one)."""
+def maurer_cartan_residuals(p: Presentation) -> list:
+    """Entrywise closure d(form) = +form.form of the form-valued matrix
+    (the + closure is the consistent sign), as (label, residual) pairs."""
     std = standard_form_basis(p)["standard"]
     omega = matrix(std[1], std[2], std[3], std[4])
-    checks = []
-    for i, (row, square) in enumerate(zip(omega, matmul(omega, omega)), 1):
-        for j, (x, sq) in enumerate(zip(row, square), 1):
-            plus = apply_delta(x, p.calculus, p) - normalize(sq, p)
-            checks.append(Check.of(
-                plus.is_zero, f"maurer-cartan[{p.name}][{i}{j}]", "sec-3-IV",
-                residual=str(plus),
-                details="realized sign: d(form) = +form.form"))
-    return checks
+    d_omega = [[apply_delta(x, p.calculus, p) for x in row] for row in omega]
+    return matrix_residuals(f"maurer-cartan[{p.name}]", d_omega, matmul(omega, omega), p)
 
 
 def qtrace_check(p: Presentation) -> list:
@@ -296,24 +286,18 @@ def qtrace_check(p: Presentation) -> list:
 # forms <-> primitive differentials, derived differential-mode rules
 # ---------------------------------------------------------------------------
 
-def form_diff_roundtrip_check(p: Presentation) -> list:
+def form_diff_roundtrip_residuals(p: Presentation) -> list:
     """Substituting the generator differentials back into the
     form-through-differential expressions must reproduce each primitive
-    form exactly (the conversion is invertible).  Every odd generator is
-    checked; one without a ``form`` line fails."""
+    form exactly (the conversion is invertible).  One (label, residual)
+    pair per odd generator; one without a ``form`` line gets a string
+    residual saying so, and fails."""
     ds = p.calculus
     subst = ds.del_images()
-    ref = "eq-2.17" if ds.side == "left" else "eq-2.22"
-    checks = []
-    for form in p.odd_names():
-        name = f"form-roundtrip[{p.name}][{form}]"
-        expr = ds.forms.get(form)
-        if expr is None:
-            checks.append(Check.failed(name, ref, residual=f"form {form} has no form line"))
-            continue
-        res = normalize(expr.substitute(subst), p) - Element.word(form)
-        checks.append(Check.of(res.is_zero, name, ref, residual=str(res)))
-    return checks
+    return [(f"form-roundtrip[{p.name}][{form}]",
+             f"form {form} has no form line" if form not in ds.forms
+             else normalize(ds.forms[form].substitute(subst), p) - Element.word(form))
+            for form in p.odd_names()]
 
 
 def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:

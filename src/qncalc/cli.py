@@ -34,14 +34,13 @@ REPORT_DIR_ENV = "QNCALC_REPORT_DIR"
 
 
 def _resolve_presentation(args):
-    """The presentation named on the command line, and its preset id
-    (None for a ``--file``)."""
+    """The presentation named on the command line."""
     if getattr(args, "file", None):
-        return parse_presentation(Path(args.file).read_text(encoding="utf-8")), None
+        return parse_presentation(Path(args.file).read_text(encoding="utf-8"))
     pid = getattr(args, "preset", None) or "glq2"
     if pid.endswith("-diff") and pid[:-5] in CALCULUS_PRESETS:
-        return diff_presentation(pid), pid
-    return preset(pid), pid
+        return diff_presentation(pid)
+    return preset(pid)
 
 
 def _report_path(args, default_stem):
@@ -89,17 +88,15 @@ def cmd_list_presets(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    p, _ = _resolve_presentation(args)
+    p = _resolve_presentation(args)
     print(normalize(parse_expression(args.expr, p), p))
     return 0
 
 
 def cmd_check(args) -> int:
-    p, pid = _resolve_presentation(args)
-    cfg = SuiteConfig(preset=pid or "glq2", suites=tuple(args.suite or ()),
-                      max_degree=args.max_degree, seed=args.seed,
-                      source=p if pid is None else None)
-    report = run_suite(cfg)
+    p = _resolve_presentation(args)
+    report = run_suite(SuiteConfig(p, suites=tuple(args.suite or ()),
+                                   max_degree=args.max_degree, seed=args.seed))
     return _emit(report, args, f"check-{report.preset}")
 
 
@@ -109,7 +106,7 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_export_preset(args) -> int:
-    p, _ = _resolve_presentation(args)
+    p = _resolve_presentation(args)
     text = export_presentation(p)
     if args.out:
         Path(args.out).write_text(text)

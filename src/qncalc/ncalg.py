@@ -455,12 +455,6 @@ class Presentation:
 
     # -- generator helpers ----------------------------------------------------
 
-    def generator(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise UnknownGeneratorError(name)
-
     def even_names(self):
         return [g.name for g in self.generators if g.parity == 0]
 

@@ -24,8 +24,7 @@ from .ncalg import (
     normalize,
 )
 from .qfield import ONE, ZERO, Scalar
-from .reports import Check
-from .rmatrix import T, matmul, matrix, transpose
+from .rmatrix import T, matmul, matrix, matrix_residuals, transpose
 
 __all__ = [
     "PRESET_IDS",
@@ -34,9 +33,9 @@ __all__ = [
     "preset_without_rule",
     "qdet",
     "tensor_square",
-    "epsilon_identity_check",
-    "coproduct_check",
-    "antipode_check",
+    "epsilon_identity_residuals",
+    "coproduct_residuals",
+    "antipode_residuals",
     "Morphism",
     "interchange_left_to_right",
     "interchange_right_to_left",
@@ -104,31 +103,15 @@ def qdet(p: Presentation) -> Element:
     return T[0][0] * T[1][1] - _q(1) * (T[0][1] * T[1][0])
 
 
-def _entry_checks(label: str, got, want, p: Presentation, tag: str, **kw) -> list:
-    """One check per entry of the matrix ``got``: it equals the same entry
-    of ``want`` modulo the relations of ``p``."""
-    checks = []
-    for i, (row, want_row) in enumerate(zip(got, want), 1):
-        for j, (x, y) in enumerate(zip(row, want_row), 1):
-            res = normalize(x - y, p)
-            checks.append(Check.of(res.is_zero, f"{label}[{i}{j}]", tag,
-                                   residual=str(res), **kw))
-    return checks
-
-
-def epsilon_identity_check(p: Presentation) -> list:
-    """Entrywise check of the deformed Levi-Civita identities (eq 2.8),
-    reading the dagger as transpose."""
+def epsilon_identity_residuals(p: Presentation) -> list:
+    """The entries of the deformed Levi-Civita identities (eq 2.8), reading
+    the dagger as transpose, as (label, residual) pairs."""
     eps = matrix(ZERO, ONE, -_q(1), ZERO)
     det = normalize(qdet(p), p)
     want = [[c * det for c in row] for row in eps]
     tt = transpose(T)
-    checks = []
-    for label, got in (("T^t.eps.T", matmul(matmul(tt, eps), T)),
-                       ("T.eps.T^t", matmul(matmul(T, eps), tt))):
-        checks += _entry_checks(label, got, want, p, "eq-2.8",
-                                details="dagger read as transpose")
-    return checks
+    return (matrix_residuals("T^t.eps.T", matmul(matmul(tt, eps), T), want, p)
+            + matrix_residuals("T.eps.T^t", matmul(matmul(T, eps), tt), want, p))
 
 
 def tensor_square(p: Presentation) -> Presentation:
@@ -167,31 +150,20 @@ _COUNIT_IMAGES = {
 }
 
 
-def coproduct_check(p: Presentation) -> list:
+def coproduct_residuals(p: Presentation) -> list:
     """Coproduct and counit respect every defining relation; the
-    determinant is grouplike (eq 2.9)."""
+    determinant is grouplike (eq 2.9).  (label, residual) pairs."""
     tp = tensor_square(p)
     delta = _coproduct_images()
-    checks = []
-    for r in p.rules:
-        rel = r.relation()
-        image = normalize(rel.substitute(delta), tp)
-        checks.append(Check.of(
-            image.is_zero, f"coproduct[{'.'.join(r.lhs)}]", "eq-2.1",
-            residual=str(image)))
+    out = [(f"coproduct[{'.'.join(r.lhs)}]", normalize(r.relation().substitute(delta), tp))
+           for r in p.rules]
     det = qdet(p)
     grouplike = det.substitute(delta) - (
         det.substitute({n: Element.word(n + "1") for n in ("a", "b", "c", "d")})
         * det.substitute({n: Element.word(n + "2") for n in ("a", "b", "c", "d")}))
-    res = normalize(grouplike, tp)
-    checks.append(Check.of(res.is_zero, "coproduct[qdet grouplike]", "eq-2.9",
-                           residual=str(res)))
-    for r in p.rules:
-        image = r.relation().substitute(_COUNIT_IMAGES)
-        checks.append(Check.of(
-            image.is_zero, f"counit[{'.'.join(r.lhs)}]", "eq-2.2",
-            residual=str(image)))
-    return checks
+    out.append(("coproduct[qdet grouplike]", normalize(grouplike, tp)))
+    return out + [(f"counit[{'.'.join(r.lhs)}]", r.relation().substitute(_COUNIT_IMAGES))
+                  for r in p.rules]
 
 
 ANTIPODE_IMAGES: Mapping[str, Element] = {
@@ -203,19 +175,17 @@ ANTIPODE_IMAGES: Mapping[str, Element] = {
 }
 
 
-def antipode_check(p: Presentation) -> list:
-    """S(T) is the two-sided matrix inverse, and S(qdet) is Dinv."""
+def antipode_residuals(p: Presentation) -> list:
+    """S(T) is the two-sided matrix inverse, and S(qdet) is Dinv;
+    (label, residual) pairs."""
     s = [[x.substitute(ANTIPODE_IMAGES) for x in row] for row in T]
     one, zero = Element.unit(), Element.zero()
     ident = matrix(one, zero, zero, one)
-    checks = (_entry_checks("S(T).T", matmul(s, T), ident, p, "eq-2.3")
-              + _entry_checks("T.S(T)", matmul(T, s), ident, p, "eq-2.3"))
     # S is an antihomomorphism; on the determinant it must give Dinv
     s_det = (s[1][1] * s[0][0]) - _q(1) * (s[1][0] * s[0][1])
-    res = normalize(s_det, p) - Element.word("Dinv")
-    checks.append(Check.of(res.is_zero, "S(qdet) = Dinv", "eq-2.9",
-                           residual=str(res)))
-    return checks
+    return (matrix_residuals("S(T).T", matmul(s, T), ident, p)
+            + matrix_residuals("T.S(T)", matmul(T, s), ident, p)
+            + [("S(qdet) = Dinv", normalize(s_det, p) - Element.word("Dinv"))])
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ from operator import add, mul, sub
 
 from .ncalg import Element, Presentation, normalize
 from .qfield import ONE, Scalar, ZERO
-from .reports import Check
 
 __all__ = [
     "T",
     "matrix",
     "matmul",
     "transpose",
+    "matrix_residuals",
     "RMatrix",
     "standard_r",
     "perturbed_r",
@@ -61,6 +61,13 @@ def matmul(x, y) -> tuple:
 
 def _minus(x, y) -> tuple:
     return tuple(tuple(map(sub, u, v)) for u, v in zip(x, y))
+
+
+def matrix_residuals(label: str, got, want, p: Presentation) -> list:
+    """(label[ij], normal form of got - want at (i, j)) for each entry of
+    two square matrices of Elements; each must vanish modulo ``p``."""
+    return [(f"{label}[{i}{j}]", normalize(x, p))
+            for i, row in enumerate(_minus(got, want), 1) for j, x in enumerate(row, 1)]
 
 
 def _flat(i: int, j: int) -> int:
@@ -127,24 +134,15 @@ def rtt_residual(r: RMatrix, p: Presentation) -> dict:
 
 def forms_rtt_compat(r: RMatrix, p: Presentation) -> list:
     """Forms times the RTT relations must still rewrite to zero
-    (eq 3.2 for the left calculus, its section-5 mirror on the right)."""
+    (eq 3.2 for the left calculus, its section-5 mirror on the right),
+    as (label, residual) pairs."""
     if p.form_position not in ("left", "right"):
         raise ValueError(f"{p.name} is not a calculus presentation")
-    forms = [g.name for g in p.generators if g.parity == 1]
     comps = rtt_components(r)
-    checks = []
-    tag = "eq-3.2" if p.form_position == "right" else "sec-5"
-    for f in forms:
-        for idx, comp in comps.items():
-            if p.form_position == "right":
-                x = Element.word(f) * comp
-            else:
-                x = comp * Element.word(f)
-            res = normalize(x, p)
-            checks.append(Check.of(
-                res.is_zero, f"forms-rtt[{f},{''.join(map(str, idx))}]", tag,
-                residual=str(res)))
-    return checks
+    right = p.form_position == "right"
+    return [(f"forms-rtt[{f},{''.join(map(str, idx))}]",
+             normalize(Element.word(f) * comp if right else comp * Element.word(f), p))
+            for f in p.odd_names() for idx, comp in comps.items()]
 
 
 def format_r(r: RMatrix) -> list:

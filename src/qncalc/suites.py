@@ -3,9 +3,13 @@
 Suites are small callables producing :class:`~qncalc.reports.Check`
 lists.  Some check one presentation (confluence, delta2, ...) and apply
 where their predicate in ``_APPLIES`` holds; the others check the whole
-preset family (reductions, interchange, regressions).  A suite asked to
-run where it does not apply reports a single ``skipped`` check.
+built-in preset family (reductions, interchange, regressions).  A suite
+asked to run where it does not apply reports a single ``skipped`` check.
 ``run_all`` executes the full matrix.
+
+A report line stating that a family of identities vanishes (the Hopf
+maps, d on every relation, the reductions, ...) is judged by ``_vanish``
+alone; its producer returns (label, residual) pairs.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from .calculus import (
     check_vector_algebra,
     delta_respects_rules,
     diff_presentation,
-    form_diff_roundtrip_check,
-    maurer_cartan_check,
+    form_diff_roundtrip_residuals,
+    maurer_cartan_residuals,
     qtrace_check,
 )
 from .ncalg import (
@@ -39,10 +43,10 @@ from .ncalg import (
 from .presentations import (
     PRESET_IDS,
     Morphism,
-    antipode_check,
+    antipode_residuals,
     builtin_id,
-    coproduct_check,
-    epsilon_identity_check,
+    coproduct_residuals,
+    epsilon_identity_residuals,
     free_presentation,
     interchange_left_to_right,
     interchange_right_to_left,
@@ -76,16 +80,10 @@ CONVENTIONS = {
 
 
 class SuiteConfig(NamedTuple):
-    preset: str = "glq2"
+    presentation: Presentation
     suites: tuple = ()
     max_degree: int = 0          # 0 = per-suite default
     seed: int = 2024
-    source: Presentation | None = None   # user presentation from a file
-
-    def presentation(self) -> Presentation:
-        if self.source is not None:
-            return self.source
-        return preset(self.preset)
 
     def degree(self, default: int) -> int:
         return self.max_degree if self.max_degree > 0 else default
@@ -95,27 +93,24 @@ def _skip(name, why) -> list:
     return [Check(name, "", "skipped", details=why)]
 
 
-def _aggregate(name, paper_ref, checks, details="") -> Check:
-    bad = [c for c in checks if c.status == "fail"]
-    mis = [c for c in checks if c.status == "mismatch"]
+def _vanish(name: str, paper_ref: str, residuals: list, details: str = "") -> Check:
+    """One report line for (label, residual) pairs: it passes iff every
+    residual is a zero Element (a string says why an entry fails), else
+    it names the first failing entry and gives its residual."""
+    bad = [(label, r) for label, r in residuals if isinstance(r, str) or not r.is_zero]
     if bad:
-        first = bad[0]
-        return Check.failed(name, paper_ref, residual=first.residual,
-                            details=f"{len(bad)} of {len(checks)} failed; "
-                                    f"first: {first.name}")
-    if mis:
-        first = mis[0]
-        return Check(name, paper_ref, "mismatch", residual=first.residual,
-                     details=f"{len(mis)} of {len(checks)} mismatched; "
-                             f"first: {first.name}")
+        label, r = bad[0]
+        return Check.failed(name, paper_ref, residual=str(r),
+                            details=f"{len(bad)} of {len(residuals)} failed; "
+                                    f"first: {label}")
     return Check.passed(name, paper_ref,
-                        details=details or f"{len(checks)} checks")
+                        details=details or f"{len(residuals)} checks")
 
 
 # -- confluence ---------------------------------------------------------------
 
 def suite_confluence(cfg: SuiteConfig) -> list:
-    p = cfg.presentation()
+    p = cfg.presentation
     checks = []
     rep = validate_presentation(p)
     checks.append(Check.of(rep.valid, f"validate[{p.name}]", "",
@@ -191,7 +186,7 @@ def suite_ybe(cfg: SuiteConfig) -> list:
 
 
 def suite_rtt(cfg: SuiteConfig) -> list:
-    p = cfg.presentation()
+    p = cfg.presentation
     res = rmatrix.rtt_residual(rmatrix.standard_r(), p)
     bad = {k: v for k, v in res.items() if not v.is_zero}
     checks = [Check.of(not bad, f"rtt[{p.name}]", "eq-2.4",
@@ -206,7 +201,7 @@ def suite_rtt(cfg: SuiteConfig) -> list:
             residual=str(comp - expected),
             details="free-algebra component (1,1,1,2) is q^-1(ab - q ba)"))
     if p.form_position in ("left", "right"):
-        checks.append(_aggregate(
+        checks.append(_vanish(
             f"forms-rtt-compat[{p.name}]",
             "eq-3.2" if p.form_position == "right" else "sec-5",
             rmatrix.forms_rtt_compat(rmatrix.standard_r(), p)))
@@ -216,7 +211,7 @@ def suite_rtt(cfg: SuiteConfig) -> list:
 # -- Hopf ----------------------------------------------------------------------
 
 def suite_hopf(cfg: SuiteConfig) -> list:
-    p = cfg.presentation()
+    p = cfg.presentation
     checks = []
     det_nf = normalize(qdet(p), p)
     checks.append(Check.of(det_nf == Element.word("D"), "qdet-normal-form",
@@ -225,31 +220,31 @@ def suite_hopf(cfg: SuiteConfig) -> list:
     central = all(normalize(det * Element.word(g) - Element.word(g) * det, p).is_zero
                   for g in ("a", "b", "c", "d"))
     checks.append(Check.of(central, "qdet-central", "eq-2.12"))
-    checks.append(_aggregate("levi-civita", "eq-2.8", epsilon_identity_check(p)))
-    checks.append(_aggregate("coproduct+counit", "eq-2.1", coproduct_check(p)))
-    checks.append(_aggregate("antipode", "eq-2.3", antipode_check(p)))
+    checks.append(_vanish("levi-civita", "eq-2.8", epsilon_identity_residuals(p)))
+    checks.append(_vanish("coproduct+counit", "eq-2.1", coproduct_residuals(p)))
+    checks.append(_vanish("antipode", "eq-2.3", antipode_residuals(p)))
     return checks
 
 
 # -- calculus ------------------------------------------------------------------
 
 def suite_delta2(cfg: SuiteConfig) -> list:
-    p = cfg.presentation()
+    p = cfg.presentation
     d = p.calculus
     checks = [check_nilpotent(d, p, cfg.degree(4))]
-    checks.append(_aggregate(f"delta-respects-rules[{p.name}]", "eq-2.14",
-                             delta_respects_rules(d, p)))
+    checks.append(_vanish(f"delta-respects-rules[{p.name}]", "eq-2.14",
+                          delta_respects_rules(d, p)))
     if builtin_id(p):           # the standard form basis is kept per preset
-        checks.append(_aggregate(f"maurer-cartan[{p.name}]", "sec-3-IV",
-                                 maurer_cartan_check(p),
-                                 details="closure d(form) = +form.form"))
-    checks.append(_aggregate(f"form-diff-roundtrip[{p.name}]", "eq-2.17",
-                             form_diff_roundtrip_check(p)))
+        checks.append(_vanish(f"maurer-cartan[{p.name}]", "sec-3-IV",
+                              maurer_cartan_residuals(p),
+                              details="closure d(form) = +form.form"))
+    checks.append(_vanish(f"form-diff-roundtrip[{p.name}]", "eq-2.17",
+                          form_diff_roundtrip_residuals(p)))
     return checks
 
 
 def suite_vector_fields(cfg: SuiteConfig) -> list:
-    p = cfg.presentation()
+    p = cfg.presentation
     return check_vector_algebra(printed(f"vector-{builtin_id(p)}", VECTOR_FIELDS),
                                 p.calculus, p, cfg.degree(3))
 
@@ -258,12 +253,9 @@ def suite_vector_fields(cfg: SuiteConfig) -> list:
 
 def _rules_vanish(m: Morphism, name: str, paper_ref: str, details: str) -> Check:
     """Every relation of the morphism's source maps to 0, one rule at a time."""
-    per_rule = []
-    for r in preset(m.source).rules:
-        image = m.apply(r.relation())
-        per_rule.append(Check.of(image.is_zero, ".".join(r.lhs), r.provenance,
-                                 residual=str(image)))
-    return _aggregate(name, paper_ref, per_rule, details=f"{len(per_rule)} {details}")
+    rules = preset(m.source).rules
+    return _vanish(name, paper_ref, [(".".join(r.lhs), m.apply(r.relation())) for r in rules],
+                   details=f"{len(rules)} {details}")
 
 
 def suite_reductions(cfg: SuiteConfig) -> list:
@@ -303,7 +295,7 @@ def suite_classical_limit(cfg: SuiteConfig) -> list:
     unique normal form is evaluated at q = 1; it vanishes iff the
     classical (anti)commutator holds.
     """
-    p = cfg.presentation()
+    p = cfg.presentation
     checks = [_classical_limit(p, p, {})]
     if p.calculus is not None:
         try:
@@ -348,7 +340,7 @@ SUITES = {
     "rtt": suite_rtt,
     "hopf": suite_hopf,
     "delta2": suite_delta2,
-    "qtrace": lambda cfg: qtrace_check(cfg.presentation()),
+    "qtrace": lambda cfg: qtrace_check(cfg.presentation),
     "vector-fields": suite_vector_fields,
     "reductions": suite_reductions,
     "interchange": suite_interchange,
@@ -386,8 +378,17 @@ _APPLIES = {
 _ORDER = {"delta2": CALCULUS_PRESETS, "vector-fields": VECTOR_FIELD_PRESETS}
 
 
-def _timed(name: str, cfg: SuiteConfig) -> list:
-    """Run one suite; checks without their own time share its wall time."""
+def _run(name: str, cfg: SuiteConfig) -> list:
+    """The checks of one suite on ``cfg.presentation``, or one ``skipped``
+    check saying why it does not apply there.  Checks without their own
+    time share the suite's wall time."""
+    p = cfg.presentation
+    if name not in _APPLIES:
+        if builtin_id(p) is None:
+            return _skip(name, "checks the built-in preset family, not a "
+                               "user presentation")
+    elif not _APPLIES[name][0](p):
+        return _skip(f"{name}[{p.name}]", _APPLIES[name][1])
     t0 = time.perf_counter()
     checks = SUITES[name](cfg)
     ms = (time.perf_counter() - t0) * 1000.0
@@ -398,40 +399,30 @@ def _timed(name: str, cfg: SuiteConfig) -> list:
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Run the requested suites against one preset (or a user file)."""
-    names = config.suites or SUITE_NAMES
-    p = config.presentation()
-    report = SuiteReport(preset=p.name, seed=config.seed,
+    """Run the requested suites against one presentation."""
+    report = SuiteReport(preset=config.presentation.name, seed=config.seed,
                          max_degree=config.degree(3),
                          conventions=dict(CONVENTIONS))
-    for name in names:
+    for name in config.suites or SUITE_NAMES:
         if name not in SUITES:
             raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-        if name not in _APPLIES:
-            checks = (_skip(name, "checks the built-in preset family, not a "
-                                  "user presentation")
-                      if config.source is not None else _timed(name, config))
-        elif not _APPLIES[name][0](p):
-            checks = _skip(f"{name}[{p.name}]", _APPLIES[name][1])
-        else:
-            checks = _timed(name, config)
-        report.suites.append(Suite(name, checks))
+        report.suites.append(Suite(name, _run(name, config)))
     return report
 
 
 def run_all(seed: int = 2024, max_degree: int = 0) -> SuiteReport:
-    """The full verification matrix: every suite over every preset it covers."""
-    report = SuiteReport(preset="all", seed=seed,
-                         max_degree=SuiteConfig(max_degree=max_degree).degree(3),
+    """The full verification matrix: every suite over every preset it
+    covers (a per-presentation suite is listed only where it applies)."""
+    cfgs = {pid: SuiteConfig(preset(pid), max_degree=max_degree, seed=seed)
+            for pid in PRESET_IDS}
+    report = SuiteReport(preset="all", seed=seed, max_degree=cfgs["glq2"].degree(3),
                          conventions=dict(CONVENTIONS))
     for name in SUITE_NAMES:
         if name not in _APPLIES:
-            cfg = SuiteConfig(suites=(name,), max_degree=max_degree, seed=seed)
-            report.suites.append(Suite(name, _timed(name, cfg)))
+            report.suites.append(Suite(name, _run(name, cfgs["glq2"])))
             continue
         for pid in _ORDER.get(name, PRESET_IDS):
-            if _APPLIES[name][0](preset(pid)):
-                cfg = SuiteConfig(preset=pid, suites=(name,),
-                                  max_degree=max_degree, seed=seed)
-                report.suites.append(Suite(f"{name}@{pid}", _timed(name, cfg)))
+            checks = _run(name, cfgs[pid])
+            if checks[0].status != "skipped":
+                report.suites.append(Suite(f"{name}@{pid}", checks))
     return report

@@ -162,7 +162,7 @@ def test_cli_reports_exceeded_step_budget_without_traceback(capsys, monkeypatch)
     loop = Presentation("loop", [Generator("x", 0, 0), Generator("y", 0, 1)],
                         TerminationOrder("deglex"),
                         [RewriteRule(("y", "x"), w("x.y")), RewriteRule(("x", "y"), w("y.x"))])
-    monkeypatch.setattr(cli, "_resolve_presentation", lambda args: (loop, None))
+    monkeypatch.setattr(cli, "_resolve_presentation", lambda args: loop)
     assert cli.main(["normalize", "--preset", "glq2", "--expr", "x.y"]) == 2
     assert capsys.readouterr().err.startswith(
         "error: x.y rewrites back to itself under 'loop'")

@@ -1,6 +1,7 @@
 """Module hygiene, checked on the source with ``ast`` (no linter is
-assumed): every ``__all__`` name exists, and no module but the package's
-``__init__`` imports a name it never uses."""
+assumed): every ``__all__`` name exists, no module but the package's
+``__init__`` imports a name it never uses, every function and class is
+used somewhere, and the kernel layers import nothing from ``reports``."""
 
 import ast
 import importlib
@@ -32,3 +33,46 @@ def test_no_unused_imports(name):
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert {n: line for n, line in imported.items() if n not in used} == {}
+
+
+def _names_used(path: Path) -> set:
+    """Every name ``path`` reads, every attribute it takes and every name
+    it imports."""
+    used = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update((node.name.split(".")[-1], node.asname))
+    return used
+
+
+def test_every_definition_is_used():
+    # a function, method or class that nothing names is dead code; the
+    # dunder methods are called by Python itself
+    root = SRC.parent.parent
+    used = set().union(*(_names_used(path) for top in ("src", "tests", "demos", "bench")
+                         for path in (root / top).rglob("*.py")))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__") and node.name not in used):
+                unused.append(f"{path.stem}.{node.name}")
+    assert unused == []
+
+
+# the kernel layers know nothing of reports; the suites turn their results
+# into report lines
+@pytest.mark.parametrize("name", ["qfield", "ncalg", "rmatrix", "presentations"])
+def test_kernel_layers_do_not_import_reports(name):
+    tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module}.{alias.name}" for alias in node.names]
+    assert [m for m in imported if "reports" in m.split(".")] == []

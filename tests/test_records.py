@@ -49,7 +49,7 @@ RECORDS = [
      ((), {}, ()), True),
     (Morphism, "name source target images scalar_fn", ("m", "glq2", preset("glq2"),
                                                        {"a": x}), (None,), True),
-    (SuiteConfig, "preset suites max_degree seed source", (), ("glq2", (), 0, 2024, None),
+    (SuiteConfig, "presentation suites max_degree seed", (preset("glq2"),), ((), 0, 2024),
      True),
 ]
 
@@ -75,7 +75,7 @@ def test_record_contract(cls, names, required, defaults, frozen):
         with pytest.raises(AttributeError):
             setattr(r, fields[0], marker)
         assert get(r) == values
-    else:                       # Check's last field is ms, which suites._timed sets
+    else:                       # Check's last field is ms, which suites._run sets
         setattr(r, fields[-1], marker)
         assert getattr(r, fields[-1]) is marker
 

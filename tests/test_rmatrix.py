@@ -153,8 +153,8 @@ def test_rtt_identity_r_leaves_plain_commutators():
 
 def test_forms_rtt_compat_calculus_presets():
     for pid in ("glq2-left", "glq2-right"):
-        for c in forms_rtt_compat(standard_r(), preset(pid)):
-            assert c.status == "pass", (pid, c.name, c.residual)
+        for label, res in forms_rtt_compat(standard_r(), preset(pid)):
+            assert res.is_zero, (pid, label, res)
 
 
 def test_forms_rtt_compat_fails_without_relations():
@@ -163,8 +163,8 @@ def test_forms_rtt_compat_fails_without_relations():
     gens.append(Generator("f", 1, 4))
     free = Presentation("free-f", gens, TerminationOrder("deglex"), [],
                         form_position="right")
-    checks = forms_rtt_compat(standard_r(), free)
-    assert any(c.status == "fail" for c in checks)
+    residuals = forms_rtt_compat(standard_r(), free)
+    assert any(not res.is_zero for _, res in residuals)
 
 
 def test_r_inverse_convention_plain_holds():

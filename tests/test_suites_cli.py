@@ -11,6 +11,7 @@ import pytest
 
 from qncalc.cli import main
 from qncalc.dsl import parse_presentation
+from qncalc.presentations import coproduct_residuals, preset, preset_without_rule
 from qncalc.reports import Check, SuiteReport
 from qncalc.suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
 
@@ -29,13 +30,13 @@ def test_suite_names_stable():
 
 
 def test_run_suite_single():
-    rep = run_suite(SuiteConfig(preset="glq2", suites=("ybe", "hopf")))
+    rep = run_suite(SuiteConfig(preset("glq2"), suites=("ybe", "hopf")))
     assert rep.overall == "pass"
     jsonschema.validate(rep.to_json(), SCHEMA)
 
 
 def test_skipped_status_for_inapplicable_suite():
-    rep = run_suite(SuiteConfig(preset="qplane-left-b0", suites=("qtrace",)))
+    rep = run_suite(SuiteConfig(preset("qplane-left-b0"), suites=("qtrace",)))
     checks = rep.suites[0].checks
     assert checks and all(c.status == "skipped" for c in checks)
     assert rep.overall == "pass"
@@ -43,7 +44,7 @@ def test_skipped_status_for_inapplicable_suite():
 
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
-        run_suite(SuiteConfig(preset="glq2", suites=("nope",)))
+        run_suite(SuiteConfig(preset("glq2"), suites=("nope",)))
 
 
 def test_run_all_schema_and_exit_codes():
@@ -58,8 +59,8 @@ def test_run_all_schema_and_exit_codes():
 
 
 def test_report_determinism():
-    a = run_suite(SuiteConfig(preset="glq2", suites=("confluence",), seed=7))
-    b = run_suite(SuiteConfig(preset="glq2", suites=("confluence",), seed=7))
+    a = run_suite(SuiteConfig(preset("glq2"), suites=("confluence",), seed=7))
+    b = run_suite(SuiteConfig(preset("glq2"), suites=("confluence",), seed=7))
     ja, jb = a.to_json(), b.to_json()
     for rep in (ja, jb):
         for s in rep["suites"]:
@@ -171,8 +172,8 @@ def test_cli_check_user_file_with_builtin_name(tmp_path, name):
 
 def test_user_copy_of_a_calculus_preset_gets_no_per_preset_data():
     p = parse_presentation("name glq2-left\nextends glq2-left\n")
-    rep = run_suite(SuiteConfig(suites=("confluence", "delta2", "qtrace",
-                                        "vector-fields"), source=p, max_degree=2))
+    rep = run_suite(SuiteConfig(p, suites=("confluence", "delta2", "qtrace",
+                                           "vector-fields"), max_degree=2))
     names = {c.name: c.status for s in rep.suites for c in s.checks}
     assert names == {
         "validate[glq2-left]": "pass", "local-confluence[glq2-left]": "pass",
@@ -206,7 +207,7 @@ def test_underivable_differential_system_is_a_failed_check():
     # without its form line, q-line's derivatives cannot be rewritten over del_x
     text = EXAMPLES.joinpath("q-line.preset").read_text()
     p = parse_presentation(text.replace("form th -> xi.del_x", ""))
-    rep = run_suite(SuiteConfig(suites=("classical-limit",), source=p))
+    rep = run_suite(SuiteConfig(p, suites=("classical-limit",)))
     checks = rep.suites[0].checks
     assert [(c.name, c.status) for c in checks] == [
         ("classical-limit[q-line]", "pass"), ("classical-limit[q-line-diff]", "fail")]
@@ -230,6 +231,19 @@ def test_odd_generator_without_a_form_line_fails_the_roundtrip(tmp_path, capsys)
         ("nilpotent[q-line]", "pass"), ("delta-respects-rules[q-line]", "pass"),
         ("form-diff-roundtrip[q-line]", "fail")]
     assert checks[-1]["residual"] == "form th has no form line"
+
+
+def test_broken_coproduct_names_its_first_failing_entry():
+    # without D.b -> b.D the coproduct of D.a and D.d no longer vanishes
+    p = preset_without_rule(preset("glq2"), "D.b")
+    [suite] = run_suite(SuiteConfig(p, suites=("hopf",))).suites
+    assert [(c.name, c.status) for c in suite.checks] == [
+        ("qdet-normal-form", "pass"), ("qdet-central", "fail"),
+        ("levi-civita", "pass"), ("coproduct+counit", "fail"), ("antipode", "pass")]
+    check = suite.checks[3]
+    assert check.details == "2 of 33 failed; first: coproduct[D.a]"
+    assert check.residual == str(dict(coproduct_residuals(p))["coproduct[D.a]"])
+    assert check.residual == "D1.b1.c2.D2 - b1.D1.c2.D2"
 
 
 @pytest.mark.parametrize("path", ["missing.preset", "."])
@@ -271,7 +285,7 @@ def test_run_all_records_the_degree_as_run_suite_does(monkeypatch, max_degree,
                                                       recorded):
     monkeypatch.setattr("qncalc.suites.SUITE_NAMES", ())     # no checks to run
     assert run_all(max_degree=max_degree).max_degree == recorded
-    cfg = SuiteConfig(preset="glq2", suites=("ybe",), max_degree=max_degree)
+    cfg = SuiteConfig(preset("glq2"), suites=("ybe",), max_degree=max_degree)
     assert run_suite(cfg).max_degree == recorded
 
 
