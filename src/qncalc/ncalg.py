@@ -12,13 +12,15 @@ unique normal form regardless of strategy, which
 
 Presentations, rules, and elements are immutable after construction.  A
 presentation indexes its rules once, by the first two letters of the LHS,
-with each right-hand side as a tuple of (word, Scalar) pairs.  Its
+with each right-hand side as a tuple of (word, Scalar) pairs in which a
+coefficient equal to 1 is the shared :data:`~qncalc.qfield.ONE`.  Its
 normal-form cache, an internal memo, maps a word to a record of two
 parallel tuples, the words of its normal form and their coefficients,
 linked to the records of the words its leftmost rewrite produces
 (:class:`_NormalForm`).  A word whose rewrite produces a single word
-shares that word's tuple of words and has its own coefficients only.  A
-normalization that exceeds its step budget removes the entries it added.
+shares that word's tuple of words, and its tuple of coefficients too when
+the rule's coefficient is 1.  A normalization that exceeds its step
+budget removes the entries it added.
 """
 
 from __future__ import annotations
@@ -363,12 +365,12 @@ class _NormalForm:
     words ``(w,)`` and the shared coefficients :data:`_ONE_COEFS`.
     ``kids`` is None for a normal word, the one normal form itself when
     the rewrite produces one word (as most rules do), else a tuple.  A
-    one-kid record's ``words`` is its kid's ``words`` object, and only its
-    coefficients are its own.  ``cost`` is the number of distinct words
-    in the rewrite closure, or None until it is first needed.  The closure
-    of a one-kid word is the word plus its kid's closure (cached words
-    never rewrite back to themselves), so its cost follows from the kid's
-    when that is known.
+    one-kid record's ``words`` is its kid's ``words`` object, and so is its
+    ``coefs`` when the rewrite's coefficient is :data:`ONE`.  ``cost`` is
+    the number of distinct words in the rewrite closure, or None until it
+    is first needed.  The closure of a one-kid word is the word plus its
+    kid's closure (cached words never rewrite back to themselves), so its
+    cost follows from the kid's when that is known.
     """
 
     __slots__ = ("words", "coefs", "kids", "cost")
@@ -386,16 +388,18 @@ class _NormalForm:
 
     def closure_size(self) -> int:
         """Number of distinct normal forms reachable through ``kids``."""
-        seen = {id(self)}
+        seen = {self}
         todo = [self]
         while todo:
             kids = todo.pop().kids
-            if kids is None:
-                continue
-            for nf in (kids if isinstance(kids, tuple) else (kids,)):
-                if id(nf) not in seen:
-                    seen.add(id(nf))
-                    todo.append(nf)
+            while kids.__class__ is _NormalForm and kids not in seen:
+                seen.add(kids)
+                kids = kids.kids
+            if kids.__class__ is tuple:
+                for nf in kids:
+                    if nf not in seen:
+                        seen.add(nf)
+                        todo.append(nf)
         return len(seen)
 
 
@@ -449,7 +453,8 @@ class Presentation:
         for r in self.rules:
             self._by_first.setdefault(r.lhs[0], []).append(r)
             self._index.setdefault(r.lhs[:2], []).append(
-                (r.lhs, len(r.lhs), tuple(r.rhs.items()), r))
+                (r.lhs, len(r.lhs), tuple((v, ONE if c.is_one else c)
+                                          for v, c in r.rhs.items()), r))
         self._reach = max((len(r.lhs) for r in self.rules), default=2) - 1
         self._nf_cache: dict = {}
 
@@ -486,13 +491,14 @@ class Presentation:
         return None if m is None else (m[0], m[3])
 
     def _redex(self, word: Word, start: int):
-        """:meth:`find_redex` as (position, LHS length, RHS terms, rule)."""
+        """:meth:`find_redex` as (position, LHS length, RHS terms, rule);
+        a two-letter LHS matches on its index key alone."""
         index = self._index
         for i in range(start, len(word) - 1):
             entries = index.get(word[i:i + 2])
             if entries:
                 for L, n, rhs, r in entries:
-                    if word[i:i + n] == L:
+                    if n == 2 or word[i:i + n] == L:
                         return i, n, rhs, r
         return None
 
@@ -609,8 +615,8 @@ class Presentation:
                                              tuple(cache[v] for v, _ in kids))
                 else:
                     kid = cache[kids]
-                    cache[cur] = _NormalForm(kid.words, tuple([c * x for x in kid.coefs]),
-                                             kid)
+                    coefs = kid.coefs if c is ONE else tuple([c * x for x in kid.coefs])
+                    cache[cur] = _NormalForm(kid.words, coefs, kid)
                 path.pop()
                 on_path.discard(cur)
             if nxt is None:
@@ -650,8 +656,10 @@ def add_scaled(out: dict, terms, coef: Scalar) -> None:
     """``out += coef * terms`` on a word -> Scalar dict, keeping zero
     coefficients absent; ``terms`` yields (word, Scalar) pairs."""
     for w, c in terms:
+        if coef is not ONE:
+            c = coef * c
         s = out.get(w)
-        s = coef * c if s is None else s + coef * c
+        s = c if s is None else s + c
         if s.is_zero:
             out.pop(w, None)
         else:

@@ -329,6 +329,10 @@ class Scalar:
         o = other if other.__class__ is Scalar else Scalar._coerce(other)
         if o is None:
             return NotImplemented
+        if o is ONE:
+            return self
+        if self is ONE:
+            return o
         return _product(self._n, self._d, o._n, o._d)
 
     __rmul__ = __mul__
@@ -465,16 +469,21 @@ def _canonical(n, d):
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _product(an, ad, bn, bd):
-    """The scalar (an/ad) * (bn/bd); equal products share one object."""
-    return Scalar(_pmul(an, bn), _pmul(ad, bd))
+    """The scalar (an/ad) * (bn/bd); equal products share one object, and
+    a product equal to 1 is :data:`ONE`."""
+    out = Scalar(_pmul(an, bn), _pmul(ad, bd))
+    return ONE if out.is_one else out
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _sum(an, ad, bn, bd):
-    """The scalar an/ad + bn/bd; equal sums share one object."""
+    """The scalar an/ad + bn/bd; equal sums share one object, and a sum
+    equal to 1 is :data:`ONE`."""
     if ad == bd:
-        return Scalar(_padd(an, bn), ad)
-    return Scalar(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+        out = Scalar(_padd(an, bn), ad)
+    else:
+        out = Scalar(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
+    return ONE if out.is_one else out
 
 
 Q = Scalar.q_power(1)

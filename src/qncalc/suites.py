@@ -238,7 +238,8 @@ def suite_delta2(cfg: SuiteConfig) -> list:
         checks.append(_vanish(f"maurer-cartan[{p.name}]", "sec-3-IV",
                               maurer_cartan_residuals(p),
                               details="closure d(form) = +form.form"))
-    checks.append(_vanish(f"form-diff-roundtrip[{p.name}]", "eq-2.17",
+    checks.append(_vanish(f"form-diff-roundtrip[{p.name}]",
+                          "eq-2.17" if d.side == "left" else "eq-2.22",
                           form_diff_roundtrip_residuals(p)))
     return checks
 

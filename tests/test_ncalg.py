@@ -148,7 +148,8 @@ def _closure(p, word):
     return seen
 
 
-@pytest.mark.parametrize("pid", ("glq2", "glq2-left-diff", "qplane-right-b0-diff"))
+@pytest.mark.parametrize("pid", ("glq2", "glq2-left-diff", "qplane-right-b0-diff",
+                                 "slq2-left-diff"))
 def test_step_charge_is_closure_size_cold_or_warm(pid):
     shared = preset(pid) if pid in PRESET_IDS else diff_presentation(pid[:-5])
     rng = random.Random(11)
@@ -438,6 +439,9 @@ def test_cached_records_share_words_along_one_word_rewrites(pid):
             normal_coefs.add(id(nf.coefs))
         elif not isinstance(nf.kids, tuple):            # one kid
             assert nf.words is nf.kids.words
+            (_, c), = p.find_redex(word)[1].rhs.items()
+            if c == ONE:                                # a unit rewrite shares them too
+                assert nf.coefs is nf.kids.coefs
         assert Element(dict(zip(nf.words, nf.coefs))) == normalize(w(*word), shared)
     assert len(normal_coefs) == 1                       # one shared (ONE,)
 

@@ -359,6 +359,23 @@ def test_equal_sums_share_one_object():
         assert (a - b) is (a2 - b)
 
 
+def test_a_result_equal_to_one_is_the_shared_one():
+    # the rewriting kernel skips multiplications by ONE, found by identity
+    unit_copy = Scalar((1,))
+    assert unit_copy is not ONE and unit_copy == ONE and hash(unit_copy) == hash(ONE) == 1
+    for a, b in _random_pairs(seed=5, count=100):
+        a2 = Scalar(a.num, a.den)          # equal operands, other objects
+        assert a2 == a and hash(a2) == hash(a)
+        for x in (a, b, a2):
+            assert ONE * x is x and x * ONE is x
+        for s in (a * b, a + b, a * unit_copy):
+            assert (s is ONE) == (s == ONE)
+        units = [unit_copy * unit_copy, (unit_copy - a) + a2, (ONE - b) + b]
+        if not a.is_zero:
+            units += [a * Scalar(a2.den, a2.num), a2 / a]
+        assert all(s is ONE for s in units)
+
+
 # -- printing -----------------------------------------------------------------
 
 def test_str_laurent_form():

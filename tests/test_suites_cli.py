@@ -81,6 +81,14 @@ def test_verify_paper_matches_golden_report():
     assert rep["counts"] == {"pass": 185, "fail": 0, "mismatch": 6, "skipped": 0}
 
 
+def test_default_seed_gives_the_expected_verdicts():
+    # `qncalc verify-paper` runs at seed 2024; the golden report pins seed 7
+    expected = json.loads(ROOT.joinpath("bench", "expected_verdicts.json").read_text())
+    rep = run_all(seed=2024).to_json()
+    assert {s["name"]: {c["name"]: c["status"] for c in s["checks"]}
+            for s in rep["suites"]} == expected
+
+
 def test_exit_code_logic():
     rep = SuiteReport(preset="x")
     from qncalc.reports import Suite
