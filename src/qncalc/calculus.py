@@ -418,6 +418,11 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation) -> di
     Left structures decompose d(f) = sum_k (component_k) theta^k with the
     form rightmost; right structures as d(f) = sum_k omega^k (component_k).
     """
+    return _components(f, d, p, standard_form_basis(p)["primitive"])
+
+
+def _components(f, d, p, table) -> dict:
+    """:func:`vector_field_components` given the ``primitive`` table."""
     df = apply_delta(f, d, p)
     prim: dict = {}
     for word, coef in df.items():
@@ -428,7 +433,6 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation) -> di
             raise DecompositionError(f"form away from boundary in {word}")
         rest = word[:-1] if slot else word[1:]
         prim[form] = prim.get(form, Element.zero()) + Element.term(coef, rest)
-    table = standard_form_basis(p)["primitive"]
     out: dict = {}
     for form, comp in prim.items():
         for k, coef in table[form].items():
@@ -443,16 +447,16 @@ _HATTED = {side: {"Vh1": ((ONE, "V1"), (-shrink, "V4")), "Vh4": ((ONE, "V1"), (O
 
 
 def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
-              memo: dict) -> Element:
+              memo: dict, table: dict) -> Element:
     """The field ``op`` on x: a standard field ``"V1"``..``"V4"`` or a
     hatted combination.  ``memo`` maps (word, op) to the terms of that
     field on that word; the first op asked of a word fills every op of
-    that word from one decomposition of d(word)."""
+    that word from one decomposition of d(word) by :func:`_components`."""
     out: dict = {}
     for word, coef in x.items():
         terms = memo.get((word, op))
         if terms is None:
-            comps = vector_field_components(Element({word: ONE}, _trusted=True), d, p)
+            comps = _components(Element({word: ONE}, _trusted=True), d, p, table)
             for k in (1, 2, 3, 4):
                 memo[word, f"V{k}"] = tuple(comps.get(k, Element.zero()).items())
             for h, combo in _HATTED[d.side].items():
@@ -466,10 +470,10 @@ def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
 
 
 def _apply_ops(x: Element, ops, d: DiffStructure, p: Presentation,
-               memo: dict) -> Element:
+               memo: dict, table: dict) -> Element:
     seq = ops if d.side == "left" else tuple(reversed(ops))
     for op in seq:
-        x = _apply_op(x, op, d, p, memo)
+        x = _apply_op(x, op, d, p, memo, table)
         if x.is_zero:
             break
     return x
@@ -482,11 +486,12 @@ def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
     <= max_degree under the frozen composition convention.
 
     The terms of each field on each word are memoized for this call
-    only (see :func:`_apply_op`).
+    only (see :func:`_apply_op`), and the basis table is built once.
     """
     pid = p.name
     corpus = list(normal_words(p, max_degree, alphabet=p.even_names()))
     memo: dict = {}
+    table = standard_form_basis(p)["primitive"]
     checks = []
     for tag, lhs, rhs in relations:
         rel = (lhs - rhs).items()
@@ -495,7 +500,7 @@ def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
             f = Element({word: ONE}, _trusted=True)
             acc: dict = {}
             for ops, coef in rel:
-                add_scaled(acc, _apply_ops(f, ops, d, p, memo).items(), coef)
+                add_scaled(acc, _apply_ops(f, ops, d, p, memo, table).items(), coef)
             if acc:
                 bad = (word, Element(acc, _trusted=True))
                 break

@@ -11,8 +11,9 @@ unique normal form regardless of strategy, which
 :func:`random_strategy_normalize` exercises independently.
 
 Presentations, rules, and elements are immutable after construction.  A
-presentation indexes its rules once, by the first two letters of the LHS,
-with each right-hand side as a tuple of (word, Scalar) pairs in which a
+presentation indexes its rules once, as first letter -> second letter ->
+the rules whose LHS starts with those two letters, in rule order, with
+each right-hand side as a tuple of (word, Scalar) pairs in which a
 coefficient equal to 1 is the shared :data:`~qncalc.qfield.ONE`.  Its
 normal-form cache, an internal memo, maps a word to a record of two
 parallel tuples, the words of its normal form and their coefficients,
@@ -404,6 +405,7 @@ class _NormalForm:
 
 
 _ONE_COEFS = (ONE,)     # the coefficients of every normal word's record
+_NO_RULES: dict = {}    # the index of a letter no LHS starts with; never filled
 
 
 class _Steps:
@@ -449,12 +451,14 @@ class Presentation:
         self.parity = {g.name: g.parity for g in self.generators}
         self.precedence = {g.name: g.precedence for g in self.generators}
         self._by_first = {}     # for all_redexes, the witness's own index
-        self._index = {}        # LHS pair -> [(lhs, len, rhs terms, rule)]
-        for r in self.rules:
-            self._by_first.setdefault(r.lhs[0], []).append(r)
-            self._index.setdefault(r.lhs[:2], []).append(
-                (r.lhs, len(r.lhs), tuple((v, ONE if c.is_one else c)
-                                          for v, c in r.rhs.items()), r))
+        self._index = {}        # letter -> letter -> [(lhs, len, rhs terms, rule)]
+        for r in self.rules:    # a rule is indexed only where it has the letters
+            if r.lhs:
+                self._by_first.setdefault(r.lhs[0], []).append(r)
+            if len(r.lhs) >= 2:
+                self._index.setdefault(r.lhs[0], {}).setdefault(r.lhs[1], []).append(
+                    (r.lhs, len(r.lhs), tuple((v, ONE if c.is_one else c)
+                                              for v, c in r.rhs.items()), r))
         self._reach = max((len(r.lhs) for r in self.rules), default=2) - 1
         self._nf_cache: dict = {}
 
@@ -492,10 +496,10 @@ class Presentation:
 
     def _redex(self, word: Word, start: int):
         """:meth:`find_redex` as (position, LHS length, RHS terms, rule);
-        a two-letter LHS matches on its index key alone."""
+        a two-letter LHS matches on its two index letters alone."""
         index = self._index
         for i in range(start, len(word) - 1):
-            entries = index.get(word[i:i + 2])
+            entries = index.get(word[i], _NO_RULES).get(word[i + 1])
             if entries:
                 for L, n, rhs, r in entries:
                     if n == 2 or word[i:i + n] == L:
@@ -587,7 +591,7 @@ class Presentation:
                     nxt = None
                     continue
                 i, n, rhs, _ = m
-                start = max(0, i - reach)           # where its children resume
+                start = i - reach if i > reach else 0   # where its children resume
                 on_path.add(nxt)
                 if len(rhs) == 1:
                     v, c = rhs[0]
@@ -641,9 +645,10 @@ def normalize(x: Element, p: Presentation, budget: int = DEFAULT_STEP_BUDGET) ->
     cache = p._nf_cache
     size = len(cache)
     out: dict = {}
+    word_nf = p.word_normal_form
     try:
         for w, c in x.items():
-            nf = p.word_normal_form(w, steps)
+            nf = word_nf(w, steps)
             add_scaled(out, zip(nf.words, nf.coefs), c)
     except StepBudgetExceededError:
         while len(cache) > size:
@@ -758,28 +763,42 @@ def validate_presentation(p: Presentation) -> ValidationReport:
 
 def check_local_confluence(p: Presentation,
                            budget: int = DEFAULT_STEP_BUDGET) -> ConfluenceReport:
-    """Reduce both branches of every overlap/inclusion critical pair."""
+    """Reduce both branches of every overlap/inclusion critical pair.
+
+    A rule r1 with LHS u is paired, in rule order, only with the rules
+    whose LHS is empty or starts with a letter of u: an overlap or an
+    inclusion puts the first letter of a nonempty LHS on a letter of u.
+    So no pair is missed, and they come in the order of the all-pairs loop.
+    """
+    starts: dict = {}       # LHS[:1] -> [(index, rule)], in rule order
+    for j, r in enumerate(p.rules):
+        starts.setdefault(r.lhs[:1], []).append((j, r))
     pairs = []
     for r1 in p.rules:
         u = r1.lhs
-        for r2 in p.rules:
+        heads = {u[i:i + 1] for i in range(len(u) + 1)}     # u's letters and ()
+        for _, r2 in sorted(jr for h in heads for jr in starts.get(h, ())):
             v = r2.lhs
             # proper overlaps: a suffix of u equals a prefix of v
             for k in range(1, min(len(u), len(v))):
                 if u[-k:] == v[:k]:
                     word = u + v[k:]
-                    b1 = normalize(r1.rhs * Element.word(*v[k:]), p, budget)
-                    b2 = normalize(Element.word(*u[:-k]) * r2.rhs, p, budget)
+                    b1 = normalize(_wrap((), r1.rhs, v[k:]), p, budget)
+                    b2 = normalize(_wrap(u[:-k], r2.rhs, ()), p, budget)
                     pairs.append(CriticalPair(_tag(r1), _tag(r2), word, b1, b2))
             # inclusions: v strictly inside u
             if r1 is not r2 and len(v) < len(u):
                 for i in range(len(u) - len(v) + 1):
                     if u[i:i + len(v)] == v:
                         b1 = normalize(r1.rhs, p, budget)
-                        mid = Element.word(*u[:i]) * r2.rhs * Element.word(*u[i + len(v):])
-                        b2 = normalize(mid, p, budget)
+                        b2 = normalize(_wrap(u[:i], r2.rhs, u[i + len(v):]), p, budget)
                         pairs.append(CriticalPair(_tag(r1), _tag(r2), u, b1, b2))
     return ConfluenceReport(p.name, pairs)
+
+
+def _wrap(head: Word, x: Element, tail: Word) -> Element:
+    """head.x.tail for words head and tail."""
+    return Element({head + w + tail: c for w, c in x.items()}, _trusted=True)
 
 
 def _tag(rule: RewriteRule) -> str:

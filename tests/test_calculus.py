@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from qncalc import calculus
 from qncalc.calculus import (
     CALCULUS_PRESETS,
     VECTOR_FIELDS,
@@ -379,6 +380,15 @@ def test_vector_algebra(pid):
     assert len(checks) == len(relations) > 0
     for c in checks:
         assert c.status == "pass", (c.name, c.residual, c.details)
+
+
+def test_vector_algebra_builds_the_basis_table_once(monkeypatch):
+    calls = []
+    build = calculus.standard_form_basis
+    monkeypatch.setattr(calculus, "standard_form_basis", lambda p: calls.append(p) or build(p))
+    p = preset("glq2-left")
+    check_vector_algebra(printed("vector-glq2-left", VECTOR_FIELDS), p.calculus, p, 2)
+    assert calls == [p]
 
 
 @pytest.mark.parametrize("pid, tag, monomial", [

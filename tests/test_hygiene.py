@@ -76,3 +76,20 @@ def test_kernel_layers_do_not_import_reports(name):
         elif isinstance(node, ast.ImportFrom):
             imported += [f"{node.module}.{alias.name}" for alias in node.names]
     assert [m for m in imported if "reports" in m.split(".")] == []
+
+
+def test_the_witness_shares_no_code_with_the_cached_normalizer():
+    # random_strategy_normalize, and the redex scan it calls, stand as an
+    # independent witness only while they reach none of the cached
+    # leftmost normalizer's code or state
+    tree = ast.parse((SRC / "ncalg.py").read_text(encoding="utf-8"))
+    cached = {"_redex", "find_redex", "_index", "_fill", "word_normal_form", "_nf_cache",
+              "normalize", "add_scaled"}
+    named = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.FunctionDef)
+                and node.name in ("random_strategy_normalize", "all_redexes")):
+            named[node.name] = cached & (
+                {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+    assert named == {"random_strategy_normalize": set(), "all_redexes": set()}

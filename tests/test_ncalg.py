@@ -7,10 +7,12 @@ implementation that shares no code with the cached normalizer.
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from qncalc.calculus import CALCULUS_PRESETS, diff_presentation
+from qncalc.dsl import parse_presentation
 from qncalc.ncalg import (
     Element,
     Generator,
@@ -501,6 +503,18 @@ def test_validate_reports_parity_violation():
     assert any(i.kind == "parity" for i in rep.issues)
 
 
+@pytest.mark.parametrize("lhs", [(), ("x",)])
+def test_short_lhs_builds_is_reported_and_never_matches(lhs):
+    gens = [Generator("x", 0, 0), Generator("y", 0, 1)]
+    rules = [RewriteRule(lhs, w("y"), "short"), RewriteRule(("y", "x"), w("x.y"), "swap")]
+    p = Presentation("short-lhs", gens, TerminationOrder("deglex"), rules)
+    assert [(i.rule, i.kind) for i in validate_presentation(p).issues] == [("short", "shape")]
+    for word in [("x",), ("y",), ("x", "x"), ("y", "x", "x"), ("x", "y", "x")]:
+        m = p.find_redex(word)
+        assert m is None or m[1].provenance == "swap", word
+    assert normalize(w("y.x.x"), p) == w("x.x.y")
+
+
 def test_validate_reports_unknown_generator():
     gens = [Generator("x", 0, 0)]
     rule = RewriteRule(("x", "z"), Element.word("x"), "bad")
@@ -521,6 +535,69 @@ def test_critical_pair_dad_oracle():
     for pair in dad:
         assert pair.resolved
         assert pair.branch1 == expected
+
+
+def _all_pairs_reference(p):
+    """Critical pairs as (rule1, rule2, word, branch1, branch2), from the
+    loop over all ordered pairs of rules with the branches built as
+    products of elements."""
+    tag = lambda r: r.provenance or ".".join(r.lhs)
+    pairs = []
+    for r1 in p.rules:
+        u = r1.lhs
+        for r2 in p.rules:
+            v = r2.lhs
+            for k in range(1, min(len(u), len(v))):
+                if u[-k:] == v[:k]:
+                    b1 = normalize(r1.rhs * Element.word(*v[k:]), p)
+                    b2 = normalize(Element.word(*u[:-k]) * r2.rhs, p)
+                    pairs.append((tag(r1), tag(r2), u + v[k:], b1, b2))
+            if r1 is not r2 and len(v) < len(u):
+                for i in range(len(u) - len(v) + 1):
+                    if u[i:i + len(v)] == v:
+                        mid = Element.word(*u[:i]) * r2.rhs * Element.word(*u[i + len(v):])
+                        pairs.append((tag(r1), tag(r2), u, normalize(r1.rhs, p),
+                                      normalize(mid, p)))
+    return pairs
+
+
+def _short_lhs_presentation(short):
+    # the short LHS lies inside every other LHS; an empty one has no first letter
+    gens = [Generator(n, 0, i) for i, n in enumerate("xyz")]
+    rules = [RewriteRule(("z", "x", "y"), w("x"), "long"),
+             RewriteRule(short, w("z"), "short"),
+             RewriteRule(("x", "y"), w("y.x"), "xy"),
+             RewriteRule(("y", "x", "z"), w("x.z.y"), "yxz")]
+    return Presentation("short-lhs", gens, TerminationOrder("deglex"), rules)
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+CONFLUENCE_SYSTEMS = KERNEL_PIDS + ("wz-plane.preset", "q-line.preset", "one-letter-lhs",
+                                    "empty-lhs")
+
+
+@pytest.mark.parametrize("name", CONFLUENCE_SYSTEMS)
+def test_critical_pairs_match_the_all_pairs_reference(name):
+    # the first-letter index visits only rules that can overlap or lie
+    # inside r1, so it gives the all-pairs list, in its order
+    if name.endswith(".preset"):
+        p = parse_presentation((EXAMPLES / name).read_text())
+    elif name.endswith("-lhs"):
+        p = _short_lhs_presentation(("x",) if name == "one-letter-lhs" else ())
+    else:
+        p = _kernel_presentation(name)
+    want = _all_pairs_reference(p)
+    got = [tuple(pair) for pair in check_local_confluence(p).pairs]
+    assert got == want
+    # the hand-made systems reach what no built-in one does: an overlap of
+    # two letters, and a LHS inside a longer one
+    if name == "shared-prefix":
+        assert {("other", "long", tuple("zxyz")), ("long", "short", tuple("xyz")),
+                ("other", "short", tuple("zxy"))} <= {pair[:3] for pair in want}
+    elif name.endswith("-lhs"):
+        # "x" lies once in each other LHS; () at each of their 4 + 3 + 4 gaps
+        inside = [pair for pair in want if pair[1] == "short"]
+        assert len(inside) == (3 if name == "one-letter-lhs" else 11)
 
 
 def test_broken_preset_has_unresolved_pair():
