@@ -335,8 +335,7 @@ def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
                             form_position=side)
 
     def convert(form_mode: Element) -> Element:
-        out = Element.zero()
-        for word, coef in form_mode.items():
+        for word in form_mode.words():
             odd_pos = [i for i, g in enumerate(word) if p.parity[g] == 1]
             if len(odd_pos) != 1:
                 raise ValueError(f"expected exactly one form in {word}")
@@ -345,13 +344,9 @@ def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
                 raise ValueError(f"form not rightmost in {word}")
             if d.side == "right" and i != 0:
                 raise ValueError(f"form not leftmost in {word}")
-            rest = Element.word(*(word[:i] + word[i + 1:]))
-            image = d.forms.get(word[i])
-            if image is None:
+            if word[i] not in d.forms:
                 raise ValueError(f"form {word[i]} has no form line")
-            piece = rest * image if d.side == "left" else image * rest
-            out = out + piece.scale(coef)
-        return out
+        return form_mode.substitute(d.forms)
 
     rules = list(even_rules)
     for x in d.coords:
@@ -424,7 +419,7 @@ def vector_field_components(f: Element, d: DiffStructure, p: Presentation) -> di
 def _components(f, d, p, table) -> dict:
     """:func:`vector_field_components` given the ``primitive`` table."""
     df = apply_delta(f, d, p)
-    prim: dict = {}
+    prim: dict = {}         # form -> the word -> Scalar dict of its component
     for word, coef in df.items():
         slot = -1 if d.side == "left" else 0
         form = word[slot]
@@ -432,12 +427,12 @@ def _components(f, d, p, table) -> dict:
                 p.parity[g] == 1 for g in (word[:-1] if slot else word[1:])):
             raise DecompositionError(f"form away from boundary in {word}")
         rest = word[:-1] if slot else word[1:]
-        prim[form] = prim.get(form, Element.zero()) + Element.term(coef, rest)
+        add_scaled(prim.setdefault(form, {}), ((rest, coef),), ONE)
     out: dict = {}
     for form, comp in prim.items():
         for k, coef in table[form].items():
-            out[k] = out.get(k, Element.zero()) + comp.scale(coef)
-    return {k: v for k, v in out.items() if not v.is_zero}
+            add_scaled(out.setdefault(k, {}), comp.items(), coef)
+    return {k: Element(v, _trusted=True) for k, v in out.items() if v}
 
 
 # the fields a ``vector-<id>`` block names; the hatted ones combine the others

@@ -48,6 +48,7 @@ from .ncalg import (
     Presentation,
     RewriteRule,
     TerminationOrder,
+    add_scaled,
     validate_presentation,
 )
 from .presentations import PRESET_IDS, preset
@@ -106,22 +107,6 @@ def _element(x) -> Element:
     if isinstance(x, Scalar):
         return Element.term(x, ())
     return Element.term(ONE, x) if x.__class__ is tuple else x
-
-
-def _accumulate(terms: dict, x, op) -> dict:
-    """Add ``x``, a parsed value, into ``terms`` (subtract it if ``op`` is
-    ``-``), dropping zero coefficients as :meth:`Element.__add__` does."""
-    for w, c in _element(x).items():
-        if op == "-":
-            c = -c
-        s = terms.get(w)
-        if s is None:
-            terms[w] = c
-        elif s := s + c:
-            terms[w] = s
-        else:
-            del terms[w]
-    return terms
 
 
 # A dotted word is one token, with any whitespace around its dots; a lone
@@ -186,12 +171,12 @@ class _ExprParser:
         while op == "+" or op == "-":
             self.i += 1
             rhs = self.term()
-            if terms is not None:
-                _accumulate(terms, rhs, op)
-            elif isinstance(out, Scalar) and isinstance(rhs, Scalar):
+            if terms is None and isinstance(out, Scalar) and isinstance(rhs, Scalar):
                 out = out + rhs if op == "+" else out - rhs
             else:
-                terms = _accumulate(_accumulate({}, out, "+"), rhs, op)
+                if terms is None:
+                    terms = dict(_element(out).items())
+                add_scaled(terms, (_element(rhs) if op == "+" else -_element(rhs)).items(), ONE)
             op = toks[self.i]
         return out if terms is None else Element(terms, _trusted=True)
 

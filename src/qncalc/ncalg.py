@@ -10,6 +10,12 @@ locally confluent presentation (checked, never assumed) the result is the
 unique normal form regardless of strategy, which
 :func:`random_strategy_normalize` exercises independently.
 
+:func:`add_scaled` is the one routine that adds scaled terms into a word
+-> coefficient dict: every sum, difference, product and substitution of
+elements, and the DSL's and the calculus's sums, merge through it, in the
+order the terms come.  Only the witness keeps its own merge loop, so that
+it shares no code with the cached normalizer it checks.
+
 Presentations, rules, and elements are immutable after construction.  A
 presentation indexes its rules once, as first letter -> second letter ->
 the rules whose LHS starts with those two letters, in rule order, with
@@ -84,14 +90,10 @@ class Element:
             # just built and hands over: it is kept, not copied
             object.__setattr__(self, "_terms", terms)
         else:
-            clean = {}
-            for w, c in terms.items():
-                if not isinstance(c, Scalar):
-                    c = Scalar.from_int(c)
-                if not c.is_zero:
-                    clean[tuple(w)] = clean.get(tuple(w), ZERO) + c
-            object.__setattr__(self, "_terms",
-                               {w: c for w, c in clean.items() if not c.is_zero})
+            clean: dict = {}
+            add_scaled(clean, ((tuple(w), c if isinstance(c, Scalar) else Scalar.from_int(c))
+                               for w, c in terms.items()), ONE)
+            object.__setattr__(self, "_terms", clean)
 
     # -- constructors -------------------------------------------------------
 
@@ -141,19 +143,15 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero:
-                out.pop(w, None)
-            else:
-                out[w] = s
+        add_scaled(out, other._terms.items(), ONE)
         return Element(out, _trusted=True)
 
     def __sub__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self + (-other)
+        out = dict(self._terms)
+        add_scaled(out, ((w, -c) for w, c in other._terms.items()), ONE)
+        return Element(out, _trusted=True)
 
     def __neg__(self):
         return Element({w: -c for w, c in self._terms.items()}, _trusted=True)
@@ -161,16 +159,9 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             out = {}
+            terms = other._terms.items()
             for w1, c1 in self._terms.items():
-                for w2, c2 in other._terms.items():
-                    w = w1 + w2
-                    c = c1 * c2
-                    s = out.get(w)
-                    s = c if s is None else s + c
-                    if s.is_zero:
-                        out.pop(w, None)
-                    else:
-                        out[w] = s
+                add_scaled(out, ((w1 + w2, c2) for w2, c2 in terms), c1)
             return Element(out, _trusted=True)
         if isinstance(other, (Scalar, int)):
             return self.scale(other)
@@ -198,7 +189,7 @@ class Element:
 
     def substitute(self, images: Mapping[str, "Element"], scalar_fn=None) -> "Element":
         """Replace generators by elements (homomorphically on words)."""
-        out = Element.zero()
+        out: dict = {}
         for w, c in self._terms.items():
             if scalar_fn is not None:
                 c = scalar_fn(c)
@@ -207,11 +198,14 @@ class Element:
             acc = Element.term(c, ())
             for g in w:
                 img = images.get(g)
-                acc = acc * (img if img is not None else Element.word(g))
+                if img is None:     # g stays: appended to every word, no product
+                    acc = Element({v + (g,): x for v, x in acc.items()}, _trusted=True)
+                    continue
+                acc = acc * img
                 if acc.is_zero:
                     break
-            out = out + acc
-        return out
+            add_scaled(out, acc.items(), ONE)
+        return Element(out, _trusted=True)
 
     def as_scalar(self) -> Scalar:
         if not self._terms:
@@ -292,21 +286,12 @@ class TerminationOrder(NamedTuple):
             return base
         if self.kind != "migration":
             raise ValueError(f"unknown order kind {self.kind!r}")
-        crossings = 0
-        if self.form_side == "right":
-            evens_after = 0
-            for g in reversed(word):
-                if parity[g]:
-                    crossings += evens_after
-                else:
-                    evens_after += 1
-        else:
-            evens_before = 0
-            for g in word:
-                if parity[g]:
-                    crossings += evens_before
-                else:
-                    evens_before += 1
+        crossings = evens = 0   # evens passed, walking in from the form side
+        for g in reversed(word) if self.form_side == "right" else word:
+            if parity[g]:
+                crossings += evens
+            else:
+                evens += 1
         return (crossings,) + base
 
     def greater(self, w1: Word, w2: Word, parity, prec) -> bool:
@@ -507,6 +492,8 @@ class Presentation:
         return None
 
     def all_redexes(self, word: Word):
+        """Every (position, index, rule) match in ``word``; as in
+        :meth:`find_redex`, a LHS shorter than 2 never matches."""
         by_first = self._by_first
         n = len(word)
         out = []
@@ -516,7 +503,7 @@ class Presentation:
                 continue
             for j, r in enumerate(rules):
                 L = r.lhs
-                if n - i >= len(L) and word[i:i + len(L)] == L:
+                if n - i >= len(L) > 1 and word[i:i + len(L)] == L:
                     out.append((i, j, r))
         return out
 

@@ -1,7 +1,8 @@
 """Module hygiene, checked on the source with ``ast`` (no linter is
 assumed): every ``__all__`` name exists, no module but the package's
 ``__init__`` imports a name it never uses, every function and class is
-used somewhere, and the kernel layers import nothing from ``reports``."""
+used somewhere, the kernel layers import nothing from ``reports``, and one
+loop merges scaled terms into word -> coefficient dicts."""
 
 import ast
 import importlib
@@ -93,3 +94,23 @@ def test_the_witness_shares_no_code_with_the_cached_normalizer():
                 {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
                 | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
     assert named == {"random_strategy_normalize": set(), "all_redexes": set()}
+
+
+def test_one_merge_loop_drops_zero_coefficients():
+    # add_scaled is the one accumulator of word -> coefficient dicts; the
+    # witness keeps its own loop.  A function that both tests a sum's
+    # is_zero and removes a dict entry is a new copy of that loop.
+    merges = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(fn))
+            tests_zero = any(isinstance(n, ast.Attribute) and n.attr == "is_zero"
+                             for n in nodes)
+            removes = any(isinstance(n, ast.Delete) or (
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "pop") for n in nodes)
+            if tests_zero and removes:
+                merges.append(f"{path.stem}.{fn.name}")
+    assert merges == ["ncalg.add_scaled", "ncalg.random_strategy_normalize"]
