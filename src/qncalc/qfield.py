@@ -23,6 +23,15 @@ trailing zeros; ``()`` is the zero polynomial.  All arithmetic is exact
 and integer-only; no floating point or rational number appears (except in
 the evaluations :meth:`Scalar.eval_q1` and :meth:`Scalar.evaluate`).
 
+Products and sums cancel before they combine (Henrici 1956, "A subroutine
+for computations with rational numbers"; Knuth, TAOCP vol. 2, 4.5.1).  A
+product reduces its two cross pairs, numerator against the other
+operand's denominator, and a sum with unequal denominators reduces the
+pair of denominators.  So the gcds run on the operands, which are small,
+and not on the result; :func:`_product` and :func:`_sum` prove that what
+they assemble is canonical and build it without :class:`Scalar`'s
+constructor.
+
 Canonicalization, addition and multiplication are memoized in bounded
 ``functools.lru_cache`` tables, which are thread-safe.  A memo only saves
 work: results do not depend on what it holds, and equal sums and
@@ -435,9 +444,11 @@ class Scalar:
         return f"Scalar({self})"
 
 
-# Bound of each memo.  At seed 7 the product memo ends the benchmark's work
-# with 2,661 entries on verify-paper, 1,547 on diff-confluence and 7,685 on
-# normalize-session.
+# Bound of each memo.  After the set-up and work of a benchmark worker at
+# seed 7, the product memo holds 2,336 entries on verify-paper, 1,388 on
+# diff-confluence and 6,787 on normalize-session, and the _canonical memo,
+# which also holds the cross pairs of products and sums, 703, 1,030 and
+# 3,673.
 _MEMO_SIZE = 1 << 15
 
 
@@ -467,23 +478,67 @@ def _canonical(n, d):
     return n, d
 
 
+def _scalar(n, d):
+    """The scalar n/d of a pair already in canonical form, built without
+    :class:`Scalar`'s canonicalization; 1 is :data:`ONE`."""
+    if n == (1,) and d == (1,):
+        return ONE
+    out = object.__new__(Scalar)
+    out._n = n
+    out._d = d
+    return out
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def _product(an, ad, bn, bd):
     """The scalar (an/ad) * (bn/bd); equal products share one object, and
-    a product equal to 1 is :data:`ONE`."""
-    out = Scalar(_pmul(an, bn), _pmul(ad, bd))
-    return ONE if out.is_one else out
+    a product equal to 1 is :data:`ONE`.
+
+    The cross pairs are cancelled first, and the product needs no gcd
+    (Henrici 1956; Knuth, TAOCP vol. 2, 4.5.1).  With n1/d2 = an/bd and
+    n2/d1 = bn/ad in canonical form, n1 n2 / d1 d2 is canonical:
+    gcd(n1, d2) = gcd(n2, d1) = 1 by construction, and n1 | an, d1 | ad
+    with gcd(an, ad) = 1, so gcd(n1, d1) = 1, and likewise gcd(n2, d2) = 1.
+    (Every gcd here is taken in Z[q], so it covers the integer contents.)
+    Both cross denominators have a positive leading coefficient, and so
+    has their product.
+    """
+    if not an or not bn:
+        return ZERO
+    n1, d2 = _canonical(an, bd)
+    n2, d1 = _canonical(bn, ad)
+    return _scalar(_pmul(n1, n2), _pmul(d1, d2))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _sum(an, ad, bn, bd):
     """The scalar an/ad + bn/bd; equal sums share one object, and a sum
-    equal to 1 is :data:`ONE`."""
+    equal to 1 is :data:`ONE`.
+
+    Unequal denominators are cancelled first (Henrici 1956; Knuth, TAOCP
+    vol. 2, 4.5.1): with g = gcd(ad, bd), b1 = ad/g and d1 = bd/g, the sum
+    is n / ad d1 with n = an d1 + bn b1.  A prime p dividing d1 or b1 does
+    not divide n, because it divides exactly one of the two terms: bn and
+    b1 are prime to d1, and an and d1 are prime to b1.  So n shares with
+    ad d1 = b1 g d1 only what it shares with g, which is what it shares
+    with ad, or with bd.  When g = 1, which covers every sum with an
+    integer operand, n / ad bd is canonical with no gcd at all; otherwise
+    the shorter of ad and bd is cancelled against n.  Each factor of the
+    assembled denominator has a positive leading coefficient.
+    """
     if ad == bd:
         out = Scalar(_padd(an, bn), ad)
-    else:
-        out = Scalar(_padd(_pmul(an, bd), _pmul(bn, ad)), _pmul(ad, bd))
-    return ONE if out.is_one else out
+        return ONE if out.is_one else out
+    b1, d1 = _canonical(ad, bd)
+    n = _padd(_pmul(an, d1), _pmul(bn, b1))
+    if b1 == ad:
+        return _scalar(n, _pmul(ad, bd))
+    # n is not 0: canonical operands that sum to 0 have equal denominators
+    if len(ad) <= len(bd):
+        n, a = _canonical(n, ad)
+        return _scalar(n, _pmul(a, d1))
+    n, b = _canonical(n, bd)
+    return _scalar(n, _pmul(b1, b))
 
 
 Q = Scalar.q_power(1)

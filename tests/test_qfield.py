@@ -280,6 +280,29 @@ def test_canonical_form_matches_sympy_cancel(a, b, g, ca, cb, shape, k, m):
     assert (s.num, s.den) == _sympy_cancel(n, d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(_polys(4, 9), _polys(4, 9), _polys(4, 9), _polys(4, 9), _polys(2, 9),
+       _polys(2, 9), st.integers(0, 2))
+def test_planted_factors_cancel_as_in_sympy(p, r, s, t, g, h, k):
+    # a = p g / r h and b = s / g t h: g crosses between the operands and
+    # h is shared by the denominators; c = (h s - p g t) / r h t makes
+    # a + c = s / r t, so that sum cancels h and more, in either order
+    p, g = (0,) * k + _convolve(p, (1,)), _convolve(g, (1,))
+    r, s, t, h = (_convolve(x, (1,)) for x in (r, s, t, h))
+    an, ad = _convolve(p, g), _convolve(r, h)
+    bn, bd = s, _convolve(_convolve(g, t), h)
+    cn = _padd(_convolve(h, s), _pneg(_convolve(an, t)))
+    cd = _convolve(ad, t)
+    a, b, c = Scalar(an, ad), Scalar(bn, bd), Scalar(cn, cd)
+    cases = [(a * b, _convolve(an, bn), _convolve(ad, bd)),
+             (a / b, _convolve(an, bd), _convolve(ad, bn)),
+             (a + b, _padd(_convolve(an, bd), _convolve(bn, ad)), _convolve(ad, bd)),
+             (a + c, _padd(_convolve(an, cd), _convolve(cn, ad)), _convolve(ad, cd)),
+             (c + a, _padd(_convolve(cn, ad), _convolve(an, cd)), _convolve(cd, ad))]
+    for x, n, d in cases:
+        assert (x.num, x.den) == _sympy_cancel(n, d)
+
+
 @pytest.mark.parametrize("a, b", [((4, 3, 4, -1), (9, -4, -7, 2)),
                                   ((3, -6, -5), (-4, 1, 6))])
 def test_first_point_without_certificate_is_squared(a, b):
@@ -309,8 +332,8 @@ def _reference_sum(a, b):
 
 
 def _random_pairs(seed, count):
-    """Operand pairs over shared, monomial and non-monomial denominators,
-    with cancelling sums among them."""
+    """Operand pairs over equal, monomial, non-monomial and shared-factor
+    denominators, with cancelling sums among them."""
     rng = random.Random(seed)
 
     def poly(deg):
@@ -322,10 +345,16 @@ def _random_pairs(seed, count):
         return Scalar(poly(rng.randint(0, 3)), den)
 
     for _ in range(count):
-        kind = rng.randrange(5)
+        kind = rng.randrange(6)
         a = scalar(poly(rng.randint(0, 3)))
         if kind == 0:                      # shared denominator
             b = scalar(a.den)
+        elif kind == 5:                    # shared factor: g b1 and g d1
+            g = poly(rng.randint(1, 2))
+            a = scalar(_pmul(g, poly(rng.randint(0, 2))))
+            b = scalar(_pmul(g, poly(rng.randint(0, 2))))
+            if rng.random() < 0.5:         # a + b cancels part of a denominator
+                a, b = rng.sample((a, b - a), 2)
         elif kind == 1:                    # monomial denominators c q^k
             a = scalar((0,) * rng.randint(0, 3) + (rng.randint(1, 4),))
             b = scalar((0,) * rng.randint(0, 3) + (rng.randint(1, 4),))
@@ -349,6 +378,56 @@ def test_sum_matches_unmemoized_cross_multiplication():
             except DivisionByZeroError:
                 continue  # a random denominator vanishes at this sample point
             assert s.evaluate(pt) == want
+
+
+def _reference_product(an, ad, bn, bd):
+    """(num, den) of (an/ad) * (bn/bd) by whole multiplication, with no memo."""
+    return _canonical.__wrapped__(_pmul(an, bn), _pmul(ad, bd))
+
+
+def test_product_matches_unmemoized_multiplication():
+    # b's inverse in a / b has b's numerator as its denominator, whose
+    # leading coefficient may be negative
+    points = SAMPLE_POINTS[:3]
+    for a, b in _random_pairs(seed=6, count=400):
+        for x, y in ((a, b), (b, a), (a, a), (a, ZERO), (ZERO, b), (a, ONE), (ONE, b)):
+            p = x * y
+            assert (p.num, p.den) == _reference_product(x.num, x.den, y.num, y.den)
+            if y.is_zero:
+                continue
+            r = x / y
+            assert (r.num, r.den) == _reference_product(x.num, x.den, y.den, y.num)
+            for pt in points:
+                try:
+                    vx, vy = x.evaluate(pt), y.evaluate(pt)
+                except DivisionByZeroError:
+                    continue  # a random denominator vanishes at this sample point
+                assert p.evaluate(pt) == vx * vy
+                if vy:
+                    assert r.evaluate(pt) == vx / vy
+
+
+def test_every_cached_coefficient_is_canonical():
+    # memoized products and sums build their results without
+    # Scalar.__init__, so nothing else recanonicalizes what the caches keep
+    from qncalc.calculus import CALCULUS_PRESETS, diff_presentation
+    from qncalc.ncalg import Presentation, check_local_confluence
+    from qncalc.presentations import PRESET_IDS, preset
+    from qncalc.suites import run_all
+
+    run_all(seed=7, max_degree=2)
+    systems = [preset(pid) for pid in PRESET_IDS]
+    for pid in CALCULUS_PRESETS:
+        # run_all leaves the -diff caches empty; fill fresh copies
+        d = diff_presentation(pid)
+        systems.append(Presentation(d.name, d.generators, d.order, d.rules,
+                                    d.form_position, d.tags))
+        check_local_confluence(systems[-1])
+    for p in systems:
+        coefs = [c for nf in p._nf_cache.values() for c in nf.coefs]
+        assert coefs, p.name
+        for c in coefs:
+            assert _canonical.__wrapped__(c.num, c.den) == (c.num, c.den), p.name
 
 
 def test_equal_sums_share_one_object():
