@@ -179,14 +179,6 @@ class Element:
             return _ZERO_ELEMENT
         return Element({w: c * coef for w, c in self._terms.items()}, _trusted=True)
 
-    def map_scalars(self, fn) -> "Element":
-        out = {}
-        for w, c in self._terms.items():
-            c2 = fn(c)
-            if not c2.is_zero:
-                out[w] = c2
-        return Element(out, _trusted=True)
-
     def substitute(self, images: Mapping[str, "Element"], scalar_fn=None) -> "Element":
         """Replace generators by elements (homomorphically on words)."""
         out: dict = {}

@@ -12,6 +12,9 @@ engine-derived relation disagrees with the printed one (the derived
 correction is attached in ``details``).  ``overall`` is ``pass`` iff no
 check failed; mismatches are counted separately and drive the process
 exit code unless explicitly allowed.
+
+:meth:`Check.vanish` writes each line saying a family of identities holds;
+failing, it reads "k of n failed; first: <label>" with that residual.
 """
 
 from __future__ import annotations
@@ -68,17 +71,27 @@ class Check(Record):
         }
 
     @staticmethod
-    def passed(name, paper_ref="", details="", ms=0.0):
-        return Check(name, paper_ref, "pass", None, details, ms)
-
-    @staticmethod
-    def failed(name, paper_ref="", residual=None, details="", ms=0.0):
-        return Check(name, paper_ref, "fail", residual, details, ms)
-
-    @staticmethod
-    def of(ok: bool, name, paper_ref="", residual=None, details="", ms=0.0):
+    def of(ok: bool, name, paper_ref="", residual=None, details=""):
         return Check(name, paper_ref, "pass" if ok else "fail",
-                     None if ok else residual, details, ms)
+                     None if ok else residual, details)
+
+    @staticmethod
+    def vanish(name, paper_ref, residuals, details=None) -> "Check":
+        """The line for a family of (label, residual) pairs, read once: it
+        passes iff every residual (an Element or a Scalar, or a string
+        saying why its entry fails) is zero.  A word-tuple label is joined
+        only when reported; ``details=None`` means "n checks"."""
+        n, bad, first = 0, 0, None
+        for label, r in residuals:
+            n += 1
+            if isinstance(r, str) or not r.is_zero:
+                bad += 1
+                first = first or (label, r)
+        if first is None:
+            return Check(name, paper_ref, details=f"{n} checks" if details is None else details)
+        label, r = first
+        label = (".".join(label) or "1") if isinstance(label, tuple) else label
+        return Check(name, paper_ref, "fail", str(r), f"{bad} of {n} failed; first: {label}")
 
 
 class Suite(Record):

@@ -7,16 +7,17 @@ built-in preset family (reductions, interchange, regressions).  A suite
 asked to run where it does not apply reports a single ``skipped`` check.
 ``run_all`` executes the full matrix.
 
-A report line stating that a family of identities vanishes (the Hopf
-maps, d on every relation, the reductions, ...) is judged by ``_vanish``
-alone; its producer returns (label, residual) pairs.
+A line stating that a family of identities vanishes (the Hopf maps, d
+on every relation, the reduction routes, ...) is judged by
+:meth:`Check.vanish` alone from its producer's (label, residual) pairs;
+failing, it reads "k of n failed; first: <label>" with that residual.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import rmatrix
 from .calculus import (
@@ -93,115 +94,87 @@ def _skip(name, why) -> list:
     return [Check(name, "", "skipped", details=why)]
 
 
-def _vanish(name: str, paper_ref: str, residuals: list, details: str = "") -> Check:
-    """One report line for (label, residual) pairs: it passes iff every
-    residual is a zero Element (a string says why an entry fails), else
-    it names the first failing entry and gives its residual."""
-    bad = [(label, r) for label, r in residuals if isinstance(r, str) or not r.is_zero]
-    if bad:
-        label, r = bad[0]
-        return Check.failed(name, paper_ref, residual=str(r),
-                            details=f"{len(bad)} of {len(residuals)} failed; "
-                                    f"first: {label}")
-    return Check.passed(name, paper_ref,
-                        details=details or f"{len(residuals)} checks")
-
-
 # -- confluence ---------------------------------------------------------------
 
 def suite_confluence(cfg: SuiteConfig) -> list:
     p = cfg.presentation
-    checks = []
     rep = validate_presentation(p)
-    checks.append(Check.of(rep.valid, f"validate[{p.name}]", "",
-                           residual="; ".join(str(i) for i in rep.issues[:3])))
     conf = check_local_confluence(p)
-    checks.append(Check.of(
-        conf.confluent, f"local-confluence[{p.name}]", "sec-3-diamond",
-        residual=str(conf.unresolved[0].residual) if conf.unresolved else None,
-        details=f"{len(conf.pairs)} critical pairs, "
-                f"{len(conf.unresolved)} unresolved"))
+    checks = [Check.of(rep.valid, f"validate[{p.name}]", "",
+                       residual="; ".join(str(i) for i in rep.issues[:3])),
+              Check.of(conf.confluent, f"local-confluence[{p.name}]", "sec-3-diamond",
+                       residual=str(conf.unresolved[0].residual) if conf.unresolved else None,
+                       details=f"{len(conf.pairs)} critical pairs, "
+                               f"{len(conf.unresolved)} unresolved")]
     pid = builtin_id(p)
-    if pid == "glq2-left":
-        checks += _cubic_chain_checks(p)
+    if pid == "glq2-left":      # the printed cubic chains, by every route
+        checks += [Check.vanish(tag, "sec-3-diamond",
+                                [("canonical", normalize(word, p) - expected),
+                                 *_routes(word, expected, p, range(5))],
+                                details=f"all reduction routes give {expected}")
+                   for tag, word, expected in printed("cubic-chain", p.parity)]
     n_words, seeds = (200, 5) if pid == "glq2" else (50, 2)
     rng = random.Random(cfg.seed)
     letters = [g.name for g in p.generators]
-    agree = 0
-    mismatch_detail = None
-    for _ in range(n_words):
-        word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-        want = normalize(Element.word(*word), p)
-        for s in range(seeds):
-            got = random_strategy_normalize(Element.word(*word), p,
-                                            seed=cfg.seed + s)
-            if got == want:
-                agree += 1
-            elif mismatch_detail is None:
-                mismatch_detail = ".".join(word)
-    checks.append(Check.of(
-        mismatch_detail is None, f"strategy-independence[{p.name}]", "",
-        residual=mismatch_detail,
+
+    def routes():
+        for _ in range(n_words):
+            word = Element.word(*(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+            yield from _routes(word, normalize(word, p), p, range(cfg.seed, cfg.seed + seeds))
+
+    checks.append(Check.vanish(
+        f"strategy-independence[{p.name}]", "", routes(),
         details=f"{n_words} random words x {seeds} seeds agree with the "
                 f"canonical strategy (seed {cfg.seed})"))
     return checks
 
 
-def _cubic_chain_checks(p: Presentation) -> list:
-    checks = []
-    for tag, word, expected in printed("cubic-chain", p.parity):
-        canonical = normalize(word, p)
-        routes_agree = all(random_strategy_normalize(word, p, seed=s) == expected
-                           for s in range(5))
-        ok = canonical == expected and routes_agree
-        checks.append(Check.of(
-            ok, tag, "sec-3-diamond",
-            residual=str(canonical - expected),
-            details=f"all reduction routes give {expected}"))
-    return checks
+def _routes(word: Element, want: Element, p: Presentation, seeds) -> Iterator:
+    """(label, residual) of ``word``'s random reduction route at each seed
+    against ``want``, built in full only for a route that disagrees."""
+    for s in seeds:
+        got = random_strategy_normalize(word, p, seed=s)
+        yield ("", Element.zero()) if got == want else (f"{word} at seed {s}", got - want)
 
 
 # -- R-matrix -----------------------------------------------------------------
 
 def suite_ybe(cfg: SuiteConfig) -> list:
-    checks = []
     res = rmatrix.ybe_residual(rmatrix.standard_r())
-    flat = [c for row in res for c in row]
-    checks.append(Check.of(all(c.is_zero for c in flat), "ybe[standard-R]",
-                           "eq-2.5",
-                           details="all 64 residual entries zero; R = "
-                                   f"{rmatrix.format_r(rmatrix.standard_r())}"))
     res_p = rmatrix.ybe_residual(rmatrix.perturbed_r())
     witness = next(((i, j) for i, row in enumerate(res_p)
                     for j, c in enumerate(row) if not c.is_zero), None)
-    checks.append(Check.of(
-        witness is not None, "ybe[perturbed-R nonzero]", "eq-2.5",
-        details=f"nonzero residual entry at {witness}: "
-                f"{res_p[witness[0]][witness[1]] if witness else ''}"))
     conv = rmatrix.r_inverse_conventions()
-    checks.append(Check.of(conv["plain"], "r-inverse[R(q).R(1/q) = 1]", "sec-6",
-                           details=f"conventions holding: "
-                                   f"{[k for k, v in conv.items() if v]}"))
-    return checks
+    return [Check.vanish("ybe[standard-R]", "eq-2.5",
+                         ((f"({i}, {j})", c) for i, row in enumerate(res)
+                          for j, c in enumerate(row)),
+                         details="all 64 residual entries zero; R = "
+                                 f"{rmatrix.format_r(rmatrix.standard_r())}"),
+            # a negative control: its text must stay true when it fails
+            Check.of(witness is not None, "ybe[perturbed-R nonzero]", "eq-2.5",
+                     details=f"nonzero residual entry at {witness}: "
+                             f"{res_p[witness[0]][witness[1]]}"
+                     if witness else "all 64 residual entries zero"),
+            Check.of(conv["plain"], "r-inverse[R(q).R(1/q) = 1]", "sec-6",
+                     details=f"conventions holding: {[k for k, v in conv.items() if v]}")]
 
 
 def suite_rtt(cfg: SuiteConfig) -> list:
     p = cfg.presentation
     res = rmatrix.rtt_residual(rmatrix.standard_r(), p)
-    bad = {k: v for k, v in res.items() if not v.is_zero}
-    checks = [Check.of(not bad, f"rtt[{p.name}]", "eq-2.4",
-                       residual=str(next(iter(bad.values()))) if bad else None,
-                       details="all 16 components vanish")]
+    checks = [Check.vanish(f"rtt[{p.name}]", "eq-2.4",
+                           ((f"component {k}", v) for k, v in res.items()),
+                           details="all 16 components vanish")]
     if builtin_id(p) == "glq2":
-        free = free_presentation("a", "b", "c", "d")
-        comp = rmatrix.rtt_residual(rmatrix.standard_r(), free)[(1, 1, 1, 2)]
+        free = rmatrix.rtt_residual(rmatrix.standard_r(), free_presentation(*"abcd"))
+        comp = free[1, 1, 1, 2]
         expected = Element.term(_q(-1), ("a", "b")) - Element.word("b", "a")
-        checks.append(Check.of(
-            comp == expected, "rtt[free-negative-control]", "eq-2.4",
-            residual=str(comp - expected),
+        checks.append(Check.vanish(
+            "rtt[free-negative-control]", "eq-2.4",
+            [("component (1, 1, 1, 2)", comp - expected)],
             details="free-algebra component (1,1,1,2) is q^-1(ab - q ba)"))
     if p.form_position in ("left", "right"):
-        checks.append(_vanish(
+        checks.append(Check.vanish(
             f"forms-rtt-compat[{p.name}]",
             "eq-3.2" if p.form_position == "right" else "sec-5",
             rmatrix.forms_rtt_compat(rmatrix.standard_r(), p)))
@@ -212,18 +185,16 @@ def suite_rtt(cfg: SuiteConfig) -> list:
 
 def suite_hopf(cfg: SuiteConfig) -> list:
     p = cfg.presentation
-    checks = []
-    det_nf = normalize(qdet(p), p)
-    checks.append(Check.of(det_nf == Element.word("D"), "qdet-normal-form",
-                           "eq-2.7", residual=str(det_nf)))
     det = qdet(p)
-    central = all(normalize(det * Element.word(g) - Element.word(g) * det, p).is_zero
-                  for g in ("a", "b", "c", "d"))
-    checks.append(Check.of(central, "qdet-central", "eq-2.12"))
-    checks.append(_vanish("levi-civita", "eq-2.8", epsilon_identity_residuals(p)))
-    checks.append(_vanish("coproduct+counit", "eq-2.1", coproduct_residuals(p)))
-    checks.append(_vanish("antipode", "eq-2.3", antipode_residuals(p)))
-    return checks
+    det_nf = normalize(det, p)
+    return [Check.of(det_nf == Element.word("D"), "qdet-normal-form", "eq-2.7",
+                     residual=str(det_nf)),
+            Check.vanish("qdet-central", "eq-2.12",
+                         ((g, normalize(det * Element.word(g) - Element.word(g) * det, p))
+                          for g in "abcd"), details=""),
+            Check.vanish("levi-civita", "eq-2.8", epsilon_identity_residuals(p)),
+            Check.vanish("coproduct+counit", "eq-2.1", coproduct_residuals(p)),
+            Check.vanish("antipode", "eq-2.3", antipode_residuals(p))]
 
 
 # -- calculus ------------------------------------------------------------------
@@ -232,15 +203,15 @@ def suite_delta2(cfg: SuiteConfig) -> list:
     p = cfg.presentation
     d = p.calculus
     checks = [check_nilpotent(d, p, cfg.degree(4))]
-    checks.append(_vanish(f"delta-respects-rules[{p.name}]", "eq-2.14",
-                          delta_respects_rules(d, p)))
+    checks.append(Check.vanish(f"delta-respects-rules[{p.name}]", "eq-2.14",
+                               delta_respects_rules(d, p)))
     if builtin_id(p):           # the standard form basis is kept per preset
-        checks.append(_vanish(f"maurer-cartan[{p.name}]", "sec-3-IV",
-                              maurer_cartan_residuals(p),
-                              details="closure d(form) = +form.form"))
-    checks.append(_vanish(f"form-diff-roundtrip[{p.name}]",
-                          "eq-2.17" if d.side == "left" else "eq-2.22",
-                          form_diff_roundtrip_residuals(p)))
+        checks.append(Check.vanish(f"maurer-cartan[{p.name}]", "sec-3-IV",
+                                   maurer_cartan_residuals(p),
+                                   details="closure d(form) = +form.form"))
+    checks.append(Check.vanish(f"form-diff-roundtrip[{p.name}]",
+                               "eq-2.17" if d.side == "left" else "eq-2.22",
+                               form_diff_roundtrip_residuals(p)))
     return checks
 
 
@@ -255,8 +226,8 @@ def suite_vector_fields(cfg: SuiteConfig) -> list:
 def _rules_vanish(m: Morphism, name: str, paper_ref: str, details: str) -> Check:
     """Every relation of the morphism's source maps to 0, one rule at a time."""
     rules = preset(m.source).rules
-    return _vanish(name, paper_ref, [(".".join(r.lhs), m.apply(r.relation())) for r in rules],
-                   details=f"{len(rules)} {details}")
+    return Check.vanish(name, paper_ref, ((r.lhs, m.apply(r.relation())) for r in rules),
+                        details=f"{len(rules)} {details}")
 
 
 def suite_reductions(cfg: SuiteConfig) -> list:
@@ -272,18 +243,17 @@ def suite_interchange(cfg: SuiteConfig) -> list:
     checks = [_rules_vanish(fwd, "interchange[left->right]", "sec-6",
                             "rules map into the right-calculus ideal "
                             "under a<->d, q<->1/q")]
-    involutive = all(
-        normalize(back.apply(fwd.apply(r.relation(), normalized=False),
-                             normalized=False) - r.relation(), p).is_zero
-        for r in p.rules)
-    checks.append(Check.of(involutive, "interchange[involution]", "sec-6",
-                           details="applying the interchange twice is the "
-                                   "identity on every rule"))
+    checks.append(Check.vanish(
+        "interchange[involution]", "sec-6",
+        ((r.lhs, normalize(back.apply(fwd.apply(r.relation(), normalized=False),
+                                      normalized=False) - r.relation(), p))
+         for r in p.rules),
+        details="applying the interchange twice is the identity on every rule"))
     return checks
 
 
 def _at_one(x: Element) -> Element:
-    return x.map_scalars(lambda s: Scalar.fraction(*s.eval_q1().as_integer_ratio()))
+    return x.substitute({}, lambda s: Scalar.fraction(*s.eval_q1().as_integer_ratio()))
 
 
 def suite_classical_limit(cfg: SuiteConfig) -> list:
@@ -302,37 +272,31 @@ def suite_classical_limit(cfg: SuiteConfig) -> list:
         try:
             dp = diff_presentation(p)
         except ValueError as exc:
-            return checks + [Check.failed(
-                f"classical-limit[{p.name}-diff]", "sec-6", residual=str(exc),
-                details="the differential-mode system cannot be derived")]
+            return checks + [Check(
+                f"classical-limit[{p.name}-diff]", "sec-6", "fail", str(exc),
+                "the differential-mode system cannot be derived")]
         checks.append(_classical_limit(dp, p, p.calculus.del_images()))
     return checks
 
 
 def _classical_limit(pres: Presentation, p: Presentation, subst: dict) -> Check:
     """The classical limit of the rules of ``pres``, judged in ``p``."""
-    kinds = {"commutator": 0, "anticommutator": 0}
-    bad = []
-    for r in pres.rules:
-        both_odd = pres.parity[r.lhs[0]] and pres.parity[r.lhs[-1]]
-        sign = -1 if both_odd else 1
-        rel = (Element.word(*r.lhs)
-               - Element.term(Scalar.from_int(sign), tuple(reversed(r.lhs))))
-        if subst:
-            rel = rel.substitute(subst)
-        try:
-            res = _at_one(normalize(rel, p))
-        except PoleAtOneError:
-            bad.append((r, "pole at q = 1"))
-            continue
-        if res.is_zero:
-            kinds["anticommutator" if both_odd else "commutator"] += 1
-        else:
-            bad.append((r, res))
-    return Check.of(
-        not bad, f"classical-limit[{pres.name}]", "sec-6",
-        residual=f"{'.'.join(bad[0][0].lhs)}: {bad[0][1]}" if bad else None,
-        details=f"all rules (anti)commute at q=1: {kinds}")
+    odd = [bool(pres.parity[r.lhs[0]] and pres.parity[r.lhs[-1]]) for r in pres.rules]
+    kinds = {"commutator": odd.count(False), "anticommutator": odd.count(True)}
+
+    def residuals():
+        for r, both_odd in zip(pres.rules, odd):
+            rel = Element.word(*r.lhs) - Element.term(-1 if both_odd else 1, r.lhs[::-1])
+            if subst:
+                rel = rel.substitute(subst)
+            try:
+                res = _at_one(normalize(rel, p))
+            except PoleAtOneError:
+                res = "pole at q = 1"
+            yield r.lhs, res
+
+    return Check.vanish(f"classical-limit[{pres.name}]", "sec-6", residuals(),
+                        details=f"all rules (anti)commute at q=1: {kinds}")
 
 
 SUITES = {
@@ -381,8 +345,8 @@ _ORDER = {"delta2": CALCULUS_PRESETS, "vector-fields": VECTOR_FIELD_PRESETS}
 
 def _run(name: str, cfg: SuiteConfig) -> list:
     """The checks of one suite on ``cfg.presentation``, or one ``skipped``
-    check saying why it does not apply there.  Checks without their own
-    time share the suite's wall time."""
+    check saying why it does not apply there.  The checks share the
+    suite's wall time."""
     p = cfg.presentation
     if name not in _APPLIES:
         if builtin_id(p) is None:
@@ -394,8 +358,7 @@ def _run(name: str, cfg: SuiteConfig) -> list:
     checks = SUITES[name](cfg)
     ms = (time.perf_counter() - t0) * 1000.0
     for c in checks:
-        if not c.ms:
-            c.ms = round(ms / max(len(checks), 1), 3)
+        c.ms = round(ms / max(len(checks), 1), 3)
     return checks
 
 

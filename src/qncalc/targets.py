@@ -62,7 +62,7 @@ def printed_relation_checks(preset_id: str, block: str) -> list:
     for tag, lhs, rhs in printed(block, (*subst, *p.parity)):
         res = normalize((lhs - rhs).substitute(subst), p)
         if res.is_zero:
-            checks.append(Check.passed(tag, tag.split("[")[0], details="CONFIRMED"))
+            checks.append(Check(tag, tag.split("[")[0], details="CONFIRMED"))
         else:
             lhs_word = next(iter(lhs.words()))
             derived = next((f"{'.'.join(lhs_word)} -> {r.rhs}"
@@ -134,8 +134,8 @@ def conjugate_forms_check() -> list:
         res = lhs - rhs
         lead_ok = _leading_part(lhs) == _leading_part(rhs)
         if res.is_zero:
-            checks.append(Check.passed(f"conjugation[{tag}]", "sec-5",
-                                       details="CONFIRMED; leading term matches"))
+            checks.append(Check(f"conjugation[{tag}]", "sec-5",
+                                details="CONFIRMED; leading term matches"))
         else:
             checks.append(Check(
                 f"conjugation[{tag}]", "sec-5",

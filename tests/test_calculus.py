@@ -144,9 +144,10 @@ def test_recursive_derivative_matches_apply_delta(pid):
         assert dw == apply_delta(Element.term(ONE, word), d, p), word
 
 
-def assert_first_failure_reported(pid, form):
+def assert_first_failure_reported(pid, form, failed):
     """Flipping the sign of d(form) breaks d^2 = 0; the memoized check must
-    report the first failing word with the full residual d(d(word))."""
+    report how many words fail and the first failing word with the full
+    residual d(d(word))."""
     p, good = preset(pid), preset(pid).calculus
     bad = DiffStructure(good.side, {**good.images, form: -good.images[form]})
     def twice(word):
@@ -155,16 +156,16 @@ def assert_first_failure_reported(pid, form):
     c = check_nilpotent(bad, p, 3)
     assert c.status == "fail"
     first = next(word for word in normal_words(p, 3) if not twice(word).is_zero)
-    assert c.details == f"d^2 != 0 on {'.'.join(first)}"
+    assert c.details == f"{failed} failed; first: {'.'.join(first)}"
     assert c.residual == str(twice(first))
 
 
 def test_nilpotency_reports_broken_differential():
-    assert_first_failure_reported("glq2-left", "tht4")
+    assert_first_failure_reported("glq2-left", "tht4", "94 of 220")
 
 
 def test_nilpotency_reports_broken_right_differential():
-    assert_first_failure_reported("slq2-right", "w1")
+    assert_first_failure_reported("slq2-right", "w1", "36 of 88")
 
 
 def test_delta_budget_holds_after_nilpotency_check():
@@ -402,7 +403,7 @@ def test_vector_algebra_fails_on_a_changed_coefficient(edit_paper, pid, tag, mon
     [suite] = run_suite(SuiteConfig(preset(pid), suites=("vector-fields",))).suites
     [check] = [c for c in suite.checks if c.name == f"vector[{pid}][{tag}]"]
     assert check.status == "fail"
-    assert check.details == f"fails on {monomial}"
+    assert check.details == f"40 of 70 failed; first: {monomial}"
     assert check.residual == monomial
     assert all(c.status == "pass" for c in suite.checks if c is not check)
 

@@ -1,8 +1,9 @@
 """Module hygiene, checked on the source with ``ast`` (no linter is
 assumed): every ``__all__`` name exists, no module but the package's
 ``__init__`` imports a name it never uses, every function and class is
-used somewhere, the kernel layers import nothing from ``reports``, and one
-loop merges scaled terms into word -> coefficient dicts."""
+used somewhere, the kernel layers import nothing from ``reports``, one
+loop merges scaled terms into word -> coefficient dicts, and no family of
+identities is judged by ``Check.of``."""
 
 import ast
 import importlib
@@ -114,3 +115,30 @@ def test_one_merge_loop_drops_zero_coefficients():
             if tests_zero and removes:
                 merges.append(f"{path.stem}.{fn.name}")
     assert merges == ["ncalg.add_scaled", "ncalg.random_strategy_normalize"]
+
+
+def _folds(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("all", "any"))
+
+
+def test_no_family_is_judged_by_check_of():
+    # Check.vanish judges a family of identities and names its first
+    # failing entry; a Check.of over all(...) or any(...), directly or
+    # through a name bound in the same function, names none
+    judged = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(fn))
+            folded = {t.id for n in nodes if isinstance(n, ast.Assign) and _folds(n.value)
+                      for t in n.targets if isinstance(t, ast.Name)}
+            for n in nodes:
+                if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "of" and isinstance(n.func.value, ast.Name)
+                        and n.func.value.id == "Check" and n.args
+                        and (_folds(n.args[0]) or (isinstance(n.args[0], ast.Name)
+                                                   and n.args[0].id in folded))):
+                    judged.add(f"{path.stem}.{fn.name}")
+    assert sorted(judged) == []

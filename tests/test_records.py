@@ -109,3 +109,26 @@ def test_import_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# -- Check.vanish, the one judge of a family of identities ----------------------
+
+def test_vanish_passes_on_zero_residuals_of_every_kind():
+    from qncalc.qfield import ZERO
+    pairs = [("e", Element.zero()), (("a", "b"), ZERO)]
+    assert Check.vanish("f", "eq-1", pairs) == Check("f", "eq-1", details="2 checks")
+    assert Check.vanish("f", "eq-1", pairs, details="") == Check("f", "eq-1")
+    assert Check.vanish("f", "eq-1", iter(pairs), details="all vanish").details == "all vanish"
+    assert Check.vanish("f", "eq-1", []).details == "0 checks"
+
+
+def test_vanish_names_the_first_failing_entry_and_its_residual():
+    from qncalc.qfield import Scalar
+    y = Element.term(Scalar.q_power(2), ("y", "x"))
+    pairs = [("ok", Element.zero()), (("x", "y"), y), ("later", x), ("why", "no image")]
+    c = Check.vanish("f", "eq-1", pairs, details="never shown")
+    assert c == Check("f", "eq-1", "fail", str(y), "3 of 4 failed; first: x.y")
+    # a scalar residual, a string residual and the empty word as label
+    assert Check.vanish("f", "", [("s", Scalar.q_power(1) - 1)]).residual == "q - 1"
+    assert Check.vanish("f", "", [((), "pole at q = 1")]) == Check(
+        "f", "", "fail", "pole at q = 1", "1 of 1 failed; first: 1")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,11 +10,14 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from qncalc import rmatrix, suites
 from qncalc.cli import main
-from qncalc.dsl import parse_presentation
+from qncalc.dsl import export_presentation, parse_presentation
+from qncalc.ncalg import Element, normalize
 from qncalc.presentations import coproduct_residuals, preset, preset_without_rule
 from qncalc.reports import Check, SuiteReport
 from qncalc.suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
+from qncalc.targets import printed
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = json.loads(ROOT.joinpath("docs", "report-schema.json").read_text())
@@ -252,6 +256,76 @@ def test_broken_coproduct_names_its_first_failing_entry():
     assert check.details == "2 of 33 failed; first: coproduct[D.a]"
     assert check.residual == str(dict(coproduct_residuals(p))["coproduct[D.a]"])
     assert check.residual == "D1.b1.c2.D2 - b1.D1.c2.D2"
+    central = suite.checks[1]
+    assert (central.details, central.residual) == ("1 of 4 failed; first: b", "D.b - b.D")
+
+
+def glq2_with(name, old, new):
+    """A user copy of ``glq2`` named ``name`` with one rule line changed."""
+    text = export_presentation(preset("glq2"))
+    assert old in text
+    return parse_presentation(text.replace("name glq2\n", f"name {name}\n").replace(old, new))
+
+
+def only_check(p, suite, name):
+    [check] = [c for s in run_suite(SuiteConfig(p, suites=(suite,))).suites
+               for c in s.checks if c.name == name]
+    return check
+
+
+def test_a_failing_rtt_line_names_its_component():
+    p = glq2_with("glq2-ab", "rule a.b -> q b.a", "rule a.b -> q^2 b.a")
+    check = only_check(p, "rtt", "rtt[glq2-ab]")
+    assert (check.status, check.residual) == ("fail", "(q - 1) b.a")
+    assert check.details == "2 of 16 failed; first: component (1, 1, 1, 2)"
+
+
+def test_a_pole_at_one_fails_the_classical_limit_on_its_rule():
+    p = glq2_with("glq2-pole", "rule c.b -> b.c", "rule c.b -> (q/(q - 1)) b.c")
+    check = only_check(p, "classical-limit", "classical-limit[glq2-pole]")
+    assert (check.status, check.residual) == ("fail", "pole at q = 1")
+    assert check.details == f"1 of {len(p.rules)} failed; first: c.b"
+
+
+def drop_a_term(monkeypatch):
+    """Make every random reduction route lose the first term of its
+    result; return the patched normalizer."""
+    witness = suites.random_strategy_normalize
+
+    def lossy(x, p, seed):
+        return Element(dict(list(witness(x, p, seed).items())[1:]))
+    monkeypatch.setattr(suites, "random_strategy_normalize", lossy)
+    return lossy
+
+
+def test_a_failing_route_names_its_word_and_seed(monkeypatch):
+    lossy = drop_a_term(monkeypatch)
+    p = preset("glq2")
+    check = only_check(p, "confluence", "strategy-independence[glq2]")
+    seed = SuiteConfig(p).seed      # every route fails, so the first word drawn
+    rng = random.Random(seed)
+    letters = [g.name for g in p.generators]
+    word = Element.word(*(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+    assert check.status == "fail"
+    assert check.details == f"1000 of 1000 failed; first: {word} at seed {seed}"
+    assert check.residual == str(lossy(word, p, seed) - normalize(word, p))
+
+
+def test_a_failing_cubic_chain_names_its_word_and_seed(monkeypatch):
+    lossy = drop_a_term(monkeypatch)
+    p = preset("glq2-left")
+    tag, word, expected = printed("cubic-chain", p.parity)[0]
+    check = only_check(p, "confluence", tag)
+    assert check.status == "fail"
+    assert check.details == f"5 of 6 failed; first: {word} at seed 0"
+    assert check.residual == str(lossy(word, p, 0) - expected)
+
+
+def test_the_perturbed_r_control_says_why_it_fails(monkeypatch):
+    # a negative control whose R solves Yang-Baxter fails, and says so
+    monkeypatch.setattr(rmatrix, "perturbed_r", rmatrix.standard_r)
+    check = only_check(preset("glq2"), "ybe", "ybe[perturbed-R nonzero]")
+    assert (check.status, check.details) == ("fail", "all 64 residual entries zero")
 
 
 @pytest.mark.parametrize("path", ["missing.preset", "."])
@@ -333,3 +407,57 @@ def test_cli_export_roundtrip(tmp_path, capsys):
     assert main(["export-preset", "--preset", "glq2", "--out", str(out)]) == 0
     text = out.read_text()
     assert "rule a.d -> D + q b.c" in text
+
+
+WITNESS_RUN = r"""
+import itertools, json, sys
+import qncalc.suites
+from qncalc import calculus, ncalg, presentations
+
+def report():
+    rep = qncalc.suites.run_all(seed=7).to_json()
+    for s in rep["suites"]:
+        for c in s["checks"]:
+            c["ms"] = 0.0
+    return rep
+
+cached_report = report()
+calls = {"witness": 0, "cached": 0}
+seeds = itertools.count()
+cached, witness = ncalg.normalize, ncalg.random_strategy_normalize
+word_normal_form = ncalg.Presentation.word_normal_form
+
+def judge(x, p, budget=ncalg.DEFAULT_STEP_BUDGET):
+    calls["witness"] += 1
+    return witness(x, p, seed=next(seeds), budget=budget)
+
+def counted(self, *args):
+    calls["cached"] += 1
+    return word_normal_form(self, *args)
+
+rebound = sorted(f"{name}.{attr}" for name, mod in list(sys.modules.items())
+                 if name.split(".")[0] == "qncalc"
+                 for attr, value in vars(mod).items() if value is cached)
+for ref in rebound:
+    name, attr = ref.rsplit(".", 1)
+    setattr(sys.modules[name], attr, judge)
+ncalg.Presentation.word_normal_form = counted
+presentations.preset.cache_clear()
+calculus._derived.cache_clear()
+print(json.dumps({"same": report() == cached_report, "rebound": rebound, "calls": calls}))
+"""
+
+
+def test_the_witness_normalizer_gives_the_same_report():
+    # every normal form of the report is taken again by the random-strategy
+    # witness, which shares no code with the cached normalizer, at a fresh
+    # seed per call; strategy-independence then compares the witness with
+    # itself.  A subprocess, because emptying the preset cache here would
+    # make the presets other tests hold stop counting as built-ins.
+    proc = subprocess.run([sys.executable, "-c", WITNESS_RUN], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert "qncalc.ncalg.normalize" in out["rebound"]
+    assert out["calls"]["witness"] > 0 and out["calls"]["cached"] == 0
+    assert out["same"]
