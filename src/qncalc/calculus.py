@@ -298,6 +298,18 @@ def form_diff_roundtrip_residuals(p: Presentation) -> list:
             for form in p.odd_names()]
 
 
+def _form_slot(word, d: DiffStructure, p: Presentation):
+    """``(rest, form)`` of a form-mode word whose one form sits in the slot
+    of the calculus ``d``: rightmost on a left calculus, leftmost on a
+    right one.  Any other word raises ValueError."""
+    left = d.side == "left"
+    rest, form = (word[:-1], word[-1]) if left else (word[1:], word[0])
+    if p.parity[form] != 1 or p.form_degree(rest):
+        raise ValueError(f"expected one form, {'rightmost' if left else 'leftmost'}, "
+                         f"in {'.'.join(word)}")
+    return rest, form
+
+
 def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
     """Machine-derive the parameter/differential commutation rules of the
     calculus ``p`` declares.
@@ -334,16 +346,9 @@ def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
 
     def convert(form_mode: Element) -> Element:
         for word in form_mode.words():
-            odd_pos = [i for i, g in enumerate(word) if p.parity[g] == 1]
-            if len(odd_pos) != 1:
-                raise ValueError(f"expected exactly one form in {word}")
-            i = odd_pos[0]
-            if d.side == "left" and i != len(word) - 1:
-                raise ValueError(f"form not rightmost in {word}")
-            if d.side == "right" and i != 0:
-                raise ValueError(f"form not leftmost in {word}")
-            if word[i] not in d.forms:
-                raise ValueError(f"form {word[i]} has no form line")
+            _, form = _form_slot(word, d, p)
+            if form not in d.forms:
+                raise ValueError(f"form {form} has no form line")
         return form_mode.substitute(d.forms)
 
     rules = list(even_rules)
@@ -401,10 +406,6 @@ def _derived(p: Presentation) -> Presentation:
 # vector fields
 # ---------------------------------------------------------------------------
 
-class DecompositionError(ValueError):
-    """A normalized differential has a form away from its boundary slot."""
-
-
 def vector_field_components(f: Element, d: DiffStructure, p: Presentation) -> dict:
     """Coefficients of d(f) in the standard (matrix-position) 1-form basis.
 
@@ -419,12 +420,7 @@ def _components(f, d, p, table) -> dict:
     df = apply_delta(f, d, p)
     prim: dict = {}         # form -> the word -> Scalar dict of its component
     for word, coef in df.items():
-        slot = -1 if d.side == "left" else 0
-        form = word[slot]
-        if p.parity[form] != 1 or any(
-                p.parity[g] == 1 for g in (word[:-1] if slot else word[1:])):
-            raise DecompositionError(f"form away from boundary in {word}")
-        rest = word[:-1] if slot else word[1:]
+        rest, form = _form_slot(word, d, p)
         add_scaled(prim.setdefault(form, {}), ((rest, coef),), ONE)
     out: dict = {}
     for form, comp in prim.items():

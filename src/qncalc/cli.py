@@ -38,21 +38,15 @@ def _resolve_presentation(args):
     if getattr(args, "file", None):
         return parse_presentation(Path(args.file).read_text(encoding="utf-8"))
     pid = getattr(args, "preset", None) or "glq2"
-    if pid.endswith("-diff") and pid[:-5] in CALCULUS_PRESETS:
-        return diff_presentation(pid)
-    return preset(pid)
+    return diff_presentation(pid) if pid.endswith("-diff") else preset(pid)
 
 
-def _report_path(args, default_stem):
-    if getattr(args, "report", None):
-        path = Path(args.report)
-        base = os.environ.get(REPORT_DIR_ENV)
-        if base and not path.is_absolute():
-            path = Path(base) / path
-        return path
+def _report_path(args, stem):
+    """Where ``_emit`` writes the report, or None; an absolute ``--report``
+    overrides ``$QNCALC_REPORT_DIR``."""
     base = os.environ.get(REPORT_DIR_ENV)
-    if base:
-        return Path(base) / f"{default_stem}.json"
+    if base or args.report:
+        return Path(base or "", args.report or f"{stem}.json")
     return None
 
 
@@ -132,53 +126,45 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qncalc",
         description="Exact rewriting checks for q-deformed matrix-group calculi")
     sub = ap.add_subparsers(dest="command", required=True)
+    systems = list(PRESET_IDS) + [f"{p}-diff" for p in CALCULUS_PRESETS]
+    reporting = argparse.ArgumentParser(add_help=False)
+    reporting.add_argument("--max-degree", type=_degree, default=0)
+    reporting.add_argument("--seed", type=int, default=2024)
+    reporting.add_argument("--report", help="JSON report path")
+    reporting.add_argument("--allow-mismatch", action="store_true")
 
-    sub.add_parser("list-presets", help="list built-in presentations")
+    ap_list = sub.add_parser("list-presets", help="list built-in presentations")
+    ap_list.set_defaults(run=cmd_list_presets)
 
     ap_norm = sub.add_parser("normalize", help="normal form of an expression")
-    ap_norm.add_argument("--preset", choices=list(PRESET_IDS)
-                         + [f"{p}-diff" for p in CALCULUS_PRESETS])
+    ap_norm.add_argument("--preset", choices=systems)
     ap_norm.add_argument("--file", help="DSL presentation file")
     ap_norm.add_argument("--expr", required=True)
+    ap_norm.set_defaults(run=cmd_normalize)
 
-    ap_check = sub.add_parser("check", help="run suites against one preset")
+    ap_check = sub.add_parser("check", parents=[reporting],
+                              help="run suites against one preset")
     ap_check.add_argument("--preset", choices=PRESET_IDS)
     ap_check.add_argument("--file", help="DSL presentation file")
     ap_check.add_argument("--suite", action="append", choices=SUITE_NAMES,
                           help="repeatable; default: all suites")
-    ap_check.add_argument("--max-degree", type=_degree, default=0)
-    ap_check.add_argument("--seed", type=int, default=2024)
-    ap_check.add_argument("--report", help="JSON report path")
-    ap_check.add_argument("--allow-mismatch", action="store_true")
+    ap_check.set_defaults(run=cmd_check)
 
-    ap_verify = sub.add_parser("verify-paper",
+    ap_verify = sub.add_parser("verify-paper", parents=[reporting],
                                help="full verification matrix over all presets")
-    ap_verify.add_argument("--max-degree", type=_degree, default=0)
-    ap_verify.add_argument("--seed", type=int, default=2024)
-    ap_verify.add_argument("--report", help="JSON report path")
-    ap_verify.add_argument("--allow-mismatch", action="store_true")
+    ap_verify.set_defaults(run=cmd_verify_paper)
 
     ap_export = sub.add_parser("export-preset", help="serialize a preset to DSL")
-    ap_export.add_argument("--preset", required=True,
-                           choices=list(PRESET_IDS)
-                           + [f"{p}-diff" for p in CALCULUS_PRESETS])
+    ap_export.add_argument("--preset", required=True, choices=systems)
     ap_export.add_argument("--out")
+    ap_export.set_defaults(run=cmd_export_preset)
     return ap
-
-
-_COMMANDS = {
-    "list-presets": cmd_list_presets,
-    "normalize": cmd_normalize,
-    "check": cmd_check,
-    "verify-paper": cmd_verify_paper,
-    "export-preset": cmd_export_preset,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()          # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:

@@ -263,10 +263,11 @@ class TerminationOrder(NamedTuple):
 
     ``deglex`` compares word length, then precedence sequences.
 
-    ``migration`` counts, for every odd generator, the even generators on
-    its wrong side (the side opposite ``form_side``), then tie-breaks with
-    deglex.  It orients degree-raising rules that move odd generators
-    toward ``form_side``, which deglex cannot.
+    ``migration`` counts, for every odd generator, the evens between it and
+    the ``form_side`` end (for ``"right"``, the evens to its right, so
+    ``th.a -> a.th`` goes from 1 to 0), then tie-breaks with deglex.  It
+    orients degree-raising rules that move odd generators toward
+    ``form_side``, which deglex cannot.
     """
 
     kind: str = "deglex"

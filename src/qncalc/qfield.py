@@ -515,7 +515,7 @@ def _sum(an, ad, bn, bd):
     """The scalar an/ad + bn/bd; equal sums share one object, and a sum
     equal to 1 is :data:`ONE`.
 
-    Unequal denominators are cancelled first (Henrici 1956; Knuth, TAOCP
+    The denominators are cancelled first (Henrici 1956; Knuth, TAOCP
     vol. 2, 4.5.1): with g = gcd(ad, bd), b1 = ad/g and d1 = bd/g, the sum
     is n / ad d1 with n = an d1 + bn b1.  A prime p dividing d1 or b1 does
     not divide n, because it divides exactly one of the two terms: bn and
@@ -523,17 +523,15 @@ def _sum(an, ad, bn, bd):
     ad d1 = b1 g d1 only what it shares with g, which is what it shares
     with ad, or with bd.  When g = 1, which covers every sum with an
     integer operand, n / ad bd is canonical with no gcd at all; otherwise
-    the shorter of ad and bd is cancelled against n.  Each factor of the
-    assembled denominator has a positive leading coefficient.
+    the shorter of ad and bd is cancelled against n.  Equal denominators
+    take the same path: b1 = d1 = 1, so n = an + bn is cancelled against
+    ad, and a zero n gives the zero pair.  Each factor of the assembled
+    denominator has a positive leading coefficient.
     """
-    if ad == bd:
-        out = Scalar(_padd(an, bn), ad)
-        return ONE if out.is_one else out
     b1, d1 = _canonical(ad, bd)
     n = _padd(_pmul(an, d1), _pmul(bn, b1))
     if b1 == ad:
         return _scalar(n, _pmul(ad, bd))
-    # n is not 0: canonical operands that sum to 0 have equal denominators
     if len(ad) <= len(bd):
         n, a = _canonical(n, ad)
         return _scalar(n, _pmul(a, d1))

@@ -257,8 +257,9 @@ def _at_one(x: Element) -> Element:
 
 
 def suite_classical_limit(cfg: SuiteConfig) -> list:
-    """Every rule LHS x.y must satisfy x.y = (+/-) y.x at q = 1 (minus for
-    odd/odd pairs), modulo the classical relations.
+    """Every rule LHS x.y... must equal its reverse ...y.x times
+    (-1)^(k(k-1)/2) at q = 1, modulo the classical relations: reversing
+    swaps each pair of its k odd letters (minus for an odd/odd x.y).
 
     The relation is normalized in the confluent form-mode presentation
     (with the generator differentials substituted for rules of its
@@ -281,12 +282,12 @@ def suite_classical_limit(cfg: SuiteConfig) -> list:
 
 def _classical_limit(pres: Presentation, p: Presentation, subst: dict) -> Check:
     """The classical limit of the rules of ``pres``, judged in ``p``."""
-    odd = [bool(pres.parity[r.lhs[0]] and pres.parity[r.lhs[-1]]) for r in pres.rules]
-    kinds = {"commutator": odd.count(False), "anticommutator": odd.count(True)}
+    minus = [pres.form_degree(r.lhs) % 4 > 1 for r in pres.rules]  # k(k-1)/2 odd
+    kinds = {"commutator": minus.count(False), "anticommutator": minus.count(True)}
 
     def residuals():
-        for r, both_odd in zip(pres.rules, odd):
-            rel = Element.word(*r.lhs) - Element.term(-1 if both_odd else 1, r.lhs[::-1])
+        for r, negative in zip(pres.rules, minus):
+            rel = Element.word(*r.lhs) - Element.term(-1 if negative else 1, r.lhs[::-1])
             if subst:
                 rel = rel.substitute(subst)
             try:

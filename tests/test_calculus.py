@@ -32,7 +32,7 @@ from qncalc.ncalg import (
     normalize,
     validate_presentation,
 )
-from qncalc.presentations import ANTIPODE_IMAGES, preset, qdet
+from qncalc.presentations import ANTIPODE_IMAGES, preset, preset_without_rule, qdet
 from qncalc.qfield import ONE, Scalar
 from qncalc.rmatrix import T, matmul
 from qncalc.suites import SuiteConfig, run_suite
@@ -339,6 +339,17 @@ def test_unit_has_zero_components():
     pid = "slq2-left"
     comps = vector_field_components(Element.unit(), preset(pid).calculus, preset(pid))
     assert comps == {}
+
+
+@pytest.mark.parametrize("pid, rule, message", [
+    ("glq2-left", "tht1.a", "expected one form, rightmost, in a.tht1.a"),
+    ("glq2-right", "a.wb1", "expected one form, leftmost, in a.wb1.a"),
+])
+def test_a_form_off_its_slot_stops_the_split(pid, rule, message):
+    # without the rule that moves it, one form of d(a.a) stays between the a's
+    p = preset(pid)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calculus._components(w("a.a"), p.calculus, preset_without_rule(p, rule), {})
 
 
 def test_recombination_identity():

@@ -449,6 +449,10 @@ _CALCULUS_HEAD = "side left\ngen x parity even\ngen f parity odd\ncoords x\n"
     ("gen x parity even\nrule x.x -> 0\nextends glq2\n", 3, None),
     ("extends glq2\nextends glq2-left\n", 2, None),
     ("name n\nside left\nextends glq2-left\n", 3, None),
+    # the directives of every presentation
+    ("name\n", 1, None),
+    ("order lex\n", 1, None),
+    ("gen x parity even\ngen y x parity odd\n", 2, None),
 ])
 def test_calculus_directive_errors(text, line, column):
     with pytest.raises(DslError) as info:

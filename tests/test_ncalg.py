@@ -21,6 +21,7 @@ from qncalc.ncalg import (
     StepBudgetExceededError,
     TerminationOrder,
     UnknownGeneratorError,
+    ValidationIssue,
     check_local_confluence,
     equal_mod_ideal,
     mul,
@@ -285,6 +286,15 @@ def test_step_budget_stops_non_terminating_rules():
             normalize(w("x.x"), grow, budget=budget)
 
 
+def test_the_witness_stops_at_its_step_budget():
+    gens = [Generator("x", 0, 0), Generator("y", 0, 1)]
+    loop = Presentation("loop", gens, TerminationOrder("deglex"), [
+        RewriteRule(("y", "x"), w("x.y")), RewriteRule(("x", "y"), w("y.x"))])
+    with pytest.raises(StepBudgetExceededError,
+                       match="step budget 5 exceeded in random-strategy rewriting"):
+        random_strategy_normalize(w("x.y"), loop, seed=0, budget=5)
+
+
 @pytest.mark.parametrize("word, budget, rule", [
     ("z.y.x", 1, " (rule zy at its leftmost redex)"),      # cold: tripped while filling
     ("z.y.x", 3, " (rule zy at its leftmost redex)"),      # warm: tripped by the charge
@@ -512,6 +522,11 @@ def test_deglex_keys():
     assert o.greater(("x", "x", "x"), ("y", "y"), p.parity, p.precedence)
 
 
+def test_an_unknown_order_kind_is_an_error():
+    with pytest.raises(ValueError, match="unknown order kind 'foo'"):
+        TerminationOrder("foo").key(("x",), {"x": 0}, {"x": 0})
+
+
 def test_migration_orients_degree_raising_rules():
     # del.x -> x.del + x.x.tr : deglex cannot orient, migration(right) can
     gens = [Generator("x", 0, 0), Generator("tr", 1, 1), Generator("del", 1, 2)]
@@ -565,6 +580,20 @@ def test_short_lhs_builds_is_reported_and_never_matches(lhs):
         # the witness's own redex scan skips the short rule too
         assert random_strategy_normalize(w(*word), p, seed=1) == normalize(w(*word), p), word
     assert normalize(w("y.x.x"), p) == w("x.x.y")
+
+
+@pytest.mark.parametrize("gens, tags, issue", [
+    ([("x", 0, 0), ("x", 0, 1)], [], ("x", "generator", "duplicate name")),
+    ([("x", 0, 0), ("y", 0, 0)], [], ("y", "generator", "duplicate precedence")),
+    ([("x", 0, 0), ("q", 0, 1)], [], ("q", "generator", "name 'q' is reserved")),
+    ([("x", 0, 0), ("y", 0, 1)], ["first", "second"],
+     ("second", "shape", "duplicate rule LHS")),
+])
+def test_validate_reports_a_clash(gens, tags, issue):
+    # presentations built in code, where the DSL's own checks do not run
+    p = Presentation("p", [Generator(*g) for g in gens], TerminationOrder("deglex"),
+                     [RewriteRule(("y", "x"), w("x.y"), tag) for tag in tags])
+    assert validate_presentation(p).issues == [ValidationIssue(*issue)]
 
 
 def test_validate_reports_unknown_generator():
@@ -658,6 +687,11 @@ def test_broken_preset_has_unresolved_pair():
     assert not rep.confluent
     assert any(not pair.resolved and not pair.residual.is_zero
                for pair in rep.pairs)
+
+
+def test_removing_a_rule_needs_a_rule_with_that_lhs():
+    with pytest.raises(KeyError, match="no rule with LHS a.a in glq2"):
+        preset_without_rule(preset("glq2"), "a.a")
 
 
 def test_normal_words_enumeration():

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 from qncalc import rmatrix, suites
+from qncalc.calculus import diff_presentation
 from qncalc.cli import main
 from qncalc.dsl import export_presentation, parse_presentation
 from qncalc.ncalg import Element, normalize
@@ -129,6 +130,19 @@ def test_cli_normalize_bad_expression(capsys):
     assert main(["normalize", "--preset", "glq2", "--expr", "a.."]) == 2
 
 
+def test_cli_normalize_on_a_derived_system(capsys):
+    assert main(["normalize", "--preset", "glq2-left-diff", "--expr", "del_a.a"]) == 0
+    p = diff_presentation("glq2-left")
+    assert capsys.readouterr().out.strip() == str(normalize(Element.word("del_a", "a"), p))
+
+
+def test_cli_exports_a_derived_system(capsys):
+    assert main(["export-preset", "--preset", "slq2-left-diff"]) == 0
+    rules = parse_presentation(capsys.readouterr().out).rules
+    assert [(r.lhs, r.rhs) for r in rules] \
+        == [(r.lhs, r.rhs) for r in diff_presentation("slq2-left").rules]
+
+
 def test_cli_check_writes_valid_report(tmp_path, capsys):
     path = tmp_path / "r.json"
     code = main(["check", "--preset", "slq2-left", "--suite", "vector-fields",
@@ -226,6 +240,17 @@ def test_underivable_differential_system_is_a_failed_check():
     assert checks[1].residual == "form th has no form line"
 
 
+def test_a_form_off_its_slot_fails_the_derived_system_and_names_its_word():
+    # without th.x -> q^2 x.th, d(x).x keeps its form inside x.th.x
+    text = EXAMPLES.joinpath("q-line.preset").read_text()
+    p = parse_presentation(text.replace("rule th.x -> q^2 x.th  @commutation", ""))
+    rep = run_suite(SuiteConfig(p, suites=("classical-limit",)))
+    checks = rep.suites[0].checks
+    assert [(c.name, c.status) for c in checks] == [
+        ("classical-limit[q-line]", "pass"), ("classical-limit[q-line-diff]", "fail")]
+    assert checks[1].residual == "expected one form, rightmost, in x.th.x"
+
+
 def test_odd_generator_without_a_form_line_fails_the_roundtrip(tmp_path, capsys):
     # the roundtrip covers every odd generator, so a formless calculus
     # cannot pass it with zero checks
@@ -285,6 +310,33 @@ def test_a_pole_at_one_fails_the_classical_limit_on_its_rule():
     check = only_check(p, "classical-limit", "classical-limit[glq2-pole]")
     assert (check.status, check.residual) == ("fail", "pole at q = 1")
     assert check.details == f"1 of {len(p.rules)} failed; first: c.b"
+
+
+SUPER3 = """name super3
+gen x parity even
+gen f g parity odd
+rule f.x -> x.f
+rule g.x -> x.g
+rule g.f -> -f.g
+rule f.f -> 0
+rule g.g -> 0
+"""
+
+
+def test_the_classical_limit_of_a_longer_rule_signs_its_reverse():
+    # g.f.x = x.g.f = -x.f.g at q = 1: reversing swaps the one odd pair
+    p = parse_presentation(SUPER3 + "rule g.f.x -> -x.f.g\n")
+    check = only_check(p, "classical-limit", "classical-limit[super3]")
+    assert (check.status, check.details) == (
+        "pass", "all rules (anti)commute at q=1: {'commutator': 2, 'anticommutator': 4}")
+
+
+def test_a_longer_rule_with_the_wrong_sign_fails_the_classical_limit():
+    # listed first, g.f.x -> x.f.g rewrites g.f.x + x.f.g to 2 x.f.g
+    p = parse_presentation(SUPER3.replace("rule f.x", "rule g.f.x -> x.f.g\nrule f.x"))
+    check = only_check(p, "classical-limit", "classical-limit[super3]")
+    assert (check.status, check.residual) == ("fail", "2 x.f.g")
+    assert check.details == "1 of 6 failed; first: g.f.x"
 
 
 def drop_a_term(monkeypatch):
