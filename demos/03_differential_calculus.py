@@ -27,26 +27,25 @@ for g in ("a", "b", "D"):
 
 print("\nthe derivative of the determinant is the trace form:")
 det = qdet(p)
-print("  d(qdet)      =", apply_delta(det, d, p))
+print("  d(qdet)      =", apply_delta(det, p))
 print("  qdet . tht1  =", normalize(det * w("tht1"), p))
 for c in qtrace_check(p):
     print(f"  {c.name}: {c.status}")
 
 print("\nnilpotency on every normal word of degree <= 3:")
-print(" ", check_nilpotent(d, p, 3).details)
+print(" ", check_nilpotent(p, 3).details)
 
 print("\n== vector fields ==")
 sl = preset("slq2-left")
-dsl_ = preset("slq2-left").calculus
 for g in "abcd":
-    comps = vector_field_components(w(g), dsl_, sl)
+    comps = vector_field_components(w(g), sl)
     print(f"  components of {g}: "
           + ", ".join(f"V{k} -> {v}" for k, v in sorted(comps.items())))
 
 print("\nthe printed vector-field relations (src/qncalc/paper/vector-slq2-left.eqs)")
 print("on all monomials of degree <= 2:")
 relations = printed("vector-slq2-left", VECTOR_FIELDS)
-for c in check_vector_algebra(relations, dsl_, sl, 2):
+for c in check_vector_algebra(relations, sl, 2):
     print(f"  {c.name}: {c.status}")
 
 print("\n== machine-derived differential-mode rules ==")

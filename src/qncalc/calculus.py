@@ -31,7 +31,6 @@ from functools import lru_cache
 from typing import Mapping
 
 from .ncalg import (
-    DEFAULT_STEP_BUDGET,
     Element,
     Generator,
     Presentation,
@@ -114,60 +113,46 @@ class DiffStructure(Record):
         return {f"del_{x}": self.images[x] for x in self.coords}
 
 
-def apply_delta(x: Element, d: DiffStructure, p: Presentation,
-                budget: int = DEFAULT_STEP_BUDGET) -> Element:
-    """Graded-derivation extension of the generator differentials.
+def apply_delta(x: Element, p: Presentation) -> Element:
+    """The exterior derivative of ``p.calculus``, as a normal form: the
+    sum of coef * d(w) over the words of x (a sum of normal forms is normal).
 
-    Every Leibniz term ``word[:i] + image-word + word[i+1:]`` is written
-    straight into one coefficient dict, which is normalized once under a
-    single step budget.
-    """
-    out: dict = {}
-    left = d.side == "left"
-    for word, coef in x.items():
-        for i, g in enumerate(word):
-            img = d.images.get(g)
-            if img is None:
-                raise UnknownGeneratorError(g)
-            prefix, suffix = word[:i], word[i + 1:]
-            odd = p.word_parity(suffix if left else prefix)
-            add_scaled(out, ((prefix + w_ + suffix, c) for w_, c in img.items()),
-                       -coef if odd else coef)
-    return normalize(Element(out, _trusted=True), p, budget)
-
-
-def check_nilpotent(d: DiffStructure, p: Presentation, max_degree: int = 4) -> Check:
-    """d(d(w)) = 0 for every normal-form word of total degree <= max_degree.
-
-    d of a word is computed from d of that word with one letter peeled,
-    the letter whose Leibniz sign is (-1)^{|g|}:
+    d of a word is memoized per presentation, and computed from d of that
+    word with one letter peeled, the letter whose Leibniz sign is (-1)^{|g|}:
 
     * left:  d(w.g) = w.d(g) + (-1)^{|g|} d(w).g
     * right: d(g.w) = d(g).w + (-1)^{|g|} g.d(w)
 
-    Each step builds one coefficient dict from the memoized d(w) and
-    normalizes it once; the memo lives for this call only, starting from
-    d(1) = 0.  d(d(w)) is then the sum of coef * d(v) over the words v of
-    d(w), since d is linear.
+    Each step is one ``normalize`` under the default step budget, whose
+    charge is fixed by the word; a d(w) is memoized only once its step has
+    succeeded, so whether a budget trips does not depend on what ran before.
 
     Soundness.  Let D(w) be the memoized value and d the derivation of the
     free algebra.  By induction on length, D(w) = d(w) mod the ideal I of
     the rules: I is two-sided, so D(w).g = d(w).g mod I, and ``normalize``
     keeps an element in its class.  The peeled word need not be normal.
-    So the d^2 sum rests on the same premise as a full Leibniz expansion
-    would: d(I) within I, which ``delta-respects-rules`` checks.  Where
-    normal forms are unique (a confluent presentation; Bergman's diamond
-    lemma), D(w) is exactly ``apply_delta(w)``, so a failure reports the
-    same word and residual as that expansion would.
+    So d(d(w)) computed this way rests on the same premise as a full
+    Leibniz expansion would: d(I) within I, which ``delta-respects-rules``
+    checks.  Where normal forms are unique (a confluent presentation;
+    Bergman's diamond lemma), D(w) is the expansion's normal form.
     """
-    return _check_nilpotent(d, p, max_degree, {})
+    delta = _derivative(p)
+    out: dict = {}
+    for word, coef in x.items():
+        add_scaled(out, delta(word).items(), coef)
+    return Element(out, _trusted=True)
 
 
-def _check_nilpotent(d: DiffStructure, p: Presentation, max_degree: int,
-                     memo: dict) -> Check:
-    """:func:`check_nilpotent` filling the caller's word -> d(word) memo."""
-    memo[()] = Element.zero()
+@lru_cache(maxsize=None)
+def _derivative(p: Presentation):
+    """word -> d(word) of :func:`apply_delta`, memoized for the life of
+    ``p``; keyed by the object, so a user file named like a preset gets its
+    own."""
+    d = p.calculus
+    if d is None:
+        raise ValueError(f"{p.name} declares no differential calculus")
     left = d.side == "left"
+    memo = {(): Element.zero()}
 
     def delta(word):
         hit = memo.get(word)
@@ -186,23 +171,23 @@ def _check_nilpotent(d: DiffStructure, p: Presentation, max_degree: int,
             hit = memo[word] = normalize(Element(out, _trusted=True), p)
         return hit
 
-    def twice(word):
-        acc: dict = {}
-        for v, coef in delta(word).items():
-            add_scaled(acc, delta(v).items(), coef)
-        return Element(acc, _trusted=True)
+    return delta
 
+
+def check_nilpotent(p: Presentation, max_degree: int = 4) -> Check:
+    """d(d(w)) = 0 for every normal-form word of total degree <= max_degree."""
     words = list(normal_words(p, max_degree))
     return Check.vanish(f"nilpotent[{p.name}]", "eq-2.15",
-                        ((word, twice(word)) for word in words),
+                        ((word, apply_delta(apply_delta(Element.term(ONE, word), p), p))
+                         for word in words),
                         details=f"d^2 = 0 on {len(words)} normal words, "
                                 f"degree <= {max_degree}")
 
 
-def delta_respects_rules(d: DiffStructure, p: Presentation) -> list:
+def delta_respects_rules(p: Presentation) -> list:
     """d applied to every defining relation rewrites to zero, as (label,
     residual) pairs."""
-    return [(f"delta-respects[{'.'.join(r.lhs)}]", apply_delta(r.relation(), d, p))
+    return [(f"delta-respects[{'.'.join(r.lhs)}]", apply_delta(r.relation(), p))
             for r in p.rules]
 
 
@@ -252,7 +237,7 @@ def maurer_cartan_residuals(p: Presentation) -> list:
     (the + closure is the consistent sign), as (label, residual) pairs."""
     std = standard_form_basis(p)["standard"]
     omega = matrix(std[1], std[2], std[3], std[4])
-    d_omega = [[apply_delta(x, p.calculus, p) for x in row] for row in omega]
+    d_omega = [[apply_delta(x, p) for x in row] for row in omega]
     return matrix_residuals(f"maurer-cartan[{p.name}]", d_omega, matmul(omega, omega), p)
 
 
@@ -272,7 +257,7 @@ def qtrace_check(p: Presentation) -> list:
         checks.append(Check.of(res.is_zero, f"trace-expression-{i}[{pid}]", tag,
                                residual=str(res)))
     det = qdet(p)
-    ddet = apply_delta(det, p.calculus, p)
+    ddet = apply_delta(det, p)
     want = normalize(det * tr if p.calculus.side == "left" else tr * det, p)
     r3 = ddet - want
     checks.append(Check.of(r3.is_zero, f"d(qdet) = trace rule[{pid}]", "eq-3.6",
@@ -298,11 +283,11 @@ def form_diff_roundtrip_residuals(p: Presentation) -> list:
             for form in p.odd_names()]
 
 
-def _form_slot(word, d: DiffStructure, p: Presentation):
+def _form_slot(word, p: Presentation):
     """``(rest, form)`` of a form-mode word whose one form sits in the slot
-    of the calculus ``d``: rightmost on a left calculus, leftmost on a
-    right one.  Any other word raises ValueError."""
-    left = d.side == "left"
+    of ``p``'s calculus: rightmost on a left calculus, leftmost on a right
+    one.  Any other word raises ValueError."""
+    left = p.calculus.side == "left"
     rest, form = (word[:-1], word[-1]) if left else (word[1:], word[0])
     if p.parity[form] != 1 or p.form_degree(rest):
         raise ValueError(f"expected one form, {'rightmost' if left else 'leftmost'}, "
@@ -346,7 +331,7 @@ def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
 
     def convert(form_mode: Element) -> Element:
         for word in form_mode.words():
-            _, form = _form_slot(word, d, p)
+            _, form = _form_slot(word, p)
             if form not in d.forms:
                 raise ValueError(f"form {form} has no form line")
         return form_mode.substitute(d.forms)
@@ -406,21 +391,21 @@ def _derived(p: Presentation) -> Presentation:
 # vector fields
 # ---------------------------------------------------------------------------
 
-def vector_field_components(f: Element, d: DiffStructure, p: Presentation) -> dict:
+def vector_field_components(f: Element, p: Presentation) -> dict:
     """Coefficients of d(f) in the standard (matrix-position) 1-form basis.
 
     Left structures decompose d(f) = sum_k (component_k) theta^k with the
     form rightmost; right structures as d(f) = sum_k omega^k (component_k).
     """
-    return _components(f, d, p, standard_form_basis(p)["primitive"])
+    return _components(f, p, standard_form_basis(p)["primitive"])
 
 
-def _components(f, d, p, table) -> dict:
+def _components(f, p, table) -> dict:
     """:func:`vector_field_components` given the ``primitive`` table."""
-    df = apply_delta(f, d, p)
+    df = apply_delta(f, p)
     prim: dict = {}         # form -> the word -> Scalar dict of its component
     for word, coef in df.items():
-        rest, form = _form_slot(word, d, p)
+        rest, form = _form_slot(word, p)
         add_scaled(prim.setdefault(form, {}), ((rest, coef),), ONE)
     out: dict = {}
     for form, comp in prim.items():
@@ -435,8 +420,7 @@ _HATTED = {side: {"Vh1": ((ONE, "V1"), (-shrink, "V4")), "Vh4": ((ONE, "V1"), (O
            for side, shrink in (("left", _q(2)), ("right", _q(-2)))}
 
 
-def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
-              memo: dict, table: dict) -> Element:
+def _apply_op(x: Element, op: str, p: Presentation, memo: dict, table: dict) -> Element:
     """The field ``op`` on x: a standard field ``"V1"``..``"V4"`` or a
     hatted combination.  ``memo`` maps (word, op) to the terms of that
     field on that word; the first op asked of a word fills every op of
@@ -445,10 +429,10 @@ def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
     for word, coef in x.items():
         terms = memo.get((word, op))
         if terms is None:
-            comps = _components(Element({word: ONE}, _trusted=True), d, p, table)
+            comps = _components(Element({word: ONE}, _trusted=True), p, table)
             for k in (1, 2, 3, 4):
                 memo[word, f"V{k}"] = tuple(comps.get(k, Element.zero()).items())
-            for h, combo in _HATTED[d.side].items():
+            for h, combo in _HATTED[p.calculus.side].items():
                 acc: dict = {}
                 for c, k in combo:
                     add_scaled(acc, memo[word, k], c)
@@ -458,18 +442,16 @@ def _apply_op(x: Element, op: str, d: DiffStructure, p: Presentation,
     return Element(out, _trusted=True)
 
 
-def _apply_ops(x: Element, ops, d: DiffStructure, p: Presentation,
-               memo: dict, table: dict) -> Element:
-    seq = ops if d.side == "left" else tuple(reversed(ops))
+def _apply_ops(x: Element, ops, p: Presentation, memo: dict, table: dict) -> Element:
+    seq = ops if p.calculus.side == "left" else tuple(reversed(ops))
     for op in seq:
-        x = _apply_op(x, op, d, p, memo, table)
+        x = _apply_op(x, op, p, memo, table)
         if x.is_zero:
             break
     return x
 
 
-def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
-                         max_degree: int = 3) -> list:
+def check_vector_algebra(relations, p: Presentation, max_degree: int = 3) -> list:
     """Evaluate each ``(tag, lhs, rhs)`` relation over words of
     :data:`VECTOR_FIELDS` on every even normal-form monomial of degree
     <= max_degree under the frozen composition convention.
@@ -485,7 +467,7 @@ def check_vector_algebra(relations, d: DiffStructure, p: Presentation,
         f = Element({word: ONE}, _trusted=True)
         acc: dict = {}
         for ops, coef in rel:
-            add_scaled(acc, _apply_ops(f, ops, d, p, memo, table).items(), coef)
+            add_scaled(acc, _apply_ops(f, ops, p, memo, table).items(), coef)
         return Element(acc, _trusted=True)
 
     checks = []

@@ -90,7 +90,7 @@ def preset_without_rule(p: Presentation, lhs: str) -> Presentation:
     if len(rules) == len(p.rules):
         raise KeyError(f"no rule with LHS {lhs} in {p.name}")
     return Presentation(f"{p.name}-without-{lhs}", p.generators, p.order, rules,
-                        form_position=p.form_position, tags=p.tags)
+                        form_position=p.form_position, tags=p.tags, calculus=p.calculus)
 
 
 # ---------------------------------------------------------------------------

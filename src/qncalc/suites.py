@@ -201,16 +201,15 @@ def suite_hopf(cfg: SuiteConfig) -> list:
 
 def suite_delta2(cfg: SuiteConfig) -> list:
     p = cfg.presentation
-    d = p.calculus
-    checks = [check_nilpotent(d, p, cfg.degree(4))]
+    checks = [check_nilpotent(p, cfg.degree(4))]
     checks.append(Check.vanish(f"delta-respects-rules[{p.name}]", "eq-2.14",
-                               delta_respects_rules(d, p)))
+                               delta_respects_rules(p)))
     if builtin_id(p):           # the standard form basis is kept per preset
         checks.append(Check.vanish(f"maurer-cartan[{p.name}]", "sec-3-IV",
                                    maurer_cartan_residuals(p),
                                    details="closure d(form) = +form.form"))
     checks.append(Check.vanish(f"form-diff-roundtrip[{p.name}]",
-                               "eq-2.17" if d.side == "left" else "eq-2.22",
+                               "eq-2.17" if p.calculus.side == "left" else "eq-2.22",
                                form_diff_roundtrip_residuals(p)))
     return checks
 
@@ -218,7 +217,7 @@ def suite_delta2(cfg: SuiteConfig) -> list:
 def suite_vector_fields(cfg: SuiteConfig) -> list:
     p = cfg.presentation
     return check_vector_algebra(printed(f"vector-{builtin_id(p)}", VECTOR_FIELDS),
-                                p.calculus, p, cfg.degree(3))
+                                p, cfg.degree(3))
 
 
 # -- global suites ----------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_criterion_04_confluence():
 def test_criterion_05_poincare():
     ok = True
     for pid in CALCULUS_PRESETS:
-        c = check_nilpotent(preset(pid).calculus, preset(pid), 4)
+        c = check_nilpotent(preset(pid), 4)
         ok = ok and c.status == "pass"
     _verdict(5, "Poincare: d^2 = 0 on all normal words of degree <= 4", ok)
 
@@ -136,7 +136,7 @@ def test_criterion_07_vector_fields():
     ok = True
     for pid in ("slq2-left", "glq2-left", "glq2-right"):
         relations = printed(f"vector-{pid}", VECTOR_FIELDS)
-        checks = check_vector_algebra(relations, preset(pid).calculus, preset(pid), 3)
+        checks = check_vector_algebra(relations, preset(pid), 3)
         ok = ok and all(c.status == "pass" for c in checks)
         ok = ok and all("reading order" in c.details or c.status != "pass"
                         for c in checks)  # frozen convention recorded

@@ -10,7 +10,6 @@ from qncalc.calculus import (
     CALCULUS_PRESETS,
     VECTOR_FIELDS,
     DiffStructure,
-    _check_nilpotent,
     apply_delta,
     check_nilpotent,
     check_vector_algebra,
@@ -49,6 +48,11 @@ def el(*terms):
     return out
 
 
+def with_calculus(p, d):
+    """A new presentation object with p's name and rules and the calculus d."""
+    return Presentation(p.name, p.generators, p.order, p.rules, p.form_position, calculus=d)
+
+
 # -- differential structure consistency -----------------------------------------
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
@@ -64,31 +68,30 @@ def test_images_raise_form_degree_by_one(pid):
 
 def test_delta_kills_unit():
     pid = "glq2-left"
-    assert apply_delta(Element.unit(), preset(pid).calculus, preset(pid)).is_zero
+    assert apply_delta(Element.unit(), preset(pid)).is_zero
 
 
 def test_delta_of_a_matches_matrix_identity():
     # d(a) = a theta^1 + b theta^3 with theta^1 = tht1/2 + tht4
     p = preset("glq2-left")
-    d = preset("glq2-left").calculus
     std = standard_form_basis(preset("glq2-left"))["standard"]
     expected = normalize(w("a") * std[1] + w("b") * std[3], p)
-    assert apply_delta(w("a"), d, p) == expected
+    assert apply_delta(w("a"), p) == expected
 
 
 def test_delta_three_factor_association():
     pid = "glq2-left"
-    p, d = preset(pid), preset(pid).calculus
+    p = preset(pid)
     rng = random.Random(5)
     letters = [g.name for g in p.generators]
     for _ in range(25):
         f, g_, h = (w(rng.choice(letters)) for _ in range(3))
-        assert apply_delta((f * g_) * h, d, p) == apply_delta(f * (g_ * h), d, p)
+        assert apply_delta((f * g_) * h, p) == apply_delta(f * (g_ * h), p)
 
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_delta_respects_every_rule(pid):
-    for label, res in delta_respects_rules(preset(pid).calculus, preset(pid)):
+    for label, res in delta_respects_rules(preset(pid)):
         assert res.is_zero, (pid, label, res)
 
 
@@ -112,9 +115,9 @@ def test_apply_delta_matches_product_expansion(pid):
     p, d = preset(pid), preset(pid).calculus
     for word in normal_words(p, 3):
         x = Element.term(ONE, word)
-        once = apply_delta(x, d, p)
+        once = apply_delta(x, p)
         assert once == product_expansion(x, d, p), word
-        assert apply_delta(once, d, p) == product_expansion(once, d, p), word
+        assert apply_delta(once, p) == product_expansion(once, d, p), word
 
 
 # normal words of degree <= 3 per preset: the checked corpus must not shrink
@@ -126,22 +129,10 @@ NILPOTENT_WORDS_DEGREE_3 = {
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_nilpotency_degree_three(pid):
-    c = check_nilpotent(preset(pid).calculus, preset(pid), 3)
+    c = check_nilpotent(preset(pid), 3)
     assert c.status == "pass", c.details
     assert c.details == (f"d^2 = 0 on {NILPOTENT_WORDS_DEGREE_3[pid]} normal words, "
                          f"degree <= 3")
-
-
-@pytest.mark.parametrize("pid", CALCULUS_PRESETS)
-def test_recursive_derivative_matches_apply_delta(pid):
-    # the check peels one letter per word; every d(word) it memoizes must be
-    # the full Leibniz expansion's normal form
-    p, d = preset(pid), preset(pid).calculus
-    memo = {}
-    assert _check_nilpotent(d, p, 3, memo).status == "pass"
-    assert len(memo) > NILPOTENT_WORDS_DEGREE_3[pid]
-    for word, dw in memo.items():
-        assert dw == apply_delta(Element.term(ONE, word), d, p), word
 
 
 def assert_first_failure_reported(pid, form, failed):
@@ -153,7 +144,7 @@ def assert_first_failure_reported(pid, form, failed):
     def twice(word):
         return product_expansion(product_expansion(Element.term(ONE, word), bad, p), bad, p)
 
-    c = check_nilpotent(bad, p, 3)
+    c = check_nilpotent(with_calculus(p, bad), 3)
     assert c.status == "fail"
     first = next(word for word in normal_words(p, 3) if not twice(word).is_zero)
     assert c.details == f"{failed} failed; first: {'.'.join(first)}"
@@ -168,39 +159,73 @@ def test_nilpotency_reports_broken_right_differential():
     assert_first_failure_reported("slq2-right", "w1", "36 of 88")
 
 
+@pytest.mark.parametrize("pid", CALCULUS_PRESETS)
+def test_derivation_memo_is_per_presentation_object(pid):
+    # a copy named like the preset, with d of its last odd generator negated,
+    # must get its own d(w) memo: its d^2 fails, the preset's still passes
+    p = preset(pid)
+    form = p.odd_names()[-1]
+    bad = DiffStructure(p.calculus.side, {**p.calculus.images, form: -p.calculus.images[form]})
+    assert check_nilpotent(p, 2).status == "pass"
+    assert check_nilpotent(with_calculus(p, bad), 2).status == "fail"
+    assert check_nilpotent(p, 2).status == "pass"
+
+
+def test_a_rule_dropped_from_a_calculus_preset_breaks_nilpotency():
+    # the copy keeps the calculus, so delta2 runs on it and kills the mutant
+    p = preset_without_rule(preset("glq2-left"), "a.b")
+    [suite] = run_suite(SuiteConfig(p, suites=("delta2",))).suites
+    check = suite.checks[0]
+    assert (check.name, check.status) == ("nilpotent[glq2-left-without-a.b]", "fail")
+    assert check.details == "29 of 720 failed; first: b.c.a"
+
+
+def test_no_calculus_is_a_typed_error():
+    p = preset("glq2")
+    with pytest.raises(ValueError, match="^glq2 declares no differential calculus$"):
+        apply_delta(w("a"), p)
+    with pytest.raises(ValueError, match="^glq2 declares no differential calculus$"):
+        check_nilpotent(p)
+
+
+def d_of_b_a(d):
+    """d(b.a) on a left calculus, the Leibniz terms not yet normalized."""
+    return d.images["b"] * w("a") + w("b") * d.images["a"]
+
+
 def test_delta_budget_holds_after_nilpotency_check():
     pid = "glq2-left"
-    p, d = preset(pid), preset(pid).calculus
-    assert check_nilpotent(d, p).status == "pass"
+    p = preset(pid)
+    assert check_nilpotent(p).status == "pass"
     fresh = Presentation(p.name, p.generators, p.order, p.rules,
                          form_position=p.form_position)
     with pytest.raises(StepBudgetExceededError):
-        apply_delta(w("b.a"), d, fresh, budget=2)
+        normalize(d_of_b_a(p.calculus), fresh, budget=2)
 
 
 def test_delta_budget_is_independent_of_the_memo():
     pid = "glq2-left"
-    p, d = preset(pid), preset(pid).calculus
+    p = preset(pid)
     with pytest.raises(StepBudgetExceededError):
-        apply_delta(w("b.a"), d, p, budget=2)
-    assert check_nilpotent(d, p).status == "pass"
+        normalize(d_of_b_a(p.calculus), p, budget=2)
+    assert check_nilpotent(p).status == "pass"
     with pytest.raises(StepBudgetExceededError):
-        apply_delta(w("b.a"), d, p, budget=2)
+        normalize(d_of_b_a(p.calculus), p, budget=2)
 
 
 def test_budget_error_names_the_word():
     # a budget trips while filling the cache (fresh presentation) or when
     # charging a cached normal form; both name the word being normalized
     pid = "glq2-left"
-    p, d = preset(pid), preset(pid).calculus
+    p = preset(pid)
     fresh = Presentation(p.name, p.generators, p.order, p.rules,
                          form_position=p.form_position)
     msg = re.escape("step budget 2 exceeded while normalizing b.tht4.a under 'glq2-left'")
     with pytest.raises(StepBudgetExceededError, match=msg):
-        apply_delta(w("b.a"), d, fresh, budget=2)
+        normalize(d_of_b_a(p.calculus), fresh, budget=2)
     normalize(w("b.tht4.a"), fresh)            # cached now: the charge trips
     with pytest.raises(StepBudgetExceededError, match=msg) as info:
-        apply_delta(w("b.a"), d, fresh, budget=2)
+        normalize(d_of_b_a(p.calculus), fresh, budget=2)
     assert info.value.__suppress_context__
 
 
@@ -220,7 +245,7 @@ def test_standard_forms_are_the_maurer_cartan_forms(pid):
     if "Dinv" not in p.parity:
         lost["Dinv"] = Element.unit()
     s = [[x.substitute(ANTIPODE_IMAGES).substitute(lost) for x in row] for row in T]
-    dt = [[apply_delta(x.substitute(lost), p.calculus, p) for x in row] for row in T]
+    dt = [[apply_delta(x.substitute(lost), p) for x in row] for row in T]
     std = standard_form_basis(p)["standard"]
     omega = [[normalize(std[k], p) for k in ks] for ks in ((1, 2), (3, 4))]
     forms = lambda m: [[normalize(x, p) for x in row] for row in m]
@@ -259,7 +284,7 @@ def test_trace_scalar_identity():
 def test_sl_presets_have_closed_determinant():
     for pid in ("slq2-left", "slq2-right"):
         p = preset(pid)
-        ddet = apply_delta(qdet(p), preset(pid).calculus, p)
+        ddet = apply_delta(qdet(p), p)
         assert ddet.is_zero
 
 
@@ -328,16 +353,14 @@ def test_sl_dependency_rule_present():
 
 def test_generator_components_oracle():
     # from d(a) = a th1 + b th3 and d(b) = -q^2 b th1 + a th2
-    pid = "slq2-left"
-    p, d = preset(pid), preset(pid).calculus
-    assert vector_field_components(w("a"), d, p) == {1: w("a"), 3: w("b")}
-    assert vector_field_components(w("b"), d, p) == {
+    p = preset("slq2-left")
+    assert vector_field_components(w("a"), p) == {1: w("a"), 3: w("b")}
+    assert vector_field_components(w("b"), p) == {
         1: Element.term(-q(2), ("b",)), 2: w("a")}
 
 
 def test_unit_has_zero_components():
-    pid = "slq2-left"
-    comps = vector_field_components(Element.unit(), preset(pid).calculus, preset(pid))
+    comps = vector_field_components(Element.unit(), preset("slq2-left"))
     assert comps == {}
 
 
@@ -349,46 +372,46 @@ def test_a_form_off_its_slot_stops_the_split(pid, rule, message):
     # without the rule that moves it, one form of d(a.a) stays between the a's
     p = preset(pid)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        calculus._components(w("a.a"), p.calculus, preset_without_rule(p, rule), {})
+        calculus._components(w("a.a"), preset_without_rule(p, rule), {})
 
 
 def test_recombination_identity():
     # sum_k (f V_k) theta^k rebuilds d(f) for random monomials
     pid = "glq2-left"
-    p, d = preset(pid), preset(pid).calculus
+    p = preset(pid)
     std = standard_form_basis(preset(pid))["standard"]
     rng = random.Random(9)
     evens = p.even_names()
     for _ in range(100):
         word = tuple(rng.choice(evens) for _ in range(rng.randint(0, 3)))
         f = w(*word) if word else Element.unit()
-        comps = vector_field_components(f, d, p)
+        comps = vector_field_components(f, p)
         rebuilt = Element.zero()
         for k, comp in comps.items():
             rebuilt = rebuilt + comp * std[k]
-        assert normalize(rebuilt, p) == apply_delta(f, d, p)
+        assert normalize(rebuilt, p) == apply_delta(f, p)
 
 
 def test_right_recombination_identity():
     pid = "glq2-right"
-    p, d = preset(pid), preset(pid).calculus
+    p = preset(pid)
     std = standard_form_basis(preset(pid))["standard"]
     rng = random.Random(10)
     evens = p.even_names()
     for _ in range(100):
         word = tuple(rng.choice(evens) for _ in range(rng.randint(0, 3)))
         f = w(*word) if word else Element.unit()
-        comps = vector_field_components(f, d, p)
+        comps = vector_field_components(f, p)
         rebuilt = Element.zero()
         for k, comp in comps.items():
             rebuilt = rebuilt + std[k] * comp
-        assert normalize(rebuilt, p) == apply_delta(f, d, p)
+        assert normalize(rebuilt, p) == apply_delta(f, p)
 
 
 @pytest.mark.parametrize("pid", VECTOR_FIELD_PRESETS)
 def test_vector_algebra(pid):
     relations = printed(f"vector-{pid}", VECTOR_FIELDS)
-    checks = check_vector_algebra(relations, preset(pid).calculus, preset(pid), 2)
+    checks = check_vector_algebra(relations, preset(pid), 2)
     assert len(checks) == len(relations) > 0
     for c in checks:
         assert c.status == "pass", (c.name, c.residual, c.details)
@@ -399,7 +422,7 @@ def test_vector_algebra_builds_the_basis_table_once(monkeypatch):
     build = calculus.standard_form_basis
     monkeypatch.setattr(calculus, "standard_form_basis", lambda p: calls.append(p) or build(p))
     p = preset("glq2-left")
-    check_vector_algebra(printed("vector-glq2-left", VECTOR_FIELDS), p.calculus, p, 2)
+    check_vector_algebra(printed("vector-glq2-left", VECTOR_FIELDS), p, 2)
     assert calls == [p]
 
 

@@ -400,7 +400,7 @@ def test_q_line_calculus_example_file():
     assert d.images["xi"] == -q(-2) * w("xi.th")
     assert d.forms == {"th": w("xi.del_x")}
     assert [r.provenance for r in p.rules][1:4] == ["user:8", "commutation", "commutation"]
-    assert check_nilpotent(d, p).status == "pass"
+    assert check_nilpotent(p).status == "pass"
     dp = derive_diff_rules(p)
     assert {r.lhs: r.rhs for r in dp.rules}[("del_x", "x")] == q(2) * w("x.del_x")
 

@@ -2,8 +2,9 @@
 assumed): every ``__all__`` name exists, no module but the package's
 ``__init__`` imports a name it never uses, every function and class is
 used somewhere, the kernel layers import nothing from ``reports``, one
-loop merges scaled terms into word -> coefficient dicts, and no family of
-identities is judged by ``Check.of``."""
+loop merges scaled terms into word -> coefficient dicts, no family of
+identities is judged by ``Check.of``, and no calculus function takes a
+calculus beside the presentation that declares it."""
 
 import ast
 import importlib
@@ -142,3 +143,12 @@ def test_no_family_is_judged_by_check_of():
                                                    and n.args[0].id in folded))):
                     judged.add(f"{path.stem}.{fn.name}")
     assert sorted(judged) == []
+
+
+def test_the_calculus_is_read_from_the_presentation():
+    # a calculus function takes the presentation and reads p.calculus; a
+    # separate calculus argument could disagree with it
+    tree = ast.parse((SRC / "calculus.py").read_text(encoding="utf-8"))
+    both = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and {"d", "p"} <= {a.arg for a in fn.args.args + fn.args.kwonlyargs}]
+    assert both == []
