@@ -63,7 +63,5 @@ from .rmatrix import (
     standard_r,
     ybe_residual,
 )
-from .suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
-from .targets import conjugate_forms_check, printed
 
 __version__ = "0.1.0"

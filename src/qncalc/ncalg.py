@@ -673,6 +673,10 @@ def random_strategy_normalize(x: Element, p: Presentation, seed: int,
     """
     rng = random.Random(seed)
     terms = {w: c for w, c in x.items()}
+    for w in terms:
+        for g in w:
+            if g not in p.parity:
+                raise UnknownGeneratorError(g)
     steps = 0
     while True:
         redexes = []

@@ -269,6 +269,15 @@ def test_unknown_generator_raises_cold_or_warm():
         assert not any("zz" in word for word in fresh._nf_cache)
 
 
+@pytest.mark.parametrize("bad", ["zz", "d.zz.a", "a.zz"])
+def test_the_witness_rejects_unknown_generators_as_normalize_does(bad):
+    # by its own letter check: a word with no redex is never rewritten
+    p = preset("glq2")
+    for x in (w(bad), w("d.a") + w(bad)):
+        with pytest.raises(UnknownGeneratorError, match="zz"):
+            random_strategy_normalize(x, p, seed=1)
+
+
 def test_step_budget_stops_non_terminating_rules():
     gens = [Generator("x", 0, 0), Generator("y", 0, 1)]
     loop = Presentation("loop", gens, TerminationOrder("deglex"), [
@@ -520,6 +529,24 @@ def test_deglex_keys():
     o = p.order
     assert o.greater(("y", "x"), ("x", "y"), p.parity, p.precedence)
     assert o.greater(("x", "x", "x"), ("y", "y"), p.parity, p.precedence)
+
+
+def test_deglex_orients_every_shipped_rule_in_every_one_letter_context():
+    # a rewrite inside u._.v must still go down the order, or termination,
+    # and with it every verdict read off a unique normal form, is unproven
+    systems = [preset(pid) for pid in PRESET_IDS]
+    systems += [parse_presentation(f.read_text()) for f in sorted(EXAMPLES.glob("*.preset"))]
+    samples = 0
+    for p in systems:
+        assert p.order.kind == "deglex", p.name
+        contexts = [()] + [(g.name,) for g in p.generators]
+        for r in p.rules:
+            for rhs_word in r.rhs.words():
+                for u, v in itertools.product(contexts, repeat=2):
+                    samples += 1
+                    assert p.order.greater(u + r.lhs + v, u + rhs_word + v, p.parity,
+                                           p.precedence), (p.name, u, r.lhs, rhs_word, v)
+    assert samples == 17684
 
 
 def test_an_unknown_order_kind_is_an_error():

@@ -496,7 +496,28 @@ for ref in rebound:
 ncalg.Presentation.word_normal_form = counted
 presentations.preset.cache_clear()
 calculus._derived.cache_clear()
-print(json.dumps({"same": report() == cached_report, "rebound": rebound, "calls": calls}))
+replay = report()
+print(json.dumps({"same": replay == cached_report, "rebound": rebound, "calls": calls,
+                  "counts": [cached_report["counts"], replay["counts"]]}))
+"""
+
+# a fault in the cached kernel, planted before the cached report is taken:
+# every multi-term normal form that ``_fill`` caches loses its last term
+PLANTED_FAULT = r"""
+import itertools
+from qncalc import ncalg
+
+fill = ncalg.Presentation._fill
+
+def faulty_fill(self, word, steps):
+    size = len(self._nf_cache)
+    fill(self, word, steps)
+    added = len(self._nf_cache) - size
+    for nf in itertools.islice(reversed(self._nf_cache.values()), added):
+        if len(nf.words) > 1:
+            nf.words, nf.coefs = nf.words[:-1], nf.coefs[:-1]
+
+ncalg.Presentation._fill = faulty_fill
 """
 
 
@@ -513,3 +534,18 @@ def test_the_witness_normalizer_gives_the_same_report():
     assert "qncalc.ncalg.normalize" in out["rebound"]
     assert out["calls"]["witness"] > 0 and out["calls"]["cached"] == 0
     assert out["same"]
+
+
+def test_the_witness_replay_catches_a_fault_in_the_cached_normalizer():
+    # the replay judges the report afresh, so a kernel fault that changes
+    # verdicts shows as a disagreement, and the replay keeps the golden counts
+    proc = subprocess.run([sys.executable, "-c", PLANTED_FAULT + WITNESS_RUN],
+                          capture_output=True, text=True, env=_subprocess_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    golden = json.loads((DATA / "verify_paper_seed7.json").read_text())["counts"]
+    faulty, replay = out["counts"]
+    assert not out["same"] and out["calls"]["cached"] == 0
+    assert faulty != golden and faulty["fail"] > 0
+    assert replay == golden
