@@ -15,7 +15,10 @@ from .calculus import (
     check_vector_algebra,
     derive_diff_rules,
     diff_presentation,
+    interchange_left_to_right,
+    interchange_right_to_left,
     qtrace_check,
+    reduction_morphisms,
     vector_field_components,
 )
 from .dsl import (
@@ -34,8 +37,6 @@ from .ncalg import (
     StepBudgetExceededError,
     TerminationOrder,
     check_local_confluence,
-    equal_mod_ideal,
-    mul,
     normal_words,
     normalize,
     random_strategy_normalize,
@@ -47,11 +48,8 @@ from .presentations import (
     antipode_residuals,
     coproduct_residuals,
     epsilon_identity_residuals,
-    interchange_left_to_right,
-    interchange_right_to_left,
     preset,
     qdet,
-    reduction_morphisms,
 )
 from .qfield import ONE, Q, ZERO, DivisionByZeroError, PoleAtOneError, Scalar
 from .reports import Check, Suite, SuiteReport

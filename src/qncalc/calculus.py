@@ -1,12 +1,14 @@
-"""Exterior derivatives, quantum trace, derived differential rules, and
-vector fields for the calculus presets.
+"""Exterior derivatives, the maps between calculi, quantum trace, derived
+differential rules, and vector fields for the calculus presets.
 
 Each calculus preset stores its 1-forms in the diagonalized basis that
 makes the rewrite rules monomial.  Its preset file declares the
 differential of every generator and each form in terms of the primitive
 differentials ``del_a .. del_d``; this module owns the linear change of
 basis to the standard matrix-indexed forms (indices 1..4 in row-major
-position) and everything computed from the declared calculus.
+position) and everything computed from the declared calculus.  A map
+between calculi (a reduction, the interchange) is given by the images of
+the coordinates that move; d forces the image of every form.
 
 Sign conventions realized here (and asserted by the closure checks):
 
@@ -42,7 +44,7 @@ from .ncalg import (
     normalize,
     validate_presentation,
 )
-from .presentations import builtin_id, preset, qdet
+from .presentations import Morphism, builtin_id, preset, qdet
 from .qfield import ONE, Scalar
 from .reports import Check, Record
 from .rmatrix import matmul, matrix, matrix_residuals
@@ -51,6 +53,9 @@ __all__ = [
     "DiffStructure",
     "apply_delta",
     "check_nilpotent",
+    "reduction_morphisms",
+    "interchange_left_to_right",
+    "interchange_right_to_left",
     "delta_respects_rules",
     "maurer_cartan_residuals",
     "qtrace_check",
@@ -172,6 +177,46 @@ def _derivative(p: Presentation):
         return hit
 
     return delta
+
+
+def _morphism(source: str, target: str, images: Mapping[str, Element],
+              scalar_fn=None, name: str | None = None) -> Morphism:
+    """The map of calculi from preset ``source`` to preset ``target`` that
+    sends each even generator x to ``images[x]`` (to itself when absent)
+    and maps coefficients by ``scalar_fn``.  The forms' images are forced
+    by d: each ``form`` line of the source, its even generators mapped,
+    ``del_x`` sent to d(image of x) in the target, normalized there."""
+    name = name or f"{source}->{target}"
+    tgt, ds = preset(target), preset(source).calculus
+    dels = {f"del_{x}": apply_delta(images.get(x, Element.word(x)), tgt)
+            for x in ds.coords}
+    push = Morphism(name, source, tgt, {**images, **dels}, scalar_fn)
+    forms = {f: push.apply(form) for f, form in ds.forms.items()}
+    return Morphism(name, source, tgt, {**images, **forms}, scalar_fn)
+
+
+def reduction_morphisms() -> list[Morphism]:
+    """The six nested reductions, left chain then right: GL -> SL sets the
+    determinant to 1, SL -> each plane kills c or b."""
+    one, zero = Element.unit(), Element.zero()
+    return [_morphism(source.format(side), target.format(side), images)
+            for side in ("left", "right")
+            for source, target, images in (
+                ("glq2-{}", "slq2-{}", {"D": one, "Dinv": one}),
+                ("slq2-{}", "qplane-{}-c0", {"c": zero}),
+                ("slq2-{}", "qplane-{}-b0", {"b": zero}))]
+
+
+# a <-> d with q -> 1/q matches each GL calculus with the other side's
+_SWAP_AD = {"a": Element.word("d"), "d": Element.word("a")}
+
+
+def interchange_left_to_right() -> Morphism:
+    return _morphism("glq2-left", "glq2-right", _SWAP_AD, Scalar.invert_q, "interchange")
+
+
+def interchange_right_to_left() -> Morphism:
+    return _morphism("glq2-right", "glq2-left", _SWAP_AD, Scalar.invert_q, "interchange-rev")
 
 
 def check_nilpotent(p: Presentation, max_degree: int = 4) -> Check:

@@ -47,8 +47,6 @@ __all__ = [
     "ConfluenceReport",
     "CriticalPair",
     "normalize",
-    "mul",
-    "equal_mod_ideal",
     "random_strategy_normalize",
     "check_local_confluence",
     "validate_presentation",
@@ -649,18 +647,6 @@ def add_scaled(out: dict, terms, coef: Scalar) -> None:
             out.pop(w, None)
         else:
             out[w] = s
-
-
-def mul(x: Element, y: Element, p: Presentation,
-        budget: int = DEFAULT_STEP_BUDGET) -> Element:
-    """Product in the presented algebra: concatenation followed by normalize."""
-    return normalize(x * y, p, budget)
-
-
-def equal_mod_ideal(x: Element, y: Element, p: Presentation,
-                    budget: int = DEFAULT_STEP_BUDGET) -> bool:
-    """True iff x - y rewrites to zero (complete only on confluent p)."""
-    return normalize(x - y, p, budget).is_zero
 
 
 def random_strategy_normalize(x: Element, p: Presentation, seed: int,

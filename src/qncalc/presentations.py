@@ -1,4 +1,4 @@
-"""Built-in presentations and the maps between them.
+"""Built-in presentations, their Hopf-map residuals, and the morphism record.
 
 Nine presets cover the 2x2 q-deformed matrix algebra, its left and right
 differential-form extensions at the matched deformation parameter, the
@@ -37,9 +37,6 @@ __all__ = [
     "coproduct_residuals",
     "antipode_residuals",
     "Morphism",
-    "interchange_left_to_right",
-    "interchange_right_to_left",
-    "reduction_morphisms",
     "ANTIPODE_IMAGES",
 ]
 
@@ -195,7 +192,8 @@ def antipode_residuals(p: Presentation) -> list:
 class Morphism(NamedTuple):
     """Generator substitution plus a coefficient map into a target
     presentation.  A generator without an image maps to itself;
-    ``scalar_fn``, when given, maps every coefficient."""
+    ``scalar_fn``, when given, maps every coefficient.  The built-in maps
+    are built in :mod:`qncalc.calculus`, which derives their form images."""
 
     name: str
     source: str
@@ -206,37 +204,3 @@ class Morphism(NamedTuple):
     def apply(self, x: Element, normalized: bool = True) -> Element:
         out = x.substitute(self.images, scalar_fn=self.scalar_fn)
         return normalize(out, self.target) if normalized else out
-
-
-# a <-> d, each left form onto its right counterpart
-_INTERCHANGE = {"a": "d", "d": "a", "tht1": "wb1", "th2": "w2", "th3": "w3",
-                "tht4": "wb4"}
-
-
-def interchange_left_to_right() -> Morphism:
-    """a <-> d with q -> 1/q, matching left forms onto right forms."""
-    images = {x: Element.word(y) for x, y in _INTERCHANGE.items()}
-    return Morphism("interchange", "glq2-left", preset("glq2-right"),
-                    images, Scalar.invert_q)
-
-
-def interchange_right_to_left() -> Morphism:
-    images = {y: Element.word(x) for x, y in _INTERCHANGE.items()}
-    return Morphism("interchange-rev", "glq2-right", preset("glq2-left"),
-                    images, Scalar.invert_q)
-
-
-def reduction_morphisms() -> list[Morphism]:
-    """The six nested reductions (left and right chains), each given by
-    the generators that do not map to themselves."""
-    one, zero, w = Element.unit(), Element.zero(), Element.word
-    table = (
-        ("glq2-left", "slq2-left", {"D": one, "Dinv": one, "tht1": zero, "tht4": w("th1")}),
-        ("slq2-left", "qplane-left-c0", {"c": zero, "th3": zero}),
-        ("slq2-left", "qplane-left-b0", {"b": zero, "th2": zero}),
-        ("glq2-right", "slq2-right", {"D": one, "Dinv": one, "wb1": zero, "wb4": w("w1")}),
-        ("slq2-right", "qplane-right-c0", {"c": zero, "w3": zero}),
-        ("slq2-right", "qplane-right-b0", {"b": zero, "w2": zero}),
-    )
-    return [Morphism(f"{source}->{target}", source, preset(target), images)
-            for source, target, images in table]

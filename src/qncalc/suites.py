@@ -30,8 +30,11 @@ from .calculus import (
     delta_respects_rules,
     diff_presentation,
     form_diff_roundtrip_residuals,
+    interchange_left_to_right,
+    interchange_right_to_left,
     maurer_cartan_residuals,
     qtrace_check,
+    reduction_morphisms,
 )
 from .ncalg import (
     Element,
@@ -49,11 +52,8 @@ from .presentations import (
     coproduct_residuals,
     epsilon_identity_residuals,
     free_presentation,
-    interchange_left_to_right,
-    interchange_right_to_left,
     preset,
     qdet,
-    reduction_morphisms,
 )
 from .qfield import PoleAtOneError, Scalar
 from .reports import Check, Suite, SuiteReport

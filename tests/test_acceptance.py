@@ -17,7 +17,9 @@ from qncalc.calculus import (
     VECTOR_FIELDS,
     check_nilpotent,
     check_vector_algebra,
+    interchange_left_to_right,
     qtrace_check,
+    reduction_morphisms,
 )
 from qncalc.cli import main
 from qncalc.dsl import export_presentation, parse_expression, parse_presentation
@@ -32,10 +34,8 @@ from qncalc.presentations import (
     PRESET_IDS,
     antipode_residuals,
     coproduct_residuals,
-    interchange_left_to_right,
     preset,
     qdet,
-    reduction_morphisms,
 )
 from qncalc.qfield import Scalar
 from qncalc.rmatrix import (

@@ -16,8 +16,11 @@ from qncalc.calculus import (
     delta_respects_rules,
     diff_presentation,
     form_diff_roundtrip_residuals,
+    interchange_left_to_right,
+    interchange_right_to_left,
     maurer_cartan_residuals,
     qtrace_check,
+    reduction_morphisms,
     standard_form_basis,
     vector_field_components,
 )
@@ -304,6 +307,76 @@ def test_antipode_rebuilds_primitive_form():
     back = normalize(expr.substitute(
         {f"del_{x}": ds.images[x] for x in "abcd"}), p)
     assert back == w("tht1")
+
+
+# -- maps of calculi ------------------------------------------------------------------
+
+# (map, whether d commutes up to (-1)^k on form degree k): the interchange
+# matches the left calculus, whose d acts from the right (apply_delta's
+# peel), with the right calculus, whose d acts from the left
+MAPS = ([(m, False) for m in reduction_morphisms()]
+        + [(m, True) for m in (interchange_left_to_right(), interchange_right_to_left())])
+
+
+def dg_residual(m, g, graded):
+    """m(d g) - (-1)^k d(m g) in m's target, k = |g| when ``graded``, else 0."""
+    src = preset(m.source)
+    sign = -ONE if graded and src.parity[g] else ONE
+    return (m.apply(apply_delta(w(g), src))
+            - sign * apply_delta(m.apply(w(g)), m.target))
+
+
+@pytest.mark.parametrize("m, graded, g",
+                         [pytest.param(m, graded, g.name, id=f"{m.name}[{g.name}]")
+                          for m, graded in MAPS for g in preset(m.source).generators])
+def test_every_map_commutes_with_d(m, graded, g):
+    # by Leibniz, d commutes with m on the whole source once it does on
+    # every generator; 68 cases over the eight maps
+    res = dg_residual(m, g, graded)
+    assert res.is_zero, (m.name, g, str(res))
+
+
+def test_the_form_images_are_the_ones_d_forces():
+    moved = {m.name: {x: y for x, y in m.images.items() if y != w(x)} for m, _ in MAPS}
+    one, zero = Element.unit(), Element.zero()
+    assert moved == {
+        "glq2-left->slq2-left": {"D": one, "Dinv": one, "tht1": zero,
+                                 "tht4": w("th1")},
+        "slq2-left->qplane-left-c0": {"c": zero, "th3": zero},
+        "slq2-left->qplane-left-b0": {"b": zero, "th2": zero},
+        "glq2-right->slq2-right": {"D": one, "Dinv": one, "wb1": zero,
+                                   "wb4": w("w1")},
+        "slq2-right->qplane-right-c0": {"c": zero, "w3": zero},
+        "slq2-right->qplane-right-b0": {"b": zero, "w2": zero},
+        "interchange": {"a": w("d"), "d": w("a"), "tht1": w("wb1"), "th2": q(1) * w("w2"),
+                        "th3": q(-1) * w("w3"), "tht4": -w("wb4")},
+        "interchange-rev": {"a": w("d"), "d": w("a"), "wb1": w("tht1"),
+                            "w2": q(1) * w("th2"), "w3": q(-1) * w("th3"),
+                            "wb4": -w("tht4")},
+    }
+
+
+def test_the_hand_written_interchange_fails_dg():
+    # each left form onto its right namesake maps every rule into the right
+    # ideal, but does not commute with d
+    names = {"a": "d", "d": "a", "tht1": "wb1", "th2": "w2", "th3": "w3", "tht4": "wb4"}
+    m = interchange_left_to_right()._replace(images={x: w(y) for x, y in names.items()})
+    assert all(m.apply(r.relation()).is_zero for r in preset("glq2-left").rules)
+    failing = [g.name for g in preset("glq2-left").generators
+               if not dg_residual(m, g.name, True).is_zero]
+    assert failing == ["b", "c", "a", "d", "th2", "th3", "tht4"]
+
+
+def test_two_calculi_no_dg_map_left_to_right_fixes_the_coordinates():
+    # the identity on a, b, c, d, D, Dinv, its form images forced by d,
+    # sends 18 of the 51 left rules outside the right ideal.  The verdict
+    # reads "nonzero normal form => not in I", so it rests on the local
+    # confluence of glq2-right (and its deglex order).
+    m = calculus._morphism("glq2-left", "glq2-right", {})
+    rules = preset("glq2-left").rules
+    outside = [r.lhs for r in rules if not m.apply(r.relation()).is_zero]
+    assert (len(outside), len(rules)) == (18, 51)
+    assert check_local_confluence(preset("glq2-right")).confluent
 
 
 # -- derived differential rules -----------------------------------------------------
