@@ -4,9 +4,10 @@ differential rules, and vector fields for the calculus presets.
 Each calculus preset stores its 1-forms in the diagonalized basis that
 makes the rewrite rules monomial.  Its preset file declares the
 differential of every generator and each form in terms of the primitive
-differentials ``del_a .. del_d``; this module owns the linear change of
-basis to the standard matrix-indexed forms (indices 1..4 in row-major
-position) and everything computed from the declared calculus.  A map
+differentials ``del_a .. del_d``; this module derives everything else
+from the declared calculus, the standard forms too: indexed 1..4 by
+row-major matrix position, they are the Maurer-Cartan forms S(T).dT
+(left) or dT.S(T) (right), written in the preset's own forms.  A map
 between calculi (a reduction, the interchange) is given by the images of
 the coordinates that move; d forces the image of every form.
 
@@ -44,10 +45,10 @@ from .ncalg import (
     normalize,
     validate_presentation,
 )
-from .presentations import Morphism, builtin_id, preset, qdet
+from .presentations import ANTIPODE_IMAGES, Morphism, builtin_id, preset, qdet
 from .qfield import ONE, Scalar
 from .reports import Check, Record
-from .rmatrix import matmul, matrix, matrix_residuals
+from .rmatrix import T, matmul, matrix_residuals
 
 __all__ = [
     "DiffStructure",
@@ -59,7 +60,7 @@ __all__ = [
     "delta_respects_rules",
     "maurer_cartan_residuals",
     "qtrace_check",
-    "standard_form_basis",
+    "maurer_cartan_forms",
     "form_diff_roundtrip_residuals",
     "derive_diff_rules",
     "diff_presentation",
@@ -72,7 +73,6 @@ __all__ = [
 ]
 
 _q = Scalar.q_power
-_HALF = Scalar.fraction(1, 2)
 
 CALCULUS_PRESETS = (
     "glq2-left", "slq2-left", "qplane-left-b0", "qplane-left-c0",
@@ -237,51 +237,50 @@ def delta_respects_rules(p: Presentation) -> list:
 
 
 # ---------------------------------------------------------------------------
-# standard (matrix-position) form basis
+# the Maurer-Cartan forms and their dual
 # ---------------------------------------------------------------------------
 
-def standard_form_basis(p: Presentation) -> dict:
-    """The standard forms (indices 1..4, row-major matrix position) as
-    elements in a calculus preset's primitive basis, plus the reverse
-    linear map used to convert vector-field components."""
-    left = p.calculus.side == "left"
-    pid = builtin_id(p)
-    if pid not in CALCULUS_PRESETS:
-        raise ValueError(f"{p.name} is not a built-in calculus preset")
-    t = "th" if left else "w"
-    shrink = -_q(2) if left else -_q(-2)
-    if pid in TRACE_FORM:       # GL: the trace form and its diagonalized partner
-        f1, f4 = TRACE_FORM[pid], ("tht4" if left else "wb4")
-        std = {
-            1: _HALF * Element.word(f1) + Element.word(f4),
-            2: Element.word(t + "2"),
-            3: Element.word(t + "3"),
-            4: _HALF * Element.word(f1) + shrink * Element.word(f4),
-        }
-        sq = _q(2) if left else _q(-2)
-        den = ONE + sq
-        prim = {
-            f1: {1: Scalar.from_int(2) * sq / den, 4: Scalar.from_int(2) / den},
-            t + "2": {2: ONE}, t + "3": {3: ONE},
-            f4: {1: ONE / den, 4: -(ONE / den)},
-        }
-        return {"standard": std, "primitive": prim}
-    std = {1: Element.word(t + "1"), 2: Element.zero(), 3: Element.zero(),
-           4: Element.term(shrink, (t + "1",))}
-    prim = {t + "1": {1: ONE}}
-    for k in (2, 3):
-        name = f"{t}{k}"
-        if name in p.parity:
-            std[k] = Element.word(name)
-            prim[name] = {k: ONE}
-    return {"standard": std, "primitive": prim}
+def maurer_cartan_forms(p: Presentation, side: str | None = None) -> tuple:
+    """The standard forms 1..4 (row-major matrix position): the 2x2 matrix
+    S(T).dT on a left calculus and dT.S(T) on a right one (or on ``side``),
+    normalized in ``p``.  A generator ``p`` lacks takes its value in the
+    reductions: Dinv is 1, a missing b or c is 0."""
+    lost = {g: Element.zero() for g in "bc" if g not in p.parity}
+    if "Dinv" not in p.parity:
+        lost["Dinv"] = Element.unit()
+    dt = [[apply_delta(x.substitute(lost), p) for x in row] for row in T]
+    s = [[x.substitute(ANTIPODE_IMAGES).substitute(lost) for x in row] for row in T]
+    omega = matmul(s, dt) if (side or p.calculus.side) == "left" else matmul(dt, s)
+    return tuple(tuple(normalize(x, p) for x in row) for row in omega)
+
+
+def _dual(omega, p: Presentation) -> dict:
+    """form -> {k: c} with form = sum_k c * omega_k, by Gauss-Jordan over
+    omega_1..omega_4 in order, skipping one that depends on those before.
+    Only one-letter odd words pivot, so a broken calculus whose forms keep
+    other words still gives a table, and failing checks."""
+    rows: dict = {}     # pivot -> {form: c} beside {k: c} of the omega_k; 1 at the pivot
+    for k, x in enumerate(sum(omega, ()), 1):
+        row = {w[0]: c for w, c in x.items() if len(w) == 1 and p.parity[w[0]]}
+        row[k] = ONE
+        for f, r in rows.items():
+            if f in row:
+                add_scaled(row, r.items(), -row[f])
+        f = next((g for g in row if isinstance(g, str)), None)
+        if f is None:
+            continue
+        row = {g: c / row[f] for g, c in row.items()}
+        for r in rows.values():
+            if f in r:
+                add_scaled(r, row.items(), -r[f])
+        rows[f] = row
+    return {f: {k: c for k, c in r.items() if isinstance(k, int)} for f, r in rows.items()}
 
 
 def maurer_cartan_residuals(p: Presentation) -> list:
     """Entrywise closure d(form) = +form.form of the form-valued matrix
     (the + closure is the consistent sign), as (label, residual) pairs."""
-    std = standard_form_basis(p)["standard"]
-    omega = matrix(std[1], std[2], std[3], std[4])
+    omega = maurer_cartan_forms(p)
     d_omega = [[apply_delta(x, p) for x in row] for row in omega]
     return matrix_residuals(f"maurer-cartan[{p.name}]", d_omega, matmul(omega, omega), p)
 
@@ -293,8 +292,7 @@ def qtrace_check(p: Presentation) -> list:
     pid = builtin_id(p)
     if pid not in TRACE_FORM:
         raise ValueError("quantum-trace check applies to the GL calculus presets")
-    std = standard_form_basis(p)["standard"]
-    subst = {f"S{k}": x for k, x in std.items()}
+    subst = {f"S{k}": x for k, x in enumerate(sum(maurer_cartan_forms(p), ()), 1)}
     tr = subst["Tr"] = Element.word(TRACE_FORM[pid])
     checks = []
     for i, (tag, lhs, rhs) in enumerate(printed(f"trace-{pid}", subst), 1):
@@ -442,11 +440,11 @@ def vector_field_components(f: Element, p: Presentation) -> dict:
     Left structures decompose d(f) = sum_k (component_k) theta^k with the
     form rightmost; right structures as d(f) = sum_k omega^k (component_k).
     """
-    return _components(f, p, standard_form_basis(p)["primitive"])
+    return _components(f, p, _dual(maurer_cartan_forms(p), p))
 
 
 def _components(f, p, table) -> dict:
-    """:func:`vector_field_components` given the ``primitive`` table."""
+    """:func:`vector_field_components` given the :func:`_dual` table."""
     df = apply_delta(f, p)
     prim: dict = {}         # form -> the word -> Scalar dict of its component
     for word, coef in df.items():
@@ -506,7 +504,7 @@ def check_vector_algebra(relations, p: Presentation, max_degree: int = 3) -> lis
     """
     corpus = list(normal_words(p, max_degree, alphabet=p.even_names()))
     memo: dict = {}
-    table = standard_form_basis(p)["primitive"]
+    table = _dual(maurer_cartan_forms(p), p)
 
     def on(word, rel):
         f = Element({word: ONE}, _trusted=True)

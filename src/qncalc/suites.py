@@ -204,7 +204,7 @@ def suite_delta2(cfg: SuiteConfig) -> list:
     checks = [check_nilpotent(p, cfg.degree(4))]
     checks.append(Check.vanish(f"delta-respects-rules[{p.name}]", "eq-2.14",
                                delta_respects_rules(p)))
-    if builtin_id(p):           # the standard form basis is kept per preset
+    if builtin_id(p):           # a user calculus need not have the matrix T
         checks.append(Check.vanish(f"maurer-cartan[{p.name}]", "sec-3-IV",
                                    maurer_cartan_residuals(p),
                                    details="closure d(form) = +form.form"))

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import os
 
-from .calculus import TRACE_FORM, diff_presentation, standard_form_basis
+from .calculus import TRACE_FORM, diff_presentation, maurer_cartan_forms
 from .dsl import parse_equations
 from .ncalg import Element, normalize
-from .presentations import ANTIPODE_IMAGES, preset
+from .presentations import preset
 from .reports import Check
-from .rmatrix import T, matmul, matrix
 
 __all__ = [
     "VECTOR_FIELD_PRESETS",
@@ -108,25 +107,14 @@ def wz_plane_checks(side: str) -> list:
     return checks
 
 
-def _conjugated_theta(p) -> dict:
-    """theta = S(T) . omega . T inside the unimodular right calculus ``p``,
-    where the antipode images lose their Dinv factor; entries by
-    row-major position 1..4."""
-    std = standard_form_basis(p)["standard"]
-    s = [[x.substitute(ANTIPODE_IMAGES).substitute({"Dinv": Element.unit()}) for x in row]
-         for row in T]
-    theta = matmul(matmul(s, matrix(std[1], std[2], std[3], std[4])), T)
-    return dict(enumerate((normalize(x, p) for row in theta for x in row), 1))
-
-
 def conjugate_forms_check() -> list:
-    """Compare theta^k . parameter in ``slq2-right`` against the printed
+    """Compare theta^k . parameter in ``slq2-right``, where theta =
+    S(T).omega.T = S(T).dT are its left forms, against the printed
     higher-degree relations of ``paper/sec-5-end.eqs``; leading
     (lowest-degree) terms must agree, full coefficients are reported
     CONFIRMED or MISMATCH with the residual attached."""
     p = preset("slq2-right")
-    theta = _conjugated_theta(p)
-    subst = {f"th{k}": theta[k] for k in (1, 2, 3)}
+    subst = dict(zip(("th1", "th2", "th3"), sum(maurer_cartan_forms(p, side="left"), ())))
     checks = []
     for tag, lhs, rhs in printed("sec-5-end", (*"abcd", *subst)):
         lhs = normalize(lhs.substitute(subst), p)

@@ -2,6 +2,7 @@
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -18,25 +19,25 @@ from qncalc.calculus import (
     form_diff_roundtrip_residuals,
     interchange_left_to_right,
     interchange_right_to_left,
+    maurer_cartan_forms,
     maurer_cartan_residuals,
     qtrace_check,
     reduction_morphisms,
-    standard_form_basis,
     vector_field_components,
 )
-from qncalc.dsl import parse_presentation
+from qncalc.dsl import parse_expression, parse_presentation
 from qncalc.ncalg import (
     Element,
     Presentation,
     StepBudgetExceededError,
+    UnknownGeneratorError,
     check_local_confluence,
     normal_words,
     normalize,
     validate_presentation,
 )
-from qncalc.presentations import ANTIPODE_IMAGES, preset, preset_without_rule, qdet
+from qncalc.presentations import preset, preset_without_rule, qdet
 from qncalc.qfield import ONE, Scalar
-from qncalc.rmatrix import T, matmul
 from qncalc.suites import SuiteConfig, run_suite
 from qncalc.targets import VECTOR_FIELD_PRESETS, conjugate_forms_check, printed
 
@@ -77,8 +78,8 @@ def test_delta_kills_unit():
 def test_delta_of_a_matches_matrix_identity():
     # d(a) = a theta^1 + b theta^3 with theta^1 = tht1/2 + tht4
     p = preset("glq2-left")
-    std = standard_form_basis(preset("glq2-left"))["standard"]
-    expected = normalize(w("a") * std[1] + w("b") * std[3], p)
+    (theta1, _), (theta3, _) = maurer_cartan_forms(p)
+    expected = normalize(w("a") * theta1 + w("b") * theta3, p)
     assert apply_delta(w("a"), p) == expected
 
 
@@ -238,25 +239,63 @@ def test_maurer_cartan_plus_closure(pid):
         assert res.is_zero, (label, res)
 
 
+# the standard forms 1..4 of each preset, written out by hand in its own forms
+HAND_TYPED_FORMS = {
+    "glq2-left": ("(1/2) tht1 + tht4", "th2", "th3", "(1/2) tht1 - q^2 tht4"),
+    "slq2-left": ("th1", "th2", "th3", "-q^2 th1"),
+    "qplane-left-b0": ("th1", "0", "th3", "-q^2 th1"),
+    "qplane-left-c0": ("th1", "th2", "0", "-q^2 th1"),
+    "glq2-right": ("(1/2) wb1 + wb4", "w2", "w3", "(1/2) wb1 - q^-2 wb4"),
+    "slq2-right": ("w1", "w2", "w3", "-q^-2 w1"),
+    "qplane-right-b0": ("w1", "0", "w3", "-q^-2 w1"),
+    "qplane-right-c0": ("w1", "w2", "0", "-q^-2 w1"),
+}
+
+
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_standard_forms_are_the_maurer_cartan_forms(pid):
-    # the hand-typed standard basis is S(T).dT on a left calculus and
-    # dT.S(T) on a right one; the generators p lacks go to their values
-    # in the reduction (Dinv to 1, the missing b or c to 0)
+    # S(T).dT on a left calculus and dT.S(T) on a right one, the generators
+    # p lacks at their values in the reduction, give the hand-typed basis
     p = preset(pid)
-    lost = {g: Element.zero() for g in "bc" if g not in p.parity}
-    if "Dinv" not in p.parity:
-        lost["Dinv"] = Element.unit()
-    s = [[x.substitute(ANTIPODE_IMAGES).substitute(lost) for x in row] for row in T]
-    dt = [[apply_delta(x.substitute(lost), p) for x in row] for row in T]
-    std = standard_form_basis(p)["standard"]
-    omega = [[normalize(std[k], p) for k in ks] for ks in ((1, 2), (3, 4))]
-    forms = lambda m: [[normalize(x, p) for x in row] for row in m]
-    ours, other = matmul(s, dt), matmul(dt, s)
-    if p.calculus.side == "right":
-        ours, other = other, ours
-    assert forms(ours) == omega
-    assert forms(other) != omega        # the side of S(T) matters
+    omega = tuple(normalize(parse_expression(x, p), p) for x in HAND_TYPED_FORMS[pid])
+    assert sum(maurer_cartan_forms(p), ()) == omega
+    other = "right" if p.calculus.side == "left" else "left"
+    assert sum(maurer_cartan_forms(p, side=other), ()) != omega   # the side of S(T) matters
+
+
+# the omega_k in which the dual writes the forms of each preset
+DUAL_ROWS = {"glq2": {1, 2, 3, 4}, "slq2": {1, 2, 3}, "b0": {1, 3}, "c0": {1, 2}}
+
+
+@pytest.mark.parametrize("pid", CALCULUS_PRESETS)
+def test_the_dual_inverts_the_maurer_cartan_forms(pid):
+    # each form is sum_k dual[form][k] omega_k; a dependent omega_k (omega_4
+    # off GL, a zero omega_2 or omega_3 on a plane) is skipped
+    p = preset(pid)
+    omega = sum(maurer_cartan_forms(p), ())
+    dual = calculus._dual(maurer_cartan_forms(p), p)
+    assert set(dual) == set(p.odd_names())
+    for form, combo in dual.items():
+        rebuilt = sum((c * omega[k - 1] for k, c in combo.items()), Element.zero())
+        assert normalize(rebuilt, p) == w(form), (pid, form)
+    assert set().union(*dual.values()) == DUAL_ROWS[next(k for k in DUAL_ROWS if k in pid)]
+
+
+def test_the_dual_of_the_trace_form():
+    p = preset("glq2-left")
+    two, den = Scalar.from_int(2), ONE + q(2)
+    assert calculus._dual(maurer_cartan_forms(p), p)["tht1"] == {1: two * q(2) / den,
+                                                               4: two / den}
+
+
+def test_maurer_cartan_forms_errors_are_typed():
+    line = parse_presentation(Path(__file__).resolve().parent.parent.joinpath(
+        "docs", "examples", "q-line.preset").read_text())
+    with pytest.raises(UnknownGeneratorError) as info:
+        maurer_cartan_forms(line)
+    assert info.value.args == ("a",)
+    with pytest.raises(ValueError, match="declares no differential calculus"):
+        maurer_cartan_forms(preset("glq2"))
 
 
 # -- quantum trace ----------------------------------------------------------------
@@ -452,7 +491,7 @@ def test_recombination_identity():
     # sum_k (f V_k) theta^k rebuilds d(f) for random monomials
     pid = "glq2-left"
     p = preset(pid)
-    std = standard_form_basis(preset(pid))["standard"]
+    std = dict(enumerate(sum(maurer_cartan_forms(p), ()), 1))
     rng = random.Random(9)
     evens = p.even_names()
     for _ in range(100):
@@ -468,7 +507,7 @@ def test_recombination_identity():
 def test_right_recombination_identity():
     pid = "glq2-right"
     p = preset(pid)
-    std = standard_form_basis(preset(pid))["standard"]
+    std = dict(enumerate(sum(maurer_cartan_forms(p), ()), 1))
     rng = random.Random(10)
     evens = p.even_names()
     for _ in range(100):
@@ -492,8 +531,8 @@ def test_vector_algebra(pid):
 
 def test_vector_algebra_builds_the_basis_table_once(monkeypatch):
     calls = []
-    build = calculus.standard_form_basis
-    monkeypatch.setattr(calculus, "standard_form_basis", lambda p: calls.append(p) or build(p))
+    build = calculus.maurer_cartan_forms
+    monkeypatch.setattr(calculus, "maurer_cartan_forms", lambda p: calls.append(p) or build(p))
     p = preset("glq2-left")
     check_vector_algebra(printed("vector-glq2-left", VECTOR_FIELDS), p, 2)
     assert calls == [p]

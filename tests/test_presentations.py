@@ -1,12 +1,16 @@
 """Built-in presets: validation, confluence, Hopf checks, morphisms."""
 
+from collections import Counter
 from importlib.resources import files
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
 from qncalc.ncalg import (
     Element,
     check_local_confluence,
+    normal_words,
     normalize,
     validate_presentation,
 )
@@ -25,6 +29,7 @@ from qncalc.presentations import (
     qdet,
     tensor_square,
 )
+from qncalc.dsl import parse_presentation
 from qncalc.qfield import Scalar
 
 q = Scalar.q_power
@@ -41,6 +46,56 @@ def test_presets_locally_confluent(pid):
     rep = check_local_confluence(preset(pid))
     assert rep.confluent, [(p.rule1, p.rule2, p.word, str(p.residual))
                            for p in rep.unresolved][:5]
+
+
+# -- PBW basis ------------------------------------------------------------------
+
+# E(0..4): the even normal words of each length on GL, SL and the planes
+PBW_EVEN = {"glq2": (1, 6, 19, 44, 85), "slq2": (1, 4, 9, 16, 25), "qplane": (1, 3, 5, 7, 9)}
+
+
+def pbw_counts(p, top=4) -> dict:
+    """{(n, k): the normal words of length n and form degree k}, n <= top."""
+    return dict(Counter((len(word), p.form_degree(word)) for word in normal_words(p, top)))
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_normal_words_are_a_pbw_basis(pid):
+    # length n, form degree k: E(n - k) C(m, k) words, the classical
+    # coordinate ring times the exterior algebra on the m forms
+    p = preset(pid)
+    even, m = PBW_EVEN[pid.split("-")[0]], len(p.odd_names())
+    assert pbw_counts(p) == {(n, k): even[n - k] * comb(m, k)
+                             for n in range(5) for k in range(min(n, m) + 1)}
+
+
+def classical_even_counts(p, top=4) -> tuple:
+    """E(0..top) of the classical (q = 1) coordinate ring of ``p``: the
+    monomials of each degree outside the leading terms of a grevlex
+    Groebner basis of (ad - bc - D, D Dinv - 1), (ad - bc - 1) or
+    (ad - 1), a lacking b or c being 0."""
+    sympy = pytest.importorskip("sympy")
+    x = {n: sympy.Symbol(n) for n in p.even_names()}
+    det = x["a"] * x["d"] - x.get("b", 0) * x.get("c", 0)
+    ideal = [det - x["D"], x["D"] * x["Dinv"] - 1] if "D" in x else [det - 1]
+    basis = sympy.groebner(ideal, *x.values(), order="grevlex")
+    leads = [g.monoms(order="grevlex")[0] for g in basis.polys]
+    return tuple(sum(not any(all(e.count(i) >= k for i, k in enumerate(lead))
+                             for lead in leads)
+                     for e in combinations_with_replacement(range(len(x)), n))
+                 for n in range(top + 1))
+
+
+@pytest.mark.parametrize("pid", PRESET_IDS)
+def test_the_pbw_counts_are_the_classical_ones(pid):
+    assert classical_even_counts(preset(pid)) == PBW_EVEN[pid.split("-")[0]]
+
+
+def test_an_extra_relation_breaks_the_pbw_count():
+    # a mutation check: b.c -> 0 kills words the GL count keeps
+    p = parse_presentation("name glq2-bc\nextends glq2\nrule b.c -> 0\n")
+    counts = tuple(pbw_counts(p)[n, 0] for n in range(5))
+    assert counts == (1, 6, 18, 38, 66) and counts != PBW_EVEN["glq2"]
 
 
 def test_preset_rule_samples():
