@@ -13,7 +13,6 @@ from .calculus import (
     apply_delta,
     check_nilpotent,
     check_vector_algebra,
-    derive_diff_rules,
     diff_presentation,
     interchange_left_to_right,
     interchange_right_to_left,

@@ -62,7 +62,6 @@ __all__ = [
     "qtrace_check",
     "maurer_cartan_forms",
     "form_diff_roundtrip_residuals",
-    "derive_diff_rules",
     "diff_presentation",
     "CALCULUS_PRESETS",
     "TRACE_FORM",
@@ -338,9 +337,19 @@ def _form_slot(word, p: Presentation):
     return rest, form
 
 
-def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
+def diff_presentation(p) -> Presentation:
+    """The derived differential-mode presentation of a calculus.  A preset
+    id, with or without its ``-diff`` suffix, names the built-in one."""
+    if isinstance(p, str):
+        p = preset(p.removesuffix("-diff"))
+    return _derived(p)
+
+
+@lru_cache(maxsize=None)
+def _derived(p: Presentation) -> Presentation:
     """Machine-derive the parameter/differential commutation rules of the
-    calculus ``p`` declares.
+    calculus ``p`` declares, memoized per presentation object, so a user
+    file named like a preset gets its own.
 
     For every primitive differential del_x and even generator y the
     normal form of (del_x . y) [left] or (y . del_x) [right] is computed
@@ -362,14 +371,13 @@ def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
     if d is None:
         raise ValueError(f"{p.name} declares no differential calculus")
     evens = [g for g in p.generators if g.parity == 0]
-    gens = [Generator(g.name, 0, i) for i, g in enumerate(evens)]
-    gens += [Generator(f"del_{x}", 1, len(gens) + i) for i, x in enumerate(d.coords)]
+    gens = evens + [Generator(f"del_{x}", 1) for x in d.coords]
     side = "right" if d.side == "left" else "left"   # where the del_x end up
     order = TerminationOrder("migration", form_side=side)
     even_rules = [r for r in p.rules
                   if all(p.parity[g] == 0 for g in r.lhs)
                   and all(p.parity[g] == 0 for w_, _ in r.rhs.items() for g in w_)]
-    skeleton = Presentation((name or p.name) + "-skeleton", gens, order, even_rules,
+    skeleton = Presentation(p.name + "-diff-skeleton", gens, order, even_rules,
                             form_position=side)
 
     def convert(form_mode: Element) -> Element:
@@ -391,18 +399,17 @@ def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
                 lhs = (y, dx)
             rhs = normalize(convert(prod), skeleton)
             rules.append(RewriteRule(lhs, rhs, f"derived[{lhs[0]}.{lhs[1]}]"))
-    parity = {g.name: g.parity for g in gens}
-    prec = {g.name: g.precedence for g in gens}
     for dep in d.dependencies:
         dep = normalize(dep, skeleton)
         if dep.is_zero:
             continue
-        lead = max(dep.words(), key=lambda w_: order.key(w_, parity, prec))
+        lead = max(dep.words(),
+                   key=lambda w_: order.key(w_, skeleton.parity, skeleton.precedence))
         coef = dep.coeff(lead)
         rest = dep - Element.term(coef, lead)
         rules.append(RewriteRule(lead, rest.scale(-(ONE / coef)),
                                  f"derived-dependency[{'.'.join(lead)}]"))
-    out = Presentation(name or (p.name + "-diff"), gens, order, rules,
+    out = Presentation(p.name + "-diff", gens, order, rules,
                        form_position=side)
     # canonicalize the derived right-hand sides against the full rule set
     # (the unimodular dependency rule may reduce them further)
@@ -414,20 +421,6 @@ def derive_diff_rules(p: Presentation, name: str | None = None) -> Presentation:
     if not report.valid:
         raise ValueError(f"derived rules fail validation: {report.issues}")
     return out
-
-
-def diff_presentation(p) -> Presentation:
-    """The derived differential-mode presentation of a calculus.  A preset
-    id, with or without its ``-diff`` suffix, names the built-in one."""
-    if isinstance(p, str):
-        p = preset(p.removesuffix("-diff"))
-    return _derived(p)
-
-
-@lru_cache(maxsize=None)
-def _derived(p: Presentation) -> Presentation:
-    # keyed by the object, so a user file named like a preset gets its own
-    return derive_diff_rules(p, name=p.name + "-diff")
 
 
 # ---------------------------------------------------------------------------
@@ -457,41 +450,13 @@ def _components(f, p, table) -> dict:
     return {k: Element(v, _trusted=True) for k, v in out.items() if v}
 
 
-# the fields a ``vector-<id>`` block names; the hatted ones combine the others
-VECTOR_FIELDS = ("V1", "V2", "V3", "V4", "Vh1", "Vh4")
-_HATTED = {side: {"Vh1": ((ONE, "V1"), (-shrink, "V4")), "Vh4": ((ONE, "V1"), (ONE, "V4"))}
+# what each field a ``vector-<id>`` block names means: its (k, c) terms over
+# the components k of :func:`vector_field_components`; the hatted ones
+# combine V1 and V4
+_FIELDS = {side: {**{f"V{k}": ((k, ONE),) for k in (1, 2, 3, 4)},
+                  "Vh1": ((1, ONE), (4, -shrink)), "Vh4": ((1, ONE), (4, ONE))}
            for side, shrink in (("left", _q(2)), ("right", _q(-2)))}
-
-
-def _apply_op(x: Element, op: str, p: Presentation, memo: dict, table: dict) -> Element:
-    """The field ``op`` on x: a standard field ``"V1"``..``"V4"`` or a
-    hatted combination.  ``memo`` maps (word, op) to the terms of that
-    field on that word; the first op asked of a word fills every op of
-    that word from one decomposition of d(word) by :func:`_components`."""
-    out: dict = {}
-    for word, coef in x.items():
-        terms = memo.get((word, op))
-        if terms is None:
-            comps = _components(Element({word: ONE}, _trusted=True), p, table)
-            for k in (1, 2, 3, 4):
-                memo[word, f"V{k}"] = tuple(comps.get(k, Element.zero()).items())
-            for h, combo in _HATTED[p.calculus.side].items():
-                acc: dict = {}
-                for c, k in combo:
-                    add_scaled(acc, memo[word, k], c)
-                memo[word, h] = tuple(acc.items())
-            terms = memo[word, op]
-        add_scaled(out, terms, coef)
-    return Element(out, _trusted=True)
-
-
-def _apply_ops(x: Element, ops, p: Presentation, memo: dict, table: dict) -> Element:
-    seq = ops if p.calculus.side == "left" else tuple(reversed(ops))
-    for op in seq:
-        x = _apply_op(x, op, p, memo, table)
-        if x.is_zero:
-            break
-    return x
+VECTOR_FIELDS = tuple(_FIELDS["left"])
 
 
 def check_vector_algebra(relations, p: Presentation, max_degree: int = 3) -> list:
@@ -499,18 +464,39 @@ def check_vector_algebra(relations, p: Presentation, max_degree: int = 3) -> lis
     :data:`VECTOR_FIELDS` on every even normal-form monomial of degree
     <= max_degree under the frozen composition convention.
 
-    The terms of each field on each word are memoized for this call
-    only (see :func:`_apply_op`), and the basis table is built once.
+    The terms of every field on a word are memoized for this call only,
+    all from one decomposition of d(word) by :func:`_components`, and the
+    basis table is built once.
     """
     corpus = list(normal_words(p, max_degree, alphabet=p.even_names()))
-    memo: dict = {}
     table = _dual(maurer_cartan_forms(p), p)
+    fields = _FIELDS[p.calculus.side]
+    memo: dict = {}     # word -> {field: its terms on that word}
+
+    def apply(x: Element, op: str) -> Element:
+        out: dict = {}
+        for word, coef in x.items():
+            row = memo.get(word)
+            if row is None:
+                comps = _components(Element({word: ONE}, _trusted=True), p, table)
+                row = memo[word] = {}
+                for field, terms in fields.items():
+                    acc: dict = {}
+                    for k, c in terms:
+                        add_scaled(acc, comps.get(k, Element.zero()).items(), c)
+                    row[field] = tuple(acc.items())
+            add_scaled(out, row[op], coef)
+        return Element(out, _trusted=True)
 
     def on(word, rel):
-        f = Element({word: ONE}, _trusted=True)
         acc: dict = {}
         for ops, coef in rel:
-            add_scaled(acc, _apply_ops(f, ops, p, memo, table).items(), coef)
+            x = Element({word: ONE}, _trusted=True)
+            for op in ops if p.calculus.side == "left" else reversed(ops):
+                x = apply(x, op)
+                if x.is_zero:
+                    break
+            add_scaled(acc, x.items(), coef)
         return Element(acc, _trusted=True)
 
     checks = []

@@ -396,7 +396,7 @@ def parse_presentation(text: str) -> Presentation:
             for gname in m.group(1).split():
                 if gname == "q" or gname in parity:
                     raise DslError(f"bad or duplicate generator {gname!r}", lineno)
-                gens.append(Generator(gname, par, len(gens)))
+                gens.append(Generator(gname, par))
                 parity[gname] = par
                 declared[gname] = lineno
         elif head == "rule":
@@ -496,8 +496,7 @@ def export_presentation(p: Presentation) -> str:
     c = p.calculus
     if c is not None:
         lines.append(f"side {c.side}")
-    gens = sorted(p.generators, key=lambda g: g.precedence)
-    for parity, run in groupby(gens, key=lambda g: g.parity):
+    for parity, run in groupby(p.generators, key=lambda g: g.parity):
         lines.append(f"gen {' '.join(g.name for g in run)} "
                      f"parity {'odd' if parity else 'even'}")
     for r in p.rules:

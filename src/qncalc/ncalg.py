@@ -1,9 +1,9 @@
 """Graded free algebra over Q(q) with an oriented rewriting engine.
 
 Words are tuples of generator names; elements are finite Q(q)-linear
-combinations of words; a presentation bundles graded generators (with a
-total precedence), a termination order, and oriented rewrite rules whose
-left-hand sides are single words of length >= 2.
+combinations of words; a presentation bundles graded generators (their
+order is their precedence), a termination order, and oriented rewrite
+rules whose left-hand sides are single words of length >= 2.
 
 Normalization rewrites exhaustively with a leftmost-first strategy; on a
 locally confluent presentation (checked, never assumed) the result is the
@@ -72,7 +72,6 @@ class UnknownGeneratorError(KeyError):
 class Generator(NamedTuple):
     name: str
     parity: int          # 0 even, 1 odd
-    precedence: int
 
 
 class Element:
@@ -261,11 +260,30 @@ class TerminationOrder(NamedTuple):
 
     ``deglex`` compares word length, then precedence sequences.
 
-    ``migration`` counts, for every odd generator, the evens between it and
-    the ``form_side`` end (for ``"right"``, the evens to its right, so
-    ``th.a -> a.th`` goes from 1 to 0), then tie-breaks with deglex.  It
-    orients degree-raising rules that move odd generators toward
+    ``migration`` compares the number of odd letters, then the tuple of
+    their crossing counts read from the ``form_side`` end (each odd
+    letter's count is the number of evens between it and that end; for
+    ``"right"``, ``th.a -> a.th`` goes from (1,) to (0,)), then deglex.
+    It orients degree-raising rules that move odd generators toward
     ``form_side``, which deglex cannot.
+
+    Both are reduction orders: well-founded, and monotone, so u > v gives
+    x.u.y > x.v.y.  Deglex is both (Dershowitz 1987).  For migration,
+    N, then N^k under lex for a fixed count k, then deglex are each
+    well-founded, so their lexicographic product is.  Monotone: read
+    x.u.y from the form side (shown for ``"right"``).  A context adds
+    the same odd letters on both sides, so a count of odd letters that
+    differs still decides.  The odd letters of y get the same crossing
+    counts in x.u.y and x.v.y; those of u and v are shifted alike by the
+    evens of y, so their tuples compare as u's and v's do.  The odd
+    letters of x come after, and decide only when u's and v's tuples are
+    equal; then deglex decides u > v, so u is at least as long as v and,
+    with as many odd letters, has at least as many evens.  So each odd
+    letter of x crosses as many or more evens in x.u.y: more makes x.u.y
+    greater, and equal leaves it to deglex, which is monotone.  Proven
+    termination still has no bound on the length of a rewrite: the tuple
+    can fall at its head while evens pile up behind it, so rewriting
+    keeps its step budget as a guard.
     """
 
     kind: str = "deglex"
@@ -277,13 +295,13 @@ class TerminationOrder(NamedTuple):
             return base
         if self.kind != "migration":
             raise ValueError(f"unknown order kind {self.kind!r}")
-        crossings = evens = 0   # evens passed, walking in from the form side
+        crossings, evens = [], 0    # per odd letter, the evens from the form side
         for g in reversed(word) if self.form_side == "right" else word:
             if parity[g]:
-                crossings += evens
+                crossings.append(evens)
             else:
                 evens += 1
-        return (crossings,) + base
+        return (len(crossings), tuple(crossings)) + base
 
     def greater(self, w1: Word, w2: Word, parity, prec) -> bool:
         return self.key(w1, parity, prec) > self.key(w2, parity, prec)
@@ -425,7 +443,7 @@ class Presentation:
         self.tags = tuple(tags)
         self.calculus = calculus    # a calculus.DiffStructure, if one is declared
         self.parity = {g.name: g.parity for g in self.generators}
-        self.precedence = {g.name: g.precedence for g in self.generators}
+        self.precedence = {g.name: i for i, g in enumerate(self.generators)}
         self._by_first = {}     # for all_redexes, the witness's own index
         self._index = {}        # letter -> letter -> [(lhs, len, rhs terms, rule)]
         for r in self.rules:    # a rule is indexed only where it has the letters
@@ -693,16 +711,12 @@ def validate_presentation(p: Presentation) -> ValidationReport:
     """Check rule orientation, parity consistency, and generator references."""
     issues = []
     seen_names = set()
-    seen_prec = set()
     for g in p.generators:
         if g.name in seen_names:
             issues.append(ValidationIssue(g.name, "generator", "duplicate name"))
-        if g.precedence in seen_prec:
-            issues.append(ValidationIssue(g.name, "generator", "duplicate precedence"))
         if g.name == "q":
             issues.append(ValidationIssue(g.name, "generator", "name 'q' is reserved"))
         seen_names.add(g.name)
-        seen_prec.add(g.precedence)
     seen_lhs = set()
     for r in p.rules:
         tag = r.provenance or ".".join(r.lhs)
@@ -731,8 +745,7 @@ def validate_presentation(p: Presentation) -> ValidationReport:
     return ValidationReport(p.name, issues)
 
 
-def check_local_confluence(p: Presentation,
-                           budget: int = DEFAULT_STEP_BUDGET) -> ConfluenceReport:
+def check_local_confluence(p: Presentation) -> ConfluenceReport:
     """Reduce both branches of every overlap/inclusion critical pair.
 
     A rule r1 with LHS u is paired, in rule order, only with the rules
@@ -753,15 +766,15 @@ def check_local_confluence(p: Presentation,
             for k in range(1, min(len(u), len(v))):
                 if u[-k:] == v[:k]:
                     word = u + v[k:]
-                    b1 = normalize(_wrap((), r1.rhs, v[k:]), p, budget)
-                    b2 = normalize(_wrap(u[:-k], r2.rhs, ()), p, budget)
+                    b1 = normalize(_wrap((), r1.rhs, v[k:]), p)
+                    b2 = normalize(_wrap(u[:-k], r2.rhs, ()), p)
                     pairs.append(CriticalPair(_tag(r1), _tag(r2), word, b1, b2))
             # inclusions: v strictly inside u
             if r1 is not r2 and len(v) < len(u):
                 for i in range(len(u) - len(v) + 1):
                     if u[i:i + len(v)] == v:
-                        b1 = normalize(r1.rhs, p, budget)
-                        b2 = normalize(_wrap(u[:i], r2.rhs, u[i + len(v):]), p, budget)
+                        b1 = normalize(r1.rhs, p)
+                        b2 = normalize(_wrap(u[:i], r2.rhs, u[i + len(v):]), p)
                         pairs.append(CriticalPair(_tag(r1), _tag(r2), u, b1, b2))
     return ConfluenceReport(p.name, pairs)
 

@@ -74,9 +74,9 @@ def builtin_id(p: Presentation) -> str | None:
     return p.name if p.name in PRESET_IDS and p is preset(p.name) else None
 
 
-def free_presentation(*names: str, name: str = "free") -> Presentation:
+def free_presentation(*names: str) -> Presentation:
     """A free algebra on even generators (no rules; normalize is identity)."""
-    return Presentation(name, [Generator(n, 0, i) for i, n in enumerate(names)],
+    return Presentation("free", [Generator(n, 0) for n in names],
                         TerminationOrder("deglex"), [], form_position=None)
 
 
@@ -113,10 +113,7 @@ def epsilon_identity_residuals(p: Presentation) -> list:
 
 def tensor_square(p: Presentation) -> Presentation:
     """Two commuting copies of ``p`` (even sector), legs suffixed 1 and 2."""
-    n = len(p.generators)
-    gens = ([Generator(g.name + "1", g.parity, g.precedence) for g in p.generators]
-            + [Generator(g.name + "2", g.parity, g.precedence + n)
-               for g in p.generators])
+    gens = [Generator(g.name + leg, g.parity) for leg in "12" for g in p.generators]
     rules = []
     for leg in ("1", "2"):
         for r in p.rules:

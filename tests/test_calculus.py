@@ -435,6 +435,15 @@ def test_diff_presentations_confluent(pid):
     assert check_local_confluence(diff_presentation(pid)).confluent
 
 
+@pytest.mark.parametrize("pid, unresolved, pairs", [("slq2-left", 11, 45),
+                                                    ("slq2-right", 11, 47)])
+def test_unimodular_diff_presentations_are_not_locally_confluent(pid, unresolved, pairs):
+    # so normalize and export-preset on them give a normal form, not the
+    # unique one
+    rep = check_local_confluence(diff_presentation(pid))
+    assert (len(rep.unresolved), len(rep.pairs)) == (unresolved, pairs)
+
+
 def test_diff_presentation_is_cached_per_presentation_object():
     # bench/worker.py warms the cache by preset id during set-up
     assert diff_presentation("glq2-left") is diff_presentation(preset("glq2-left"))

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from qncalc.calculus import (
     CALCULUS_PRESETS,
     check_nilpotent,
-    derive_diff_rules,
     diff_presentation,
 )
 from qncalc.dsl import (
@@ -159,7 +158,7 @@ def test_cli_reports_exceeded_step_budget_without_traceback(capsys, monkeypatch)
     # a file, so it is handed to the command directly
     from qncalc import cli
     from qncalc.ncalg import Generator, Presentation, RewriteRule, TerminationOrder
-    loop = Presentation("loop", [Generator("x", 0, 0), Generator("y", 0, 1)],
+    loop = Presentation("loop", [Generator("x", 0), Generator("y", 0)],
                         TerminationOrder("deglex"),
                         [RewriteRule(("y", "x"), w("x.y")), RewriteRule(("x", "y"), w("y.x"))])
     monkeypatch.setattr(cli, "_resolve_presentation", lambda args: loop)
@@ -401,14 +400,15 @@ def test_q_line_calculus_example_file():
     assert d.forms == {"th": w("xi.del_x")}
     assert [r.provenance for r in p.rules][1:4] == ["user:8", "commutation", "commutation"]
     assert check_nilpotent(p).status == "pass"
-    dp = derive_diff_rules(p)
+    dp = diff_presentation(p)
     assert {r.lhs: r.rhs for r in dp.rules}[("del_x", "x")] == q(2) * w("x.del_x")
 
 
 def test_gen_line_declares_several_generators():
     p = parse_presentation("gen x y parity even\ngen f g parity odd\n")
-    assert [(g.name, g.parity, g.precedence) for g in p.generators] == [
-        ("x", 0, 0), ("y", 0, 1), ("f", 1, 2), ("g", 1, 3)]
+    assert [(g.name, g.parity) for g in p.generators] == [
+        ("x", 0), ("y", 0), ("f", 1), ("g", 1)]
+    assert p.precedence == {"x": 0, "y": 1, "f": 2, "g": 3}
 
 
 def test_rule_tag_names_the_provenance():

@@ -32,7 +32,7 @@ x = Element.word("x")
 # (type, field names, values of the required fields, defaults of the
 # others, immutable)
 RECORDS = [
-    (Generator, "name parity precedence", ("a", 0, 1), (), True),
+    (Generator, "name parity", ("a", 0), (), True),
     (RewriteRule, "lhs rhs provenance", (("b", "a"), x), ("",), True),
     (TerminationOrder, "kind form_side", (), ("deglex", "right"), True),
     (ValidationIssue, "rule kind message", ("r1", "orientation", "not oriented"), (),

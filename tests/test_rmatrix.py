@@ -159,8 +159,8 @@ def test_forms_rtt_compat_calculus_presets():
 
 def test_forms_rtt_compat_fails_without_relations():
     from qncalc.ncalg import Generator, Presentation, TerminationOrder
-    gens = [Generator(n, 0, i) for i, n in enumerate("bcad")]
-    gens.append(Generator("f", 1, 4))
+    gens = [Generator(n, 0) for n in "bcad"]
+    gens.append(Generator("f", 1))
     free = Presentation("free-f", gens, TerminationOrder("deglex"), [],
                         form_position="right")
     residuals = forms_rtt_compat(standard_r(), free)
