@@ -6,16 +6,16 @@ Run:  python3 demos/03_differential_calculus.py
 from qncalc import (
     Element,
     apply_delta,
-    check_nilpotent,
     diff_presentation,
+    nilpotent_residuals,
     normalize,
     preset,
     qdet,
-    qtrace_check,
     vector_field_components,
 )
 from qncalc.calculus import VECTOR_FIELDS, check_vector_algebra
-from qncalc.targets import printed
+from qncalc.reports import Check
+from qncalc.targets import printed, qtrace_check
 
 w = Element.word
 
@@ -33,7 +33,9 @@ for c in qtrace_check(p):
     print(f"  {c.name}: {c.status}")
 
 print("\nnilpotency on every normal word of degree <= 3:")
-print(" ", check_nilpotent(p, 3).details)
+d2 = nilpotent_residuals(p, 3)
+print(" ", Check.vanish("nilpotent", "eq-2.15", d2,
+                        details=f"d^2 = 0 on {len(d2)} normal words, degree <= 3").details)
 
 print("\n== vector fields ==")
 sl = preset("slq2-left")
@@ -45,7 +47,8 @@ for g in "abcd":
 print("\nthe printed vector-field relations (src/qncalc/paper/vector-slq2-left.eqs)")
 print("on all monomials of degree <= 2:")
 relations = printed("vector-slq2-left", VECTOR_FIELDS)
-for c in check_vector_algebra(relations, sl, 2):
+for tag, residuals in check_vector_algebra(relations, sl, 2):
+    c = Check.vanish(f"vector[{sl.name}][{tag}]", tag, residuals)
     print(f"  {c.name}: {c.status}")
 
 print("\n== machine-derived differential-mode rules ==")

@@ -11,12 +11,11 @@ from .calculus import (
     CALCULUS_PRESETS,
     DiffStructure,
     apply_delta,
-    check_nilpotent,
     check_vector_algebra,
     diff_presentation,
     interchange_left_to_right,
     interchange_right_to_left,
-    qtrace_check,
+    nilpotent_residuals,
     reduction_morphisms,
     vector_field_components,
 )
@@ -51,7 +50,6 @@ from .presentations import (
     qdet,
 )
 from .qfield import ONE, Q, ZERO, DivisionByZeroError, PoleAtOneError, Scalar
-from .reports import Check, Suite, SuiteReport
 from .rmatrix import (
     forms_rtt_compat,
     perturbed_r,

@@ -1,5 +1,5 @@
-"""Exterior derivatives, the maps between calculi, quantum trace, derived
-differential rules, and vector fields for the calculus presets.
+"""Exterior derivatives, the maps between calculi, derived differential
+rules, and vector fields for the calculus presets.
 
 Each calculus preset stores its 1-forms in the diagonalized basis that
 makes the rewrite rules monomial.  Its preset file declares the
@@ -31,7 +31,7 @@ against the cubic relation sets; recorded in reports):
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .ncalg import (
     Element,
@@ -45,26 +45,23 @@ from .ncalg import (
     normalize,
     validate_presentation,
 )
-from .presentations import ANTIPODE_IMAGES, Morphism, builtin_id, preset, qdet
+from .presentations import ANTIPODE_IMAGES, Morphism, preset
 from .qfield import ONE, Scalar
-from .reports import Check, Record
 from .rmatrix import T, matmul, matrix_residuals
 
 __all__ = [
     "DiffStructure",
     "apply_delta",
-    "check_nilpotent",
+    "nilpotent_residuals",
     "reduction_morphisms",
     "interchange_left_to_right",
     "interchange_right_to_left",
     "delta_respects_rules",
     "maurer_cartan_residuals",
-    "qtrace_check",
     "maurer_cartan_forms",
     "form_diff_roundtrip_residuals",
     "diff_presentation",
     "CALCULUS_PRESETS",
-    "TRACE_FORM",
     "vector_field_components",
     "VECTOR_FIELDS",
     "check_vector_algebra",
@@ -78,38 +75,28 @@ CALCULUS_PRESETS = (
     "glq2-right", "slq2-right", "qplane-right-b0", "qplane-right-c0",
 )
 
-# the quantum-trace 1-form of each GL calculus, in its diagonalized basis
-TRACE_FORM = {"glq2-left": "tht1", "glq2-right": "wb1"}
-
 COMPOSITION_CONVENTION = (
     "left fields: f V_i V_j = (f V_i) V_j (reading order); "
     "right fields: V_i V_j f = V_i (V_j f) (operator order)"
 )
 
 
-class DiffStructure(Record):
+class DiffStructure(NamedTuple("DiffStructure", [
+        ("side", str), ("images", Mapping), ("coords", tuple), ("forms", Mapping),
+        ("dependencies", tuple)])):
     """A calculus: its side and generator differentials, plus what a preset
     declares for the differential mode: the coordinates x whose ``del_x``
     span it, each form over the parameters and ``del_x``, and the linear
-    relations among the ``del_x``.  Immutable."""
+    relations among the ``del_x``."""
 
-    __slots__ = ("side", "images", "coords", "forms", "dependencies")
+    __slots__ = ()
 
-    def __init__(self, side: str, images: Mapping[str, Element], coords: tuple = (),
-                 forms: Mapping[str, Element] | None = None, dependencies: tuple = ()):
+    def __new__(cls, side: str, images: Mapping[str, Element], coords: tuple = (),
+                forms: Mapping[str, Element] | None = None, dependencies: tuple = ()):
         if side not in ("left", "right"):
             raise ValueError(f"bad side {side!r}")
-        values = (side, images, coords, {} if forms is None else forms, dependencies)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"DiffStructure is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):           # copy and pickle without __setattr__
-        return DiffStructure, self._values()
+        return super().__new__(cls, side, images, coords,
+                               {} if forms is None else forms, dependencies)
 
     def del_images(self) -> dict:
         """``del_x -> d(x)`` for each coordinate x: the substitution that
@@ -218,14 +205,11 @@ def interchange_right_to_left() -> Morphism:
     return _morphism("glq2-right", "glq2-left", _SWAP_AD, Scalar.invert_q, "interchange-rev")
 
 
-def check_nilpotent(p: Presentation, max_degree: int = 4) -> Check:
-    """d(d(w)) = 0 for every normal-form word of total degree <= max_degree."""
-    words = list(normal_words(p, max_degree))
-    return Check.vanish(f"nilpotent[{p.name}]", "eq-2.15",
-                        ((word, apply_delta(apply_delta(Element.term(ONE, word), p), p))
-                         for word in words),
-                        details=f"d^2 = 0 on {len(words)} normal words, "
-                                f"degree <= {max_degree}")
+def nilpotent_residuals(p: Presentation, max_degree: int = 4) -> list:
+    """d(d(w)) for every normal-form word of total degree <= max_degree, as
+    (word, residual) pairs."""
+    return [(word, apply_delta(apply_delta(Element.term(ONE, word), p), p))
+            for word in normal_words(p, max_degree)]
 
 
 def delta_respects_rules(p: Presentation) -> list:
@@ -282,29 +266,6 @@ def maurer_cartan_residuals(p: Presentation) -> list:
     omega = maurer_cartan_forms(p)
     d_omega = [[apply_delta(x, p) for x in row] for row in omega]
     return matrix_residuals(f"maurer-cartan[{p.name}]", d_omega, matmul(omega, omega), p)
-
-
-def qtrace_check(p: Presentation) -> list:
-    """The trace form reproduces d(qdet), and the two printed expressions
-    of it in the standard forms (``paper/trace-<id>.eqs``) hold."""
-    from .targets import printed       # targets imports this module
-    pid = builtin_id(p)
-    if pid not in TRACE_FORM:
-        raise ValueError("quantum-trace check applies to the GL calculus presets")
-    subst = {f"S{k}": x for k, x in enumerate(sum(maurer_cartan_forms(p), ()), 1)}
-    tr = subst["Tr"] = Element.word(TRACE_FORM[pid])
-    checks = []
-    for i, (tag, lhs, rhs) in enumerate(printed(f"trace-{pid}", subst), 1):
-        res = normalize((rhs - lhs).substitute(subst), p)
-        checks.append(Check.of(res.is_zero, f"trace-expression-{i}[{pid}]", tag,
-                               residual=str(res)))
-    det = qdet(p)
-    ddet = apply_delta(det, p)
-    want = normalize(det * tr if p.calculus.side == "left" else tr * det, p)
-    r3 = ddet - want
-    checks.append(Check.of(r3.is_zero, f"d(qdet) = trace rule[{pid}]", "eq-3.6",
-                           residual=str(r3)))
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +423,8 @@ VECTOR_FIELDS = tuple(_FIELDS["left"])
 def check_vector_algebra(relations, p: Presentation, max_degree: int = 3) -> list:
     """Evaluate each ``(tag, lhs, rhs)`` relation over words of
     :data:`VECTOR_FIELDS` on every even normal-form monomial of degree
-    <= max_degree under the frozen composition convention.
+    <= max_degree under the frozen composition convention: one
+    ``(tag, [(monomial, residual)])`` entry per relation.
 
     The terms of every field on a word are memoized for this call only,
     all from one decomposition of d(word) by :func:`_components`, and the
@@ -499,12 +461,5 @@ def check_vector_algebra(relations, p: Presentation, max_degree: int = 3) -> lis
             add_scaled(acc, x.items(), coef)
         return Element(acc, _trusted=True)
 
-    checks = []
-    for tag, lhs, rhs in relations:
-        rel = (lhs - rhs).items()
-        checks.append(Check.vanish(
-            f"vector[{p.name}][{tag}]", tag.split("[")[0],
-            ((word, on(word, rel)) for word in corpus),
-            details=f"{len(corpus)} monomials, degree <= {max_degree}; "
-                    f"{COMPOSITION_CONVENTION}"))
-    return checks
+    rels = [(tag, (lhs - rhs).items()) for tag, lhs, rhs in relations]
+    return [(tag, [(word, on(word, rel)) for word in corpus]) for tag, rel in rels]

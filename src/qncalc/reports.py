@@ -31,8 +31,8 @@ _STATUSES = ("pass", "fail", "mismatch", "skipped")
 class Record:
     """Equality and a repr over the ``__slots__`` of a record class.
 
-    The records that validate or need fresh mutable defaults subclass it
-    with an explicit ``__init__``; the others are ``typing.NamedTuple``s.
+    The mutable records, filled in or timed after they are built, subclass
+    it with an explicit ``__init__``; the others are ``typing.NamedTuple``s.
     """
 
     __slots__ = ()
@@ -128,18 +128,15 @@ class SuiteReport(Record):
 
     @property
     def overall(self) -> str:
-        return "fail" if any(c.status == "fail" for c in self.all_checks()) else "pass"
+        return "fail" if self.counts()["fail"] else "pass"
 
     @property
     def has_mismatch(self) -> bool:
-        return any(c.status == "mismatch" for c in self.all_checks())
+        return self.counts()["mismatch"] > 0
 
     def exit_code(self, allow_mismatch: bool = False) -> int:
-        if self.overall == "fail":
-            return 1
-        if self.has_mismatch and not allow_mismatch:
-            return 1
-        return 0
+        counts = self.counts()
+        return 1 if counts["fail"] or (counts["mismatch"] and not allow_mismatch) else 0
 
     def to_json(self):
         return {

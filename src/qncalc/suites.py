@@ -23,9 +23,7 @@ from . import rmatrix
 from .calculus import (
     CALCULUS_PRESETS,
     COMPOSITION_CONVENTION,
-    TRACE_FORM,
     VECTOR_FIELDS,
-    check_nilpotent,
     check_vector_algebra,
     delta_respects_rules,
     diff_presentation,
@@ -33,7 +31,7 @@ from .calculus import (
     interchange_left_to_right,
     interchange_right_to_left,
     maurer_cartan_residuals,
-    qtrace_check,
+    nilpotent_residuals,
     reduction_morphisms,
 )
 from .ncalg import (
@@ -58,10 +56,12 @@ from .presentations import (
 from .qfield import PoleAtOneError, Scalar
 from .reports import Check, Suite, SuiteReport
 from .targets import (
+    TRACE_FORM,
     VECTOR_FIELD_PRESETS,
     conjugate_forms_check,
     printed,
     printed_relation_checks,
+    qtrace_check,
     wz_plane_checks,
 )
 
@@ -200,10 +200,13 @@ def suite_hopf(cfg: SuiteConfig) -> list:
 # -- calculus ------------------------------------------------------------------
 
 def suite_delta2(cfg: SuiteConfig) -> list:
-    p = cfg.presentation
-    checks = [check_nilpotent(p, cfg.degree(4))]
-    checks.append(Check.vanish(f"delta-respects-rules[{p.name}]", "eq-2.14",
-                               delta_respects_rules(p)))
+    p, degree = cfg.presentation, cfg.degree(4)
+    d2 = nilpotent_residuals(p, degree)
+    checks = [Check.vanish(f"nilpotent[{p.name}]", "eq-2.15", d2,
+                           details=f"d^2 = 0 on {len(d2)} normal words, "
+                                   f"degree <= {degree}"),
+              Check.vanish(f"delta-respects-rules[{p.name}]", "eq-2.14",
+                           delta_respects_rules(p))]
     if builtin_id(p):           # a user calculus need not have the matrix T
         checks.append(Check.vanish(f"maurer-cartan[{p.name}]", "sec-3-IV",
                                    maurer_cartan_residuals(p),
@@ -215,9 +218,12 @@ def suite_delta2(cfg: SuiteConfig) -> list:
 
 
 def suite_vector_fields(cfg: SuiteConfig) -> list:
-    p = cfg.presentation
-    return check_vector_algebra(printed(f"vector-{builtin_id(p)}", VECTOR_FIELDS),
-                                p, cfg.degree(3))
+    p, degree = cfg.presentation, cfg.degree(3)
+    return [Check.vanish(f"vector[{p.name}][{tag}]", tag.split("[")[0], residuals,
+                         details=f"{len(residuals)} monomials, degree <= {degree}; "
+                                 f"{COMPOSITION_CONVENTION}")
+            for tag, residuals in check_vector_algebra(
+                printed(f"vector-{builtin_id(p)}", VECTOR_FIELDS), p, degree)]
 
 
 # -- global suites ----------------------------------------------------------------

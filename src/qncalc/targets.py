@@ -15,22 +15,27 @@ from __future__ import annotations
 
 import os
 
-from .calculus import TRACE_FORM, diff_presentation, maurer_cartan_forms
+from .calculus import apply_delta, diff_presentation, maurer_cartan_forms
 from .dsl import parse_equations
-from .ncalg import Element, normalize
-from .presentations import preset
+from .ncalg import Element, Presentation, normalize
+from .presentations import builtin_id, preset, qdet
 from .reports import Check
 
 __all__ = [
+    "TRACE_FORM",
     "VECTOR_FIELD_PRESETS",
     "WZ_PROJECTIONS",
     "printed",
     "printed_relation_checks",
+    "qtrace_check",
     "wz_plane_checks",
     "conjugate_forms_check",
 ]
 
 _PAPER_DIR = os.path.join(os.path.dirname(__file__), "paper")
+
+# the quantum-trace 1-form of each GL calculus, in its diagonalized basis
+TRACE_FORM = {"glq2-left": "tht1", "glq2-right": "wb1"}
 
 # the presets with a block ``vector-<id>`` of printed vector-field
 # relations, in report order
@@ -72,6 +77,28 @@ def printed_relation_checks(preset_id: str, block: str) -> list:
                 residual=str(res),
                 details="printed line differs from the derived relation; "
                         f"derived: {derived}"))
+    return checks
+
+
+def qtrace_check(p: Presentation) -> list:
+    """The trace form reproduces d(qdet), and the two printed expressions
+    of it in the standard forms (``paper/trace-<id>.eqs``) hold."""
+    pid = builtin_id(p)
+    if pid not in TRACE_FORM:
+        raise ValueError("quantum-trace check applies to the GL calculus presets")
+    subst = {f"S{k}": x for k, x in enumerate(sum(maurer_cartan_forms(p), ()), 1)}
+    tr = subst["Tr"] = Element.word(TRACE_FORM[pid])
+    checks = []
+    for i, (tag, lhs, rhs) in enumerate(printed(f"trace-{pid}", subst), 1):
+        res = normalize((rhs - lhs).substitute(subst), p)
+        checks.append(Check.of(res.is_zero, f"trace-expression-{i}[{pid}]", tag,
+                               residual=str(res)))
+    det = qdet(p)
+    ddet = apply_delta(det, p)
+    want = normalize(det * tr if p.calculus.side == "left" else tr * det, p)
+    r3 = ddet - want
+    checks.append(Check.of(r3.is_zero, f"d(qdet) = trace rule[{pid}]", "eq-3.6",
+                           residual=str(r3)))
     return checks
 
 

@@ -15,10 +15,8 @@ import jsonschema
 from qncalc.calculus import (
     CALCULUS_PRESETS,
     VECTOR_FIELDS,
-    check_nilpotent,
-    check_vector_algebra,
     interchange_left_to_right,
-    qtrace_check,
+    nilpotent_residuals,
     reduction_morphisms,
 )
 from qncalc.cli import main
@@ -38,6 +36,7 @@ from qncalc.presentations import (
     qdet,
 )
 from qncalc.qfield import Scalar
+from qncalc.reports import Check
 from qncalc.rmatrix import (
     forms_rtt_compat,
     perturbed_r,
@@ -50,6 +49,7 @@ from qncalc.targets import (
     conjugate_forms_check,
     printed,
     printed_relation_checks,
+    qtrace_check,
     wz_plane_checks,
 )
 
@@ -120,7 +120,7 @@ def test_criterion_04_confluence():
 def test_criterion_05_poincare():
     ok = True
     for pid in CALCULUS_PRESETS:
-        c = check_nilpotent(preset(pid), 4)
+        c = Check.vanish("nilpotent", "eq-2.15", nilpotent_residuals(preset(pid), 4))
         ok = ok and c.status == "pass"
     _verdict(5, "Poincare: d^2 = 0 on all normal words of degree <= 4", ok)
 
@@ -135,8 +135,10 @@ def test_criterion_06_quantum_trace():
 def test_criterion_07_vector_fields():
     ok = True
     for pid in ("slq2-left", "glq2-left", "glq2-right"):
-        relations = printed(f"vector-{pid}", VECTOR_FIELDS)
-        checks = check_vector_algebra(relations, preset(pid), 3)
+        [suite] = run_suite(SuiteConfig(preset(pid), suites=("vector-fields",),
+                                        max_degree=3)).suites
+        checks = suite.checks
+        ok = ok and len(checks) == len(printed(f"vector-{pid}", VECTOR_FIELDS))
         ok = ok and all(c.status == "pass" for c in checks)
         ok = ok and all("reading order" in c.details or c.status != "pass"
                         for c in checks)  # frozen convention recorded

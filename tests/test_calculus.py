@@ -12,7 +12,6 @@ from qncalc.calculus import (
     VECTOR_FIELDS,
     DiffStructure,
     apply_delta,
-    check_nilpotent,
     check_vector_algebra,
     delta_respects_rules,
     diff_presentation,
@@ -21,7 +20,7 @@ from qncalc.calculus import (
     interchange_right_to_left,
     maurer_cartan_forms,
     maurer_cartan_residuals,
-    qtrace_check,
+    nilpotent_residuals,
     reduction_morphisms,
     vector_field_components,
 )
@@ -38,8 +37,9 @@ from qncalc.ncalg import (
 )
 from qncalc.presentations import preset, preset_without_rule, qdet
 from qncalc.qfield import ONE, Scalar
+from qncalc.reports import Check
 from qncalc.suites import SuiteConfig, run_suite
-from qncalc.targets import VECTOR_FIELD_PRESETS, conjugate_forms_check, printed
+from qncalc.targets import VECTOR_FIELD_PRESETS, conjugate_forms_check, printed, qtrace_check
 
 q = Scalar.q_power
 w = Element.word
@@ -55,6 +55,13 @@ def el(*terms):
 def with_calculus(p, d):
     """A new presentation object with p's name and rules and the calculus d."""
     return Presentation(p.name, p.generators, p.order, p.rules, p.form_position, calculus=d)
+
+
+def nilpotent_line(p, max_degree=0):
+    """The report's ``nilpotent[...]`` line on p (the suite's degree 4 by
+    default)."""
+    [suite] = run_suite(SuiteConfig(p, suites=("delta2",), max_degree=max_degree)).suites
+    return suite.checks[0]
 
 
 # -- differential structure consistency -----------------------------------------
@@ -133,7 +140,7 @@ NILPOTENT_WORDS_DEGREE_3 = {
 
 @pytest.mark.parametrize("pid", CALCULUS_PRESETS)
 def test_nilpotency_degree_three(pid):
-    c = check_nilpotent(preset(pid), 3)
+    c = nilpotent_line(preset(pid), 3)
     assert c.status == "pass", c.details
     assert c.details == (f"d^2 = 0 on {NILPOTENT_WORDS_DEGREE_3[pid]} normal words, "
                          f"degree <= 3")
@@ -148,7 +155,7 @@ def assert_first_failure_reported(pid, form, failed):
     def twice(word):
         return product_expansion(product_expansion(Element.term(ONE, word), bad, p), bad, p)
 
-    c = check_nilpotent(with_calculus(p, bad), 3)
+    c = nilpotent_line(with_calculus(p, bad), 3)
     assert c.status == "fail"
     first = next(word for word in normal_words(p, 3) if not twice(word).is_zero)
     assert c.details == f"{failed} failed; first: {'.'.join(first)}"
@@ -170,13 +177,17 @@ def test_derivation_memo_is_per_presentation_object(pid):
     p = preset(pid)
     form = p.odd_names()[-1]
     bad = DiffStructure(p.calculus.side, {**p.calculus.images, form: -p.calculus.images[form]})
-    assert check_nilpotent(p, 2).status == "pass"
-    assert check_nilpotent(with_calculus(p, bad), 2).status == "fail"
-    assert check_nilpotent(p, 2).status == "pass"
+    assert nilpotent_line(p, 2).status == "pass"
+    assert nilpotent_line(with_calculus(p, bad), 2).status == "fail"
+    assert nilpotent_line(p, 2).status == "pass"
 
 
 def test_a_rule_dropped_from_a_calculus_preset_breaks_nilpotency():
-    # the copy keeps the calculus, so delta2 runs on it and kills the mutant
+    # the copy keeps the calculus, so delta2 runs on it, and its corpus line
+    # fails.  That line reads a nonzero normal form as "not in the ideal",
+    # which needs confluence: the copy is not locally confluent, and d^2 = 0
+    # holds on it in every degree
+    # (test_without_a_b_d_squared_vanishes_but_the_corpus_line_fails)
     p = preset_without_rule(preset("glq2-left"), "a.b")
     [suite] = run_suite(SuiteConfig(p, suites=("delta2",))).suites
     check = suite.checks[0]
@@ -184,12 +195,101 @@ def test_a_rule_dropped_from_a_calculus_preset_breaks_nilpotency():
     assert check.details == "29 of 720 failed; first: b.c.a"
 
 
+# -- d^2 = 0 in every degree -------------------------------------------------------
+# d^2 is an even derivation of the free algebra.  If d maps every rule into
+# the ideal I (premise a) and d^2 maps the empty word and every generator
+# into I (premise b), then d(I) lies in I and d^2 = 0 on the quotient in
+# every degree.  Both premises read only "normal form 0 => in I".
+
+def d2_premises(p):
+    """Premise (a) and premise (b), each judged as one family."""
+    return (Check.vanish("a", "", delta_respects_rules(p)),
+            Check.vanish("b", "", nilpotent_residuals(p, 1)))
+
+
+@pytest.mark.parametrize("pid", CALCULUS_PRESETS)
+def test_d_squared_vanishes_in_every_degree(pid):
+    p = preset(pid)
+    a, b = d2_premises(p)
+    assert (a.status, a.details) == ("pass", f"{len(p.rules)} checks")
+    assert (b.status, b.details) == ("pass", f"{len(p.generators) + 1} checks")
+
+
+# d of one odd generator negated: (premise a, premise b, the degree-2
+# corpus) as "k of n failed; first: <label>", or pass
+D2_MUTANTS = {
+    ("glq2-left", "th2"): ("5 of 51 failed; first: delta-respects[th2.a]",
+                           "3 of 11 failed; first: b", "26 of 60 failed; first: b"),
+    ("glq2-left", "th3"): ("5 of 51 failed; first: delta-respects[th3.a]",
+                           "3 of 11 failed; first: c", "24 of 60 failed; first: c"),
+    ("glq2-left", "tht4"): ("pass", "4 of 11 failed; first: b", "26 of 60 failed; first: b"),
+    ("slq2-left", "th1"): ("pass", "4 of 8 failed; first: b", "14 of 32 failed; first: b"),
+    ("slq2-left", "th2"): ("5 of 25 failed; first: delta-respects[th2.a]",
+                           "3 of 8 failed; first: b", "17 of 32 failed; first: b"),
+    ("slq2-left", "th3"): ("5 of 25 failed; first: delta-respects[th3.a]",
+                           "3 of 8 failed; first: c", "15 of 32 failed; first: c"),
+    ("qplane-left-b0", "th3"): ("3 of 13 failed; first: delta-respects[th3.c]",
+                                "1 of 6 failed; first: c", "4 of 18 failed; first: c"),
+    ("qplane-left-c0", "th2"): ("3 of 13 failed; first: delta-respects[th2.b]",
+                                "1 of 6 failed; first: b", "4 of 18 failed; first: b"),
+    ("glq2-right", "w2"): ("5 of 51 failed; first: delta-respects[a.w2]",
+                           "3 of 11 failed; first: wb4", "24 of 60 failed; first: wb4"),
+    ("glq2-right", "w3"): ("5 of 51 failed; first: delta-respects[a.w3]",
+                           "3 of 11 failed; first: wb4", "26 of 60 failed; first: wb4"),
+    ("glq2-right", "wb4"): ("pass", "4 of 11 failed; first: b", "26 of 60 failed; first: b"),
+    ("slq2-right", "w1"): ("pass", "4 of 8 failed; first: b", "14 of 32 failed; first: b"),
+    ("slq2-right", "w2"): ("5 of 25 failed; first: delta-respects[a.w2]",
+                           "3 of 8 failed; first: w1", "15 of 32 failed; first: w1"),
+    ("slq2-right", "w3"): ("5 of 25 failed; first: delta-respects[a.w3]",
+                           "3 of 8 failed; first: w1", "17 of 32 failed; first: w1"),
+    ("qplane-right-b0", "w3"): ("3 of 13 failed; first: delta-respects[a.w3]",
+                                "1 of 6 failed; first: c", "4 of 18 failed; first: c"),
+    ("qplane-right-c0", "w2"): ("3 of 13 failed; first: delta-respects[a.w2]",
+                                "1 of 6 failed; first: b", "4 of 18 failed; first: b"),
+}
+
+
+def test_the_d_squared_mutants_are_every_odd_generator_with_nonzero_d():
+    # d of tht1, wb1 and of the planes' th1 and w1 is 0: negating it is no mutant
+    nonzero = {(pid, g) for pid in CALCULUS_PRESETS for g in preset(pid).odd_names()
+               if not preset(pid).calculus.images[g].is_zero}
+    assert nonzero == set(D2_MUTANTS)
+
+
+@pytest.mark.parametrize("pid, form", D2_MUTANTS, ids=lambda x: x)
+def test_a_negated_differential_breaks_a_premise(pid, form):
+    # premise (b) fails on every mutant, premise (a) on those whose negated
+    # d meets a rule; the corpus agrees
+    p, good = preset(pid), preset(pid).calculus
+    bad = with_calculus(p, DiffStructure(good.side, {**good.images, form: -good.images[form]}))
+    corpus = Check.vanish("corpus", "", nilpotent_residuals(bad, 2))
+    got = tuple(c.details if c.status == "fail" else c.status
+                for c in (*d2_premises(bad), corpus))
+    assert got == D2_MUTANTS[pid, form]
+
+
+def test_without_a_b_d_squared_vanishes_but_the_corpus_line_fails():
+    # both premises hold, so d^2 = 0 on this quotient in every degree; the
+    # 29 corpus words whose d^2 keeps a nonzero normal form lie in the
+    # ideal, and 3 critical pairs do not resolve
+    p = preset_without_rule(preset("glq2-left"), "a.b")
+    a, b = d2_premises(p)
+    assert (a.status, a.details) == ("pass", "50 checks")
+    assert (b.status, b.details) == ("pass", "11 checks")
+    conf = check_local_confluence(p)
+    assert len(conf.pairs) == 173
+    assert [(u.rule1, u.rule2, u.word) for u in conf.unresolved] == [
+        ("eq-2.11", "eq-2.11", ("a", "c", "b")),
+        ("eq-2.7", "eq-2.11", ("a", "d", "b")),
+        ("eq-2.7", "eq-2.11", ("a", "d", "a"))]
+
+
 def test_no_calculus_is_a_typed_error():
     p = preset("glq2")
     with pytest.raises(ValueError, match="^glq2 declares no differential calculus$"):
         apply_delta(w("a"), p)
     with pytest.raises(ValueError, match="^glq2 declares no differential calculus$"):
-        check_nilpotent(p)
+        nilpotent_residuals(p)
 
 
 def d_of_b_a(d):
@@ -200,7 +300,7 @@ def d_of_b_a(d):
 def test_delta_budget_holds_after_nilpotency_check():
     pid = "glq2-left"
     p = preset(pid)
-    assert check_nilpotent(p).status == "pass"
+    assert nilpotent_line(p).status == "pass"
     fresh = Presentation(p.name, p.generators, p.order, p.rules,
                          form_position=p.form_position)
     with pytest.raises(StepBudgetExceededError):
@@ -212,7 +312,7 @@ def test_delta_budget_is_independent_of_the_memo():
     p = preset(pid)
     with pytest.raises(StepBudgetExceededError):
         normalize(d_of_b_a(p.calculus), p, budget=2)
-    assert check_nilpotent(p).status == "pass"
+    assert nilpotent_line(p).status == "pass"
     with pytest.raises(StepBudgetExceededError):
         normalize(d_of_b_a(p.calculus), p, budget=2)
 
@@ -532,10 +632,11 @@ def test_right_recombination_identity():
 @pytest.mark.parametrize("pid", VECTOR_FIELD_PRESETS)
 def test_vector_algebra(pid):
     relations = printed(f"vector-{pid}", VECTOR_FIELDS)
-    checks = check_vector_algebra(relations, preset(pid), 2)
-    assert len(checks) == len(relations) > 0
-    for c in checks:
-        assert c.status == "pass", (c.name, c.residual, c.details)
+    entries = check_vector_algebra(relations, preset(pid), 2)
+    assert [tag for tag, _ in entries] == [tag for tag, _, _ in relations] != []
+    for tag, residuals in entries:
+        c = Check.vanish(tag, "", residuals)
+        assert c.status == "pass", (tag, c.residual, c.details)
 
 
 def test_vector_algebra_builds_the_basis_table_once(monkeypatch):

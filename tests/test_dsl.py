@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from qncalc.calculus import (
     CALCULUS_PRESETS,
-    check_nilpotent,
     diff_presentation,
+    nilpotent_residuals,
 )
 from qncalc.dsl import (
     DslError,
@@ -19,6 +19,7 @@ from qncalc.dsl import (
 from qncalc.ncalg import Element, check_local_confluence, normalize
 from qncalc.presentations import PRESET_IDS, preset, qdet
 from qncalc.qfield import ONE, Scalar
+from qncalc.reports import Check
 
 q = Scalar.q_power
 w = Element.word
@@ -399,7 +400,7 @@ def test_q_line_calculus_example_file():
     assert d.images["xi"] == -q(-2) * w("xi.th")
     assert d.forms == {"th": w("xi.del_x")}
     assert [r.provenance for r in p.rules][1:4] == ["user:8", "commutation", "commutation"]
-    assert check_nilpotent(p).status == "pass"
+    assert Check.vanish("nilpotent", "eq-2.15", nilpotent_residuals(p)).status == "pass"
     dp = diff_presentation(p)
     assert {r.lhs: r.rhs for r in dp.rules}[("del_x", "x")] == q(2) * w("x.del_x")
 

@@ -1,10 +1,12 @@
 """Module hygiene, checked on the source with ``ast`` (no linter is
 assumed): every ``__all__`` name exists, no module but the package's
 ``__init__`` imports a name it never uses, every function and class is
-used somewhere, the kernel layers import nothing from ``reports``, one
-loop merges scaled terms into word -> coefficient dicts, no family of
-identities is judged by ``Check.of``, and no calculus function takes a
-calculus beside the presentation that declares it."""
+used somewhere, the engine layers import nothing from ``reports`` or
+``targets``, the one function-level import of the package is the one that
+breaks the dsl cycle, one loop merges scaled terms into word ->
+coefficient dicts, no family of identities is judged by ``Check.of``, and
+no calculus function takes a calculus beside the presentation that
+declares it."""
 
 import ast
 import importlib
@@ -67,9 +69,11 @@ def test_every_definition_is_used():
     assert unused == []
 
 
-# the kernel layers know nothing of reports; the suites turn their results
-# into report lines
-@pytest.mark.parametrize("name", ["qfield", "ncalg", "rmatrix", "presentations"])
+# the engine layers, everything ``import qncalc`` loads, know nothing of
+# reports or of the printed-equation judges; the suites and targets turn
+# their results into report lines
+@pytest.mark.parametrize("name", ["qfield", "ncalg", "rmatrix", "presentations",
+                                  "calculus", "dsl"])
 def test_kernel_layers_do_not_import_reports(name):
     tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
     imported = []
@@ -78,7 +82,20 @@ def test_kernel_layers_do_not_import_reports(name):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             imported += [f"{node.module}.{alias.name}" for alias in node.names]
-    assert [m for m in imported if "reports" in m.split(".")] == []
+    assert [m for m in imported if {"reports", "targets"} & set(m.split("."))] == []
+
+
+def test_the_one_function_level_import_breaks_the_dsl_cycle():
+    # a module-level import shows a layer's dependencies; presentations.preset
+    # alone imports at call time, since dsl imports presentations for ``extends``
+    late = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                late += [(path.stem, fn.name, node.module, [a.name for a in node.names])
+                         for node in ast.walk(fn) if isinstance(node, ast.ImportFrom)
+                         and (node.level or (node.module or "").startswith("qncalc"))]
+    assert late == [("presentations", "preset", "dsl", ["parse_presentation"])]
 
 
 def test_the_witness_shares_no_code_with_the_cached_normalizer():

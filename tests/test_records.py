@@ -1,6 +1,6 @@
 """The record types: constructors, defaults, equality, immutability, repr,
 and an import of ``qncalc`` that loads neither ``dataclasses`` nor ``inspect``
-nor the suite runner."""
+nor the suite runner and its report records."""
 
 import copy
 import os
@@ -113,19 +113,22 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 def test_import_loads_the_engine_without_the_suite_runner():
-    # a process that only rewrites compiles neither the runner nor the
-    # printed-equation judges; both stay one import away
+    # a process that only rewrites compiles neither the runner, nor the
+    # printed-equation judges, nor the report records and their json; all
+    # stay one import away
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     code = ("import qncalc, sys\n"
+            "report = {'json', 'qncalc.reports', 'qncalc.suites', 'qncalc.targets'}\n"
             "for pid in qncalc.PRESET_IDS: qncalc.preset(pid)\n"
             "for pid in qncalc.CALCULUS_PRESETS: qncalc.diff_presentation(pid)\n"
-            "print(sorted({'qncalc.suites', 'qncalc.targets'} & set(sys.modules)))\n"
+            "print(sorted(report & set(sys.modules)))\n"
             "from qncalc.suites import run_all\n"
-            "print(sorted({'qncalc.suites', 'qncalc.targets'} & set(sys.modules)))")
+            "print(sorted(report & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "['qncalc.suites', 'qncalc.targets']", ""]
+    assert proc.stdout.split("\n") == [
+        "[]", "['json', 'qncalc.reports', 'qncalc.suites', 'qncalc.targets']", ""]
 
 
 # -- Check.vanish, the one judge of a family of identities ----------------------

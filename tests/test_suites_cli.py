@@ -99,7 +99,9 @@ def test_exit_code_logic():
     from qncalc.reports import Suite
     rep.suites.append(Suite("s", [Check("a", status="pass")]))
     assert rep.exit_code() == 0
+    assert (rep.overall, rep.has_mismatch) == ("pass", False)
     rep.suites.append(Suite("t", [Check("b", status="mismatch")]))
+    assert (rep.overall, rep.has_mismatch) == ("pass", True)
     assert rep.exit_code() == 1
     assert rep.exit_code(allow_mismatch=True) == 0
     rep.suites.append(Suite("u", [Check("c", status="fail")]))
