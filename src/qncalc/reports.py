@@ -37,13 +37,10 @@ class Record:
 
     __slots__ = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
