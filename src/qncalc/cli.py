@@ -83,7 +83,14 @@ def cmd_list_presets(args) -> int:
 
 def cmd_normalize(args) -> int:
     p = _resolve_presentation(args)
-    print(normalize(parse_expression(args.expr, p), p))
+    x = parse_expression(args.expr, p)
+    high = [w for w in x.words() if p.form_degree(w) > 1]
+    if high and not args.file and p.name.endswith("-diff"):
+        # a -diff system has no rule between two differentials
+        raise DslError(f"{p.name} presents the 1-forms only, and {'.'.join(high[0])} "
+                       f"has form degree {p.form_degree(high[0])}; normalize it in form "
+                       f"mode (--preset {p.name.removesuffix('-diff')})")
+    print(normalize(x, p))
     return 0
 
 

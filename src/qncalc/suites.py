@@ -5,7 +5,7 @@ lists.  Some check one presentation (confluence, delta2, ...) and apply
 where their predicate in ``_APPLIES`` holds; the others check the whole
 built-in preset family (reductions, interchange, regressions).  A suite
 asked to run where it does not apply reports a single ``skipped`` check.
-``run_all`` executes the full matrix.
+``run_all`` executes the full matrix, one process per usable CPU.
 
 A line stating that a family of identities vanishes (the Hopf maps, d
 on every relation, the reduction routes, ...) is judged by
@@ -15,7 +15,11 @@ failing, it reads "k of n failed; first: <label>" with that residual.
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
+import threading
 import time
 from typing import Iterator, NamedTuple
 
@@ -382,17 +386,112 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
 
 def run_all(seed: int = 2024, max_degree: int = 0) -> SuiteReport:
     """The full verification matrix: every suite over every preset it
-    covers (a per-presentation suite is listed only where it applies)."""
+    covers (a per-presentation suite is listed only where it applies).
+
+    The checks of different presentations share no state, so the jobs
+    are grouped by presentation, which keeps each memo in one process,
+    and the groups are dealt to one process per usable CPU (see
+    ``_processes``).  The report does not depend on the deal; each
+    check's ``ms`` is measured in the process that ran it."""
     cfgs = {pid: SuiteConfig(preset(pid), max_degree=max_degree, seed=seed)
             for pid in PRESET_IDS}
     report = SuiteReport(preset="all", seed=seed, max_degree=cfgs["glq2"].degree(3),
                          conventions=dict(CONVENTIONS))
-    for name in SUITE_NAMES:
-        if name not in _APPLIES:
-            report.suites.append(Suite(name, _run(name, cfgs["glq2"])))
-            continue
-        for pid in _ORDER.get(name, PRESET_IDS):
-            checks = _run(name, cfgs[pid])
-            if checks[0].status != "skipped":
-                report.suites.append(Suite(f"{name}@{pid}", checks))
+    # (suite, preset id) in report order; None: a suite of the whole family
+    jobs = [(name, pid) for name in SUITE_NAMES
+            for pid in (_ORDER.get(name, PRESET_IDS) if name in _APPLIES else (None,))]
+    # the presentations in report order, then the family suites (None);
+    # the i-th of these groups runs in process i mod n
+    groups = list(dict.fromkeys(pid for _, pid in jobs))
+    n = _processes(len(groups))
+    deal = {pid: i % n for i, pid in enumerate(groups)}
+    checks = _run_shares([[job for job in jobs if deal[job[1]] == k]
+                          for k in range(n)], cfgs)
+    for name, pid in jobs:
+        got = checks[name, pid]
+        if pid is None:
+            report.suites.append(Suite(name, got))
+        elif got[0].status != "skipped":
+            report.suites.append(Suite(f"{name}@{pid}", got))
     return report
+
+
+def _processes(groups: int) -> int:
+    """How many processes ``run_all`` deals its ``groups`` to: one per
+    usable CPU but no more than there are groups, and one where
+    ``os.fork`` or the CPU affinity is missing (Windows, macOS) or where
+    forking is unsafe because the process runs other threads."""
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), groups))
+
+
+def _run_share(share: list, cfgs: dict) -> dict:
+    return {(name, pid): _run(name, cfgs[pid or "glq2"]) for name, pid in share}
+
+
+def _run_shares(shares: list, cfgs: dict) -> dict:
+    """{(suite, preset id): checks} of the jobs of every share.  The first
+    share runs here; each other one runs in a forked child, which sends
+    its checks back as a pickle over its own pipe.  A child's exception
+    is raised here.  Every child is reaped, and on an exception here
+    (a child's, too) it is sent SIGTERM first."""
+    results, children = {}, {}
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            child = os.fork()
+            if child == 0:
+                _send(read, write, share, cfgs)         # ends the child
+            os.close(write)
+            children[child] = read
+        results.update(_run_share(shares[0], cfgs))
+        for child, read in children.items():
+            with open(read, "rb", closefd=False) as f:
+                data = f.read()
+            got = (pickle.loads(data) if data else
+                   RuntimeError(f"suite process {child} ended without a result"))
+            if isinstance(got, BaseException):
+                raise got
+            results.update(got)
+    except BaseException:
+        for child in children:
+            os.kill(child, signal.SIGTERM)
+        raise
+    finally:
+        for child, read in children.items():
+            os.close(read)
+            os.waitpid(child, 0)
+    return results
+
+
+def _send(read: int, write: int, share: list, cfgs: dict) -> None:
+    """In a forked child: run ``share``, write its checks or the exception
+    it raised to ``write`` as a pickle, and end the child at once, so
+    that nothing the parent owns is flushed or cleaned up twice."""
+    try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        os.close(read)
+        try:
+            data = pickle.dumps(_run_share(share, cfgs))
+        except Exception as exc:
+            data = _pickled_exception(exc)
+        with open(write, "wb") as f:
+            f.write(data)
+    finally:
+        os._exit(0)
+
+
+def _pickled_exception(exc: Exception) -> bytes:
+    """``exc`` pickled, or, when it does not survive a pickle round trip,
+    a ``RuntimeError`` carrying its traceback text."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)          # an __init__ that takes other arguments fails here
+        return data
+    except Exception:
+        import traceback            # only an exception that does not pickle needs it
+
+        text = "".join(traceback.format_exception(exc))
+        return pickle.dumps(RuntimeError(f"a suite process failed:\n{text}"))

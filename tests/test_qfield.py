@@ -6,6 +6,7 @@ canonicalization code paths being tested.  The canonical form itself is
 compared with sympy's ``cancel`` where sympy is installed.
 """
 
+import os
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -407,7 +408,7 @@ def test_product_matches_unmemoized_multiplication():
                     assert r.evaluate(pt) == vx / vy
 
 
-def test_every_cached_coefficient_is_canonical():
+def test_every_cached_coefficient_is_canonical(monkeypatch):
     # memoized products and sums build their results without
     # Scalar.__init__, so nothing else recanonicalizes what the caches keep
     from qncalc.calculus import CALCULUS_PRESETS, diff_presentation
@@ -415,6 +416,8 @@ def test_every_cached_coefficient_is_canonical():
     from qncalc.presentations import PRESET_IDS, preset
     from qncalc.suites import run_all
 
+    # one CPU: run_all fills every preset's memo in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_all(seed=7, max_degree=2)
     systems = [preset(pid) for pid in PRESET_IDS]
     for pid in CALCULUS_PRESETS:

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -14,7 +15,7 @@ from qncalc import rmatrix, suites
 from qncalc.calculus import diff_presentation
 from qncalc.cli import main
 from qncalc.dsl import export_presentation, parse_presentation
-from qncalc.ncalg import Element, normalize
+from qncalc.ncalg import Element, StepBudgetExceededError, normalize
 from qncalc.presentations import coproduct_residuals, preset, preset_without_rule
 from qncalc.reports import Check, SuiteReport
 from qncalc.suites import SUITE_NAMES, SuiteConfig, run_all, run_suite
@@ -136,6 +137,15 @@ def test_cli_normalize_on_a_derived_system(capsys):
     assert main(["normalize", "--preset", "glq2-left-diff", "--expr", "del_a.a"]) == 0
     p = diff_presentation("glq2-left")
     assert capsys.readouterr().out.strip() == str(normalize(Element.word("del_a", "a"), p))
+
+
+def test_cli_normalize_rejects_two_differentials_on_a_derived_system(capsys):
+    # a -diff system has no rule between two differentials
+    assert main(["normalize", "--preset", "qplane-left-b0-diff",
+                 "--expr", "a.del_a + del_a.del_a"]) == 2
+    assert capsys.readouterr().err == (
+        "error: qplane-left-b0-diff presents the 1-forms only, and del_a.del_a has "
+        "form degree 2; normalize it in form mode (--preset qplane-left-b0)\n")
 
 
 def test_cli_exports_a_derived_system(capsys):
@@ -423,6 +433,112 @@ def test_run_all_records_the_degree_as_run_suite_does(monkeypatch, max_degree,
     assert run_all(max_degree=max_degree).max_degree == recorded
     cfg = SuiteConfig(preset("glq2"), suites=("ybe",), max_degree=max_degree)
     assert run_suite(cfg).max_degree == recorded
+
+
+# -- run_all across processes -----------------------------------------------------
+
+def _zeroed(report):
+    out = report.to_json()
+    for s in out["suites"]:
+        for c in s["checks"]:
+            c["ms"] = 0.0
+    return json.dumps(out)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [7, 2024])
+def test_run_all_reports_the_same_from_one_process_and_from_two(monkeypatch, seed):
+    run = suites._run
+
+    def stamped(name, cfg):             # ms: the process that ran the check
+        checks = run(name, cfg)
+        for c in checks:
+            c.ms = os.getpid()
+        return checks
+
+    monkeypatch.setattr(suites, "_run", stamped)
+    _cpus(monkeypatch, 2)
+    forked = run_all(seed=seed)
+    _no_child_left()
+    assert {c.ms for c in forked.all_checks()} - {os.getpid()}
+    _cpus(monkeypatch, 1)
+    serial = run_all(seed=seed)
+    assert {c.ms for c in serial.all_checks()} == {os.getpid()}
+    assert _zeroed(serial) == _zeroed(forked)
+
+
+def _failing_confluence(monkeypatch, pid, exc):
+    """``confluence`` raises ``exc(pid of the process)`` on preset ``pid``."""
+    confluence = suites.SUITES["confluence"]
+
+    def suite(cfg):
+        if cfg.presentation.name == pid:
+            raise exc(os.getpid())
+        return confluence(cfg)
+
+    monkeypatch.setitem(suites.SUITES, "confluence", suite)
+
+
+@pytest.mark.parametrize("where", ["glq2", "glq2-left"])    # the parent's, a child's
+def test_an_exceeded_budget_in_any_process_fails_verify_paper(monkeypatch, capsys,
+                                                              where):
+    _failing_confluence(monkeypatch, where, lambda pid: StepBudgetExceededError(
+        f"step budget exceeded in process {pid}"))
+    _cpus(monkeypatch, 2)
+    assert main(["verify-paper"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step budget exceeded in process ")
+    assert (int(err.split()[-1]) == os.getpid()) == (where == "glq2")
+    _no_child_left()
+
+
+class _TwoArgumentError(Exception):     # it pickles, but does not unpickle
+    def __init__(self, what, where):
+        super().__init__(f"{what} in process {where}")
+
+
+@pytest.mark.parametrize("unpicklable", ["local class", "two-argument init"])
+def test_a_child_exception_that_does_not_pickle_arrives_as_its_traceback(
+        monkeypatch, unpicklable):
+    class LocalError(Exception):
+        pass
+
+    _failing_confluence(monkeypatch, "glq2-left", LocalError if unpicklable == "local class"
+                        else lambda pid: _TwoArgumentError("lost", pid))
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError) as info:
+        run_all()
+    text = str(info.value)
+    assert text.startswith("a suite process failed:\nTraceback (most recent call last):")
+    assert "Error: " in text.splitlines()[-1]
+    assert int(text.split()[-1]) != os.getpid()
+    _no_child_left()
+
+
+@pytest.mark.parametrize("why", ["no os.fork", "no CPU affinity", "threads"])
+def test_run_all_does_not_fork_where_it_cannot_or_should_not(monkeypatch, why):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    _cpus(monkeypatch, 2)
+    if why == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    elif why == "no CPU affinity":
+        monkeypatch.delattr(os, "sched_getaffinity")
+    elif why == "threads":              # Python 3.12 warns on forking with threads
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+    monkeypatch.setattr(suites, "SUITE_NAMES", ("rtt",))
+    counts = run_all().counts()
+    assert counts["pass"] > 0 and counts["fail"] == 0
 
 
 def _subprocess_env():
