@@ -85,13 +85,20 @@ def cmd_normalize(args) -> int:
     p = _resolve_presentation(args)
     x = parse_expression(args.expr, p)
     high = [w for w in x.words() if p.form_degree(w) > 1]
-    if high and not args.file and p.name.endswith("-diff"):
-        # a -diff system has no rule between two differentials
+    base = p.name.removesuffix("-diff")
+    if high and base != p.name and base in CALCULUS_PRESETS and _rules(p) == _rules(
+            diff_presentation(base)):
+        # a -diff system, built in or exported to a file unchanged, has no
+        # rule between two differentials
         raise DslError(f"{p.name} presents the 1-forms only, and {'.'.join(high[0])} "
                        f"has form degree {p.form_degree(high[0])}; normalize it in form "
-                       f"mode (--preset {p.name.removesuffix('-diff')})")
+                       f"mode (--preset {base})")
     print(normalize(x, p))
     return 0
+
+
+def _rules(p):
+    return [(r.lhs, r.rhs) for r in p.rules]
 
 
 def cmd_check(args) -> int:

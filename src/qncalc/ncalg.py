@@ -22,12 +22,17 @@ the rules whose LHS starts with those two letters, in rule order, with
 each right-hand side as a tuple of (word, Scalar) pairs in which a
 coefficient equal to 1 is the shared :data:`~qncalc.qfield.ONE`.  Its
 normal-form cache, an internal memo, maps a word to a record of two
-parallel tuples, the words of its normal form and their coefficients,
-linked to the records of the words its leftmost rewrite produces
-(:class:`_NormalForm`).  A word whose rewrite produces a single word
-shares that word's tuple of words, and its tuple of coefficients too when
-the rule's coefficient is 1.  A normalization that exceeds its step
-budget removes the entries it added.
+parallel tuples, the words of its normal form and their coefficients
+(:class:`_NormalForm`).  The record of u.x, for a letter x, is built
+from the record of u by extending each of its words by x (prefix
+extension, :meth:`Presentation._fill`), and it links that record and
+the records of the words the extensions rewrite to.  With a LHS longer
+than 2 letters, u's record is its stable form, in a second memo.  A
+record whose extensions are all kept as they are shares its tuple of
+coefficients with the prefix, and one whose prefix has a single word
+shares its tuple of words with the child that word's extension rewrites
+to.  A normalization that exceeds its step budget removes the entries it
+added.
 """
 
 from __future__ import annotations
@@ -352,49 +357,61 @@ class ConfluenceReport(NamedTuple):
 
 
 class _NormalForm:
-    """A cached word normal form, linked to the normal forms of the words
-    its leftmost rewrite produces.
+    """A cached form of a word w, linked to the records it was built from.
 
     ``words`` is a tuple of distinct words and ``coefs`` the parallel tuple
-    of their nonzero Scalar coefficients.  A normal word ``w`` has the
-    words ``(w,)`` and the shared coefficients :data:`_ONE_COEFS`.
-    ``kids`` is None for a normal word, the one normal form itself when
-    the rewrite produces one word (as most rules do), else a tuple.  A
-    one-kid record's ``words`` is its kid's ``words`` object, and so is its
-    ``coefs`` when the rewrite's coefficient is :data:`ONE`.  ``cost`` is
-    the number of distinct words in the rewrite closure, or None until it
-    is first needed.  The closure of a one-kid word is the word plus its
-    kid's closure (cached words never rewrite back to themselves), so its
-    cost follows from the kid's when that is known.
+    of their nonzero Scalar coefficients.  A word shorter than two letters
+    is normal: its record has the words ``(w,)``, the shared coefficients
+    :data:`_ONE_COEFS`, no ``prefix`` and no ``kids``.  Any other record
+    is built by :meth:`Presentation._fill` from ``prefix``, the record of
+    the stable form of w without its last letter x, and ``kids``, the
+    records of the words that the extensions t.x of ``prefix``'s words
+    rewrite to, in order: None, one record, or a tuple of several.  A
+    record whose extensions are all kept shares ``prefix``'s ``coefs``.  A
+    record with one extension that rewrites to one word shares that
+    child's ``words``, and its ``coefs`` too when the coefficient is
+    :data:`ONE`.
+
+    ``cost`` is the number of distinct records reachable through
+    ``prefix`` and ``kids``, this one included, or None until it is
+    counted; a record without kids costs one more than its prefix.
+    ``bound`` is the size of the tree those links unfold to, one plus the
+    bounds of the links, so never less than ``cost``.
     """
 
-    __slots__ = ("words", "coefs", "kids", "cost")
+    __slots__ = ("words", "coefs", "prefix", "kids", "cost", "bound")
 
-    def __init__(self, words: tuple, coefs: tuple, kids=None):
+    def __init__(self, words: tuple, coefs: tuple, prefix=None, kids=None):
         self.words = words
         self.coefs = coefs
+        self.prefix = prefix
         self.kids = kids
-        if kids is None:
-            self.cost = 1
-        elif kids.__class__ is _NormalForm and kids.cost is not None:
-            self.cost = kids.cost + 1
+        if prefix is None:
+            self.cost = self.bound = 1
+        elif kids is None:
+            self.cost = None if prefix.cost is None else prefix.cost + 1
+            self.bound = prefix.bound + 1
         else:
             self.cost = None
+            self.bound = prefix.bound + 1 + (
+                kids.bound if kids.__class__ is _NormalForm else sum([k.bound for k in kids]))
 
     def closure_size(self) -> int:
-        """Number of distinct normal forms reachable through ``kids``."""
+        """Number of distinct records reachable through ``prefix`` and
+        ``kids``, this one included."""
         seen = {self}
         todo = [self]
         while todo:
-            kids = todo.pop().kids
-            while kids.__class__ is _NormalForm and kids not in seen:
-                seen.add(kids)
-                kids = kids.kids
-            if kids.__class__ is tuple:
-                for nf in kids:
-                    if nf not in seen:
-                        seen.add(nf)
-                        todo.append(nf)
+            nf = todo.pop()
+            links = nf.kids
+            if links is None or links.__class__ is _NormalForm:
+                links = (nf.prefix, links)
+            else:
+                links += (nf.prefix,)
+            for link in links:
+                if link is not None and link not in seen:
+                    seen.add(link)
+                    todo.append(link)
         return len(seen)
 
 
@@ -407,17 +424,42 @@ class _Steps:
 
     Each word normal form is charged its cost (see
     :meth:`Presentation.word_normal_form`) whether or not it was cached, so
-    whether a budget trips does not depend on what ran before.  A budget
-    that trips names the word whose normal form was being computed and
-    the rule at that word's leftmost redex, by its tag; the naming is done
-    on the way out, so it costs nothing until then.
+    whether a budget trips does not depend on what ran before.  A record
+    whose cost is not counted yet is charged its ``bound`` and owed the
+    difference, so the count is never below the exact one; only when it
+    passes the budget are the owed costs counted, and the budget trips at
+    the same word as with exact costs throughout, without walking the
+    records of every word.  A budget that trips names the word whose normal
+    form was being computed and the rule at that word's leftmost redex,
+    by its tag; the naming is done on the way out, so it costs nothing
+    until then.
     """
 
-    __slots__ = ("count", "budget")
+    __slots__ = ("count", "budget", "owed")
 
     def __init__(self, budget):
         self.count = 0
         self.budget = budget
+        self.owed = []
+
+    def charge(self, p, word, nf):
+        cost = nf.cost
+        if cost is None:
+            cost = nf.bound
+            self.owed.append(nf)
+        self.count += cost
+        if self.count > self.budget and self.settle() > self.budget:
+            self.exceeded(p, word)
+
+    def settle(self) -> int:
+        """Replace the bounds charged so far by the exact costs; return the
+        count."""
+        for nf in self.owed:
+            if nf.cost is None:
+                nf.cost = nf.closure_size()
+            self.count -= nf.bound - nf.cost
+        self.owed.clear()
+        return self.count
 
     def exceeded(self, p, word):
         r = (p.find_redex(word) or (0, None))[1]
@@ -455,6 +497,9 @@ class Presentation:
                                               for v, c in r.rhs.items()), r))
         self._reach = max((len(r.lhs) for r in self.rules), default=2) - 1
         self._nf_cache: dict = {}
+        # the stable forms of _fill; with no LHS longer than 2 they are the
+        # normal forms, and one memo serves both
+        self._stable_cache = self._nf_cache if self._reach < 2 else {}
 
     # -- generator helpers ----------------------------------------------------
 
@@ -522,104 +567,193 @@ class Presentation:
     def word_normal_form(self, word: Word, steps: _Steps) -> _NormalForm:
         """The cached normal form of ``word`` (:class:`_NormalForm`),
         charged to ``steps`` at its cost on a cache hit as on a miss.  The
-        cost is the number of distinct words in the word's rewrite
-        closure: the word and, recursively, the words its leftmost rewrite
-        produces.  A cold miss checks the word's letters and computes
-        exactly these words once each.
+        cost is the number of distinct records in the word's extension DAG:
+        its record and, through ``prefix`` and ``kids``, every record that
+        record was built from.  It depends on the word alone, not on what
+        the memos held before.  A cold miss checks the word's letters and
+        builds exactly the records of the DAG that were not cached yet.
         """
         hit = self._nf_cache.get(word)
         if hit is None:
             self.check_word(word)
             self._fill(word, steps)
             hit = self._nf_cache[word]
-        cost = hit.cost
-        if cost is None:
-            cost = hit.cost = hit.closure_size()
-        steps.count += cost
-        if steps.count > steps.budget:
-            steps.exceeded(self, word)
+        steps.charge(self, word, hit)
         return hit
 
     def _fill(self, word: Word, steps: _Steps) -> None:
-        """Cache the normal forms of ``word`` and the uncached words of its
-        rewrite closure, depth first.
+        """Cache the normal form of ``word`` by prefix extension.
 
-        A chain of rewrites that each produce one word is walked in an
-        inner loop: each word of it goes on the path with its one child,
-        and its record is built from the child's when the walk comes back,
-        sharing the child's words and scaling its coefficients.  A word
-        whose rewrite produces several words goes on the path with the
-        list of its children, which are filled one after the other and
-        then summed.
+        Let r be the longest LHS length minus 1, and call a word k-stable
+        when it has no redex before its last k letters.  S_k(w) rewrites w
+        at its leftmost redex, first matching rule in rule order, while that
+        redex starts before the last k letters; the normal form is S_0, and
+        S_1 too, since no redex starts at the last letter.  For a letter x
+        and S_r(u) = sum of c_t t,
 
-        A word made by rewriting its parent at position i is searched for
-        its leftmost redex from i - (longest LHS - 1) on (Baader & Nipkow
-        1998): its letters before i are the parent's, and the parent had
-        no redex before i, so a redex of the child that starts earlier
-        would have to reach position i, and no LHS is that long.
+            S_k(u.x) = sum of c_t S_k(t.x),   for k in {0, r}.
 
-        Every word pushed is a distinct uncached word of the closure, so
-        giving up once more words have been pushed than the budget has
-        left never trips below the charge, and it still stops rules that
-        grow words forever.  A word that rewrites back to one still on the
-        path never terminates, whatever the budget.
+        Proof, by induction on the rewrites of u, which terminate.  If u is
+        r-stable, S_r(u) = u.  Otherwise its leftmost redex starts at
+        j < len(u) - r.  A redex of u.x that starts before j would end
+        inside u, no LHS being longer than r + 1, so there is none; every
+        rule tried at j ends inside u too, so the same rule matches first,
+        and u.x rewrites to the children of u, each followed by x.  That
+        redex starts before the last k letters of u.x, so S_k rewrites it,
+        and the claim for each child gives it for u.x, S_k being linear.
+        By the same bound, t.x for an r-stable t has no redex before
+        len(t) - r, where its search starts (Baader & Nipkow 1998); for
+        r = 1 that is the pair of t's last letter and x.  So the result is
+        the leftmost normal form on every presentation, confluent or not.
+
+        The records of u's prefixes are in the stable memo, the normal-form
+        memo itself when r = 1.  An extension t.x whose leftmost redex
+        starts in its last k letters is kept; any other is rewritten once,
+        and its children's forms come from the word's own memo.  A word not
+        cached is extended from its longest cached prefix one letter at a
+        time, and a record whose children are not all cached waits on the
+        path while they are built; the walk is iterative.  Each record
+        started is a distinct record of the word's DAG, so giving up once
+        more have been started than the budget has left never trips below
+        the charge, and it still stops rules that grow words forever.  A
+        record needed while it waits on the path means a word rewrites back
+        to itself, or, through a prefix, to a longer word that begins with
+        it; neither terminates, and the second exceeds every budget.
         """
-        cache = self._nf_cache
-        redex = self._redex
-        reach = self._reach
+        held = self._reach if self._reach > 1 else 0    # the k of the prefixes' forms
+        memos = {0: self._nf_cache, held: self._stable_cache}
+        stable_memo = self._stable_cache
+        index, redex, reach = self._index, self._redex, self._reach
         room = steps.budget - steps.count
-        path = []       # (word, child, coefficient) or (word, [(child, coefficient)], start)
-        on_path = set()
+        path = []       # [word, k, length in progress, prefix record, parts, next part]
         pushed = 0
-        nxt, start = word, 0
+        nxt, nxt_k = word, 0
         while True:
-            while nxt is not None:
-                if nxt in on_path:
-                    raise StepBudgetExceededError(
-                        f"{'.'.join(nxt)} rewrites back to itself under "
-                        f"{self.name!r}; the rule set does not terminate")
-                pushed += 1
-                if pushed > room:
-                    steps.exceeded(self, word)
-                m = redex(nxt, start)
-                if m is None:
-                    cache[nxt] = _NormalForm((nxt,), _ONE_COEFS)
-                    nxt = None
-                    continue
-                i, n, rhs, _ = m
-                start = i - reach if i > reach else 0   # where its children resume
-                on_path.add(nxt)
-                if len(rhs) == 1:
-                    v, c = rhs[0]
-                    child = nxt[:i] + v + nxt[i + n:]
-                    path.append((nxt, child, c))
-                    nxt = None if child in cache else child
-                else:
-                    path.append((nxt, [(nxt[:i] + v + nxt[i + n:], c) for v, c in rhs],
-                                 start))
-                    nxt = None
-            while path:
-                cur, kids, c = path[-1]
-                if kids.__class__ is list:
-                    for v, _ in kids:
-                        if v not in cache:
-                            nxt, start = v, c
-                            break
-                    if nxt is not None:
+            if nxt is not None:     # a word not cached: extend its longest cached prefix
+                top, k = nxt, nxt_k
+                nxt = pre = parts = frame = None
+                n = j = len(top)
+                while j > 1:
+                    j -= 1
+                    pre = stable_memo.get(top[:j])
+                    if pre is not None:
+                        if pre.__class__ is list:   # a prefix on the path
+                            steps.exceeded(self, word)
+                        j += 1
                         break
-                    acc: dict = {}
-                    for v, x in kids:
-                        kid = cache[v]
-                        add_scaled(acc, zip(kid.words, kid.coefs), x)
-                    cache[cur] = _NormalForm(tuple(acc), tuple(acc.values()),
-                                             tuple(cache[v] for v, _ in kids))
+            else:                   # back at the top of the path
+                frame = path[-1]
+                top, k, j, pre, parts, pos = frame
+                rewrote = True      # a record waits only on the children of a rewrite
+                n = len(top)
+                kj = held if j < n else k
+                while pos < len(parts):
+                    v, _, kid = parts[pos]
+                    pos += 1
+                    if kid is False:
+                        kid = memos[kj].get(v)
+                        if kid is None:
+                            nxt, nxt_k = v, kj
+                            frame[5] = pos
+                            break
+                        if kid.__class__ is list:   # on the path
+                            depth = next(i for i, f in enumerate(path) if f is kid)
+                            if any(f[2] < len(f[0]) for f in path[depth + 1:]):
+                                steps.exceeded(self, word)
+                            raise StepBudgetExceededError(
+                                f"{'.'.join(v)} rewrites back to itself under "
+                                f"{self.name!r}; the rule set does not terminate")
+                if nxt is not None:
+                    continue
+            while True:     # top[:j], then each longer prefix, up to top itself
+                if j < n:
+                    cur, kj, memo = top[:j], held, stable_memo
                 else:
-                    kid = cache[kids]
-                    coefs = kid.coefs if c is ONE else tuple([c * x for x in kid.coefs])
-                    cache[cur] = _NormalForm(kid.words, coefs, kid)
-                path.pop()
-                on_path.discard(cur)
-            if nxt is None:
+                    cur, kj, memo = top, k, memos[k]
+                if parts is None:
+                    pushed += 1
+                    if pushed > room:
+                        room = steps.budget - steps.settle()
+                        if pushed > room:
+                            steps.exceeded(self, word)
+                if pre is None:
+                    nf = _NormalForm((cur,), _ONE_COEFS)
+                else:
+                    if parts is None:
+                        parts = []  # (word, coefficient, record: None if kept, False if missing)
+                        missing = rewrote = False
+                        x, xs = cur[-1], cur[-1:]
+                        for t, c in zip(pre.words, pre.coefs):
+                            if reach == 1:      # a redex can only be t's last letter and x
+                                rules = index.get(t[-1], _NO_RULES).get(x) if t else None
+                                if not rules:
+                                    parts.append((t + xs, c, None))
+                                    continue
+                                head, tail, rhs = t[:-1], (), rules[0][2]
+                            else:
+                                i = len(t)
+                                tx = t + xs
+                                m = redex(tx, i - reach if i > reach else 0)
+                                if m is None or m[0] > i - kj:
+                                    parts.append((tx, c, None))
+                                    continue
+                                i, size, rhs, _ = m
+                                head, tail = tx[:i], tx[i + size:]
+                            rewrote = True
+                            for v, c2 in rhs:
+                                v = head + v + tail
+                                kid = memo.get(v)
+                                if kid is None or kid.__class__ is list:
+                                    if not missing:     # the first child to wait on
+                                        missing, nxt = True, v if kid is None else None
+                                        pos = len(parts) + (kid is None)
+                                    kid = False
+                                parts.append((v, c2 if c is ONE else c * c2, kid))
+                        if missing:
+                            if frame is None:
+                                frame = [top, k, j, pre, parts, pos]
+                                path.append(frame)
+                            else:
+                                frame[2:6] = j, pre, parts, pos
+                            memo[cur] = frame   # on the path: found again, it is a cycle
+                            nxt_k = kj
+                            break
+                    if not parts:
+                        nf = _NormalForm((), (), pre)
+                    elif not rewrote:
+                        # every extension kept: the prefix's coefficients, and
+                        # the key itself when u's form is u
+                        v = parts[0][0]
+                        nf = _NormalForm((cur if v == cur else v,) if len(parts) == 1
+                                         else tuple([p[0] for p in parts]), pre.coefs, pre)
+                    elif len(parts) == 1:
+                        v, c, kid = parts[0]
+                        if kid is None:
+                            nf = _NormalForm((v,), (c,), pre)
+                        else:
+                            kid = memo[v] if kid is False else kid
+                            coefs = kid.coefs if c is ONE else tuple([c * y for y in kid.coefs])
+                            nf = _NormalForm(kid.words, coefs, pre, kid)
+                    else:
+                        acc: dict = {}
+                        kids = []
+                        for v, c, kid in parts:
+                            if kid is None:
+                                add_scaled(acc, ((v, c),), ONE)
+                                continue
+                            kid = memo[v] if kid is False else kid
+                            kids.append(kid)
+                            add_scaled(acc, zip(kid.words, kid.coefs), c)
+                        nf = _NormalForm(tuple(acc), tuple(acc.values()), pre,
+                                         tuple(kids) if kids else None)
+                memo[cur] = nf
+                if j >= n:
+                    if frame is not None:
+                        path.pop()
+                    break
+                pre, parts = nf, None
+                j += 1
+            if not path:
                 return
 
     def __repr__(self):
@@ -638,8 +772,8 @@ def normalize(x: Element, p: Presentation, budget: int = DEFAULT_STEP_BUDGET) ->
     ones are its own.
     """
     steps = _Steps(budget)
-    cache = p._nf_cache
-    size = len(cache)
+    memos = (p._nf_cache, p._stable_cache)     # one dict twice when they are one
+    sizes = (len(memos[0]), len(memos[1]))
     out: dict = {}
     word_nf = p.word_normal_form
     try:
@@ -647,8 +781,9 @@ def normalize(x: Element, p: Presentation, budget: int = DEFAULT_STEP_BUDGET) ->
             nf = word_nf(w, steps)
             add_scaled(out, zip(nf.words, nf.coefs), c)
     except StepBudgetExceededError:
-        while len(cache) > size:
-            cache.popitem()
+        for memo, size in zip(memos, sizes):
+            while len(memo) > size:
+                memo.popitem()
         raise
     return Element(out, _trusted=True)
 

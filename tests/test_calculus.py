@@ -319,17 +319,20 @@ def test_delta_budget_is_independent_of_the_memo():
 
 def test_budget_error_names_the_word():
     # a budget trips while filling the cache (fresh presentation) or when
-    # charging a cached normal form; both name the word being normalized
+    # charging a cached normal form; both name the word being normalized.
+    # The first word, b.tht1.a, is charged the 5 records of its extension
+    # DAG, so a budget of 5 trips at the second, b.tht4.a.
     pid = "glq2-left"
     p = preset(pid)
     fresh = Presentation(p.name, p.generators, p.order, p.rules,
                          form_position=p.form_position)
-    msg = re.escape("step budget 2 exceeded while normalizing b.tht4.a under 'glq2-left'")
+    assert [".".join(v) for v in d_of_b_a(p.calculus).words()][:2] == ["b.tht1.a", "b.tht4.a"]
+    msg = re.escape("step budget 5 exceeded while normalizing b.tht4.a under 'glq2-left'")
     with pytest.raises(StepBudgetExceededError, match=msg):
-        normalize(d_of_b_a(p.calculus), fresh, budget=2)
+        normalize(d_of_b_a(p.calculus), fresh, budget=5)
     normalize(w("b.tht4.a"), fresh)            # cached now: the charge trips
     with pytest.raises(StepBudgetExceededError, match=msg) as info:
-        normalize(d_of_b_a(p.calculus), fresh, budget=2)
+        normalize(d_of_b_a(p.calculus), fresh, budget=5)
     assert info.value.__suppress_context__
 
 

@@ -14,6 +14,7 @@ import pytest
 from qncalc.calculus import CALCULUS_PRESETS, diff_presentation
 from qncalc.dsl import parse_presentation
 from qncalc.ncalg import (
+    DEFAULT_STEP_BUDGET,
     Element,
     Generator,
     Presentation,
@@ -27,6 +28,7 @@ from qncalc.ncalg import (
     normalize,
     random_strategy_normalize,
     validate_presentation,
+    _Steps,
 )
 from qncalc.presentations import PRESET_IDS, preset, preset_without_rule
 from qncalc.qfield import ONE, Scalar
@@ -180,22 +182,31 @@ def test_step_budget_enforced():
             p.name, p.generators, p.order, p.rules), budget=2)
 
 
-def _closure(p, word):
-    """Words reachable from ``word`` by leftmost rewriting, found with
-    ``find_redex`` alone (no normal-form cache)."""
+def _extension_dag(p, word):
+    """The words whose records make up ``word``'s extension DAG when no LHS
+    is longer than 2: the word, the DAG of the word without its last letter
+    x, and the DAGs of the words that each extension t.x of that prefix's
+    normal form rewrites to.  Found with ``find_redex`` and the normal forms
+    of whole words (checked against the cache-free reference below), not
+    with the memo's records."""
     seen = {word}
     todo = [word]
     while todo:
         cur = todo.pop()
-        m = p.find_redex(cur)
-        if m is None:
+        if len(cur) < 2:
             continue
-        i, rule = m
-        for v in rule.rhs.words():
-            child = cur[:i] + v + cur[i + len(rule.lhs):]
-            if child not in seen:
-                seen.add(child)
-                todo.append(child)
+        u, x = cur[:-1], cur[-1:]
+        kids = [u]
+        for t in normalize(Element({u: ONE}), p).words():
+            m = p.find_redex(t + x)
+            if m is not None:
+                i, rule = m
+                kids += [(t + x)[:i] + v + (t + x)[i + len(rule.lhs):]
+                         for v in rule.rhs.words()]
+        for kid in kids:
+            if kid not in seen:
+                seen.add(kid)
+                todo.append(kid)
     return seen
 
 
@@ -209,7 +220,7 @@ def test_step_charge_is_closure_size_cold_or_warm(pid):
         for _ in range(rng.randint(0, 2) if shared.odd_names() else 0):
             word.insert(rng.randint(0, len(word)), rng.choice(shared.odd_names()))
         word = tuple(word)
-        size = len(_closure(shared, word))
+        size = len(_extension_dag(shared, word))
         fresh = Presentation(shared.name, shared.generators, shared.order, shared.rules)
         for p in (fresh, fresh, shared):        # cold, then warm memos
             assert normalize(w(*word), p, budget=size) == normalize(w(*word), shared)
@@ -220,22 +231,26 @@ def test_step_charge_is_closure_size_cold_or_warm(pid):
 def test_step_charge_adds_up_over_the_words_of_a_call():
     p = preset("glq2")
     x = w("d.d.a.a") + w("d.a.d.a")
-    total = len(_closure(p, ("d", "d", "a", "a"))) + len(_closure(p, ("d", "a", "d", "a")))
+    total = (len(_extension_dag(p, ("d", "d", "a", "a")))
+             + len(_extension_dag(p, ("d", "a", "d", "a"))))
     assert normalize(x, p, budget=total) == normalize(x, p)
     with pytest.raises(StepBudgetExceededError):
         normalize(x, p, budget=total - 1)
 
 
 def test_long_words_fit_the_default_budget():
-    # the leftmost rewrite tree of d^8 a^8 has 15,341,673 nodes, but only
-    # 837 distinct words, and that is what a cold normalization computes
+    # the leftmost rewrite tree of d^8 a^8 has 15,341,673 nodes, but its
+    # extension DAG has only 560 records, and a cold normalization builds
+    # exactly those
     p = preset("glq2")
     fresh = Presentation(p.name, p.generators, p.order, p.rules)
     word = tuple("d" * 8 + "a" * 8)
-    assert len(_closure(p, word)) == 837
-    out = normalize(w(*word), fresh)
-    assert len(fresh._nf_cache) == 837
+    assert len(_extension_dag(p, word)) == 560
+    out = normalize(w(*word), fresh, budget=560)
+    assert len(fresh._nf_cache) == 560
     assert out == normalize(w(*word), p)
+    with pytest.raises(StepBudgetExceededError):
+        normalize(w(*word), fresh, budget=559)
 
 
 def test_failed_normalization_leaves_the_cache_as_it_found_it():
@@ -285,12 +300,16 @@ def test_step_budget_stops_non_terminating_rules():
             normalize(w("x.y"), loop, budget=budget)
     with pytest.raises(StepBudgetExceededError, match="rewrites back to itself"):
         normalize(w("x.y"), loop)
-    # words that grow forever: stopped by the budget alone
+    # words that grow forever: stopped by the budget alone, also when the
+    # word comes back as the prefix of a child's child (x.y, y.x.x, x.y.x)
     grow = Presentation("grow", gens, TerminationOrder("deglex"), [
         RewriteRule(("x", "x"), w("x.x.x"))])
+    swap = Presentation("swap", gens, TerminationOrder("deglex"), [
+        RewriteRule(("x", "y"), w("y.x.x")), RewriteRule(("y", "x"), w("x.y"))])
     for budget in (1, 2, 1000):
-        with pytest.raises(StepBudgetExceededError, match=f"step budget {budget} "):
-            normalize(w("x.x"), grow, budget=budget)
+        for p, word in ((grow, "x.x"), (swap, "x.y")):
+            with pytest.raises(StepBudgetExceededError, match=f"step budget {budget} "):
+                normalize(w(word), p, budget=budget)
 
 
 def test_the_witness_stops_at_its_step_budget():
@@ -423,8 +442,8 @@ def _kernel_presentation(pid):
 
 @pytest.mark.parametrize("pid", KERNEL_PIDS)
 def test_find_redex_resumes_where_a_rewrite_can_start_one(pid):
-    # a child of a rewrite at i is searched from i - (longest LHS - 1), as
-    # the cached normalizer does; that must find the child's leftmost redex
+    # a child of a rewrite at i has no redex that starts before
+    # i - (longest LHS - 1), so a search from there finds its leftmost one
     p = _kernel_presentation(pid)
     reach = max(len(r.lhs) for r in p.rules) - 1
     for word in random_words(p, random.Random(37), 200, 6):
@@ -435,6 +454,24 @@ def test_find_redex_resumes_where_a_rewrite_can_start_one(pid):
         for v in rule.rhs.words():
             child = word[:i] + v + word[i + len(rule.lhs):]
             assert p.find_redex(child, max(0, i - reach)) == p.find_redex(child), child
+
+
+@pytest.mark.parametrize("pid", KERNEL_PIDS)
+def test_an_extension_of_a_stable_word_has_no_earlier_redex(pid):
+    # prefix extension searches t.x from len(t) - r on, r the longest LHS
+    # length minus 1, when t has no redex before its last r letters
+    p = _kernel_presentation(pid)
+    reach = max(len(r.lhs) for r in p.rules) - 1
+    letters = [(g.name,) for g in p.generators]
+    stable = 0
+    for t in random_words(p, random.Random(53), 300, 6):
+        m = p.find_redex(t)
+        if m is not None and m[0] < len(t) - reach:
+            continue
+        stable += 1
+        for x in letters:
+            assert p.find_redex(t + x, max(0, len(t) - reach)) == p.find_redex(t + x)
+    assert stable > 20
 
 
 @pytest.mark.parametrize("pid", KERNEL_PIDS)
@@ -488,6 +525,65 @@ def test_normalize_matches_cache_free_leftmost_rewriting(pid):
         assert normalize(x, fresh) == _leftmost_reference(x, fresh), x
 
 
+def _random_system(rng, name):
+    """Rules on 2-4 letters with LHS of length 2-4, each RHS a sum of up to
+    three deglex-smaller words; such systems terminate and are mostly not
+    confluent, so any strategy other than leftmost rewriting shows."""
+    letters = "abcd"[:rng.randint(2, 4)]
+    rules = {}
+    for _ in range(rng.randint(1, 5)):
+        lhs = tuple(rng.choice(letters) for _ in range(rng.randint(2, 4)))
+        rhs = {}
+        for _ in range(rng.randint(0, 3)):
+            v = tuple(rng.choice(letters) for _ in range(rng.randint(0, len(lhs))))
+            if (len(v), v) < (len(lhs), lhs):
+                rhs[v] = rng.choice((ONE, -ONE, q(1), Scalar.from_int(2)))
+        rules.setdefault(lhs, RewriteRule(lhs, Element(rhs)))
+    return Presentation(name, [Generator(g, 0) for g in letters],
+                        TerminationOrder("deglex"), list(rules.values()))
+
+
+def test_normalize_matches_leftmost_rewriting_on_random_systems():
+    # prefix extension must give the leftmost normal form whether or not the
+    # system is confluent; with LHS longer than 2, extending the prefix's
+    # normal form instead of its stable form breaks this
+    rng = random.Random(47)
+    longer = 0
+    for n in range(1000):
+        p = _random_system(rng, f"random-{n}")
+        longer += p._reach > 1
+        letters = [g.name for g in p.generators]
+        for _ in range(30):
+            x = w(*(rng.choice(letters) for _ in range(rng.randint(1, 6))))
+            assert normalize(x, p) == _leftmost_reference(x, p), (p.rules, x)
+    assert longer > 700
+
+
+def test_longer_rules_keep_the_charge_and_the_rollback_of_both_memos():
+    # with a LHS longer than 2, prefixes are kept in a memo of their own;
+    # a word's charge, taken cold, decides whether a warm call fits its
+    # budget, and a call that does not fit leaves both memos as they were
+    rng = random.Random(59)
+    systems = [p for p in (_random_system(rng, f"random-{n}") for n in range(200))
+               if p._reach > 1][:40]
+    for shared in systems:
+        letters = [g.name for g in shared.generators]
+        warm = Presentation(shared.name, shared.generators, shared.order, shared.rules)
+        assert warm._stable_cache is not warm._nf_cache
+        for _ in range(6):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(2, 6)))
+            steps = _Steps(DEFAULT_STEP_BUDGET)
+            Presentation(shared.name, shared.generators, shared.order,
+                         shared.rules).word_normal_form(word, steps)
+            charge = steps.settle()
+            memos = (dict(warm._nf_cache), dict(warm._stable_cache))
+            if charge > 1:
+                with pytest.raises(StepBudgetExceededError):
+                    normalize(w(*word), warm, budget=charge - 1)
+                assert (warm._nf_cache, warm._stable_cache) == memos
+            assert normalize(w(*word), warm, budget=charge) == normalize(w(*word), shared)
+
+
 @pytest.mark.parametrize("pid", PRESET_IDS + tuple(f"{c}-diff" for c in CALCULUS_PRESETS))
 def test_cached_records_share_words_along_one_word_rewrites(pid):
     shared = _kernel_presentation(pid)
@@ -498,21 +594,37 @@ def test_cached_records_share_words_along_one_word_rewrites(pid):
         if shared.odd_names():
             word.insert(rng.randint(0, len(word)), rng.choice(shared.odd_names()))
         normalize(w(*word), p)
+    assert p._stable_cache is p._nf_cache          # no LHS longer than 2
+    records = {id(nf) for nf in p._nf_cache.values()}
     normal_coefs = set()
     for word, nf in p._nf_cache.items():
         assert len(nf.words) == len(nf.coefs)
         assert len(set(nf.words)) == len(nf.words)
         assert not any(c.is_zero for c in nf.coefs)
-        if nf.kids is None:
-            assert p.is_normal(word)
-            assert (nf.words, nf.coefs) == ((word,), (ONE,))
-            normal_coefs.add(id(nf.coefs))
-        elif not isinstance(nf.kids, tuple):            # one kid
-            assert nf.words is nf.kids.words
-            (_, c), = p.find_redex(word)[1].rhs.items()
-            if c == ONE:                                # a unit rewrite shares them too
-                assert nf.coefs is nf.kids.coefs
         assert Element(dict(zip(nf.words, nf.coefs))) == normalize(w(*word), shared)
+        if nf.words == (word,) and nf.coefs == (ONE,):
+            normal_coefs.add(id(nf.coefs))
+        if nf.prefix is None:                       # a letter, or the empty word
+            assert len(word) < 2 and nf.kids is None
+            assert (nf.words, nf.coefs) == ((word,), (ONE,))
+            continue
+        assert nf.prefix is p._nf_cache[word[:-1]]
+        kids = (nf.kids,) if isinstance(nf.kids, type(nf)) else nf.kids or ()
+        assert all(id(kid) in records for kid in kids)
+        if nf.kids is None and len(nf.words) == len(nf.prefix.words):
+            # every extension t.x normal: the prefix's coefficients
+            assert nf.words == tuple(t + word[-1:] for t in nf.prefix.words)
+            assert nf.coefs is nf.prefix.coefs
+        if len(nf.prefix.words) == 1:               # one extension t.x
+            (t,), (c,) = nf.prefix.words, nf.prefix.coefs
+            m = p.find_redex(t + word[-1:])
+            if m is None:
+                assert nf.kids is None
+            elif len(m[1].rhs) == 1:                # one child: its words, scaled
+                (_, c2), = m[1].rhs.items()
+                assert nf.words is nf.kids.words
+                if c * c2 == ONE:
+                    assert nf.coefs is nf.kids.coefs
     assert len(normal_coefs) == 1                       # one shared (ONE,)
 
 

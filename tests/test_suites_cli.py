@@ -148,6 +148,23 @@ def test_cli_normalize_rejects_two_differentials_on_a_derived_system(capsys):
         "form degree 2; normalize it in form mode (--preset qplane-left-b0)\n")
 
 
+def test_cli_normalize_rejects_two_differentials_in_an_exported_derived_system(
+        tmp_path, capsys):
+    # the file export-preset writes is the same system; a file whose rules
+    # were edited is the user's own, and the check stays out of its way
+    path = tmp_path / "b0.preset"
+    assert main(["export-preset", "--preset", "qplane-left-b0-diff", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["normalize", "--file", str(path), "--expr", "del_a.del_a"]) == 2
+    assert capsys.readouterr().err == (
+        "error: qplane-left-b0-diff presents the 1-forms only, and del_a.del_a has "
+        "form degree 2; normalize it in form mode (--preset qplane-left-b0)\n")
+    edited = tmp_path / "edited.preset"
+    edited.write_text(path.read_text() + "rule del_a.del_a -> 0\n")
+    assert main(["normalize", "--file", str(edited), "--expr", "del_a.del_a + a.del_a"]) == 0
+    assert capsys.readouterr().out == "a.del_a\n"
+
+
 def test_cli_exports_a_derived_system(capsys):
     assert main(["export-preset", "--preset", "slq2-left-diff"]) == 0
     rules = parse_presentation(capsys.readouterr().out).rules
