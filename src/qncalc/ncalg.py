@@ -25,14 +25,15 @@ normal-form cache, an internal memo, maps a word to a record of two
 parallel tuples, the words of its normal form and their coefficients
 (:class:`_NormalForm`).  The record of u.x, for a letter x, is built
 from the record of u by extending each of its words by x (prefix
-extension, :meth:`Presentation._fill`), and it links that record and
-the records of the words the extensions rewrite to.  With a LHS longer
-than 2 letters, u's record is its stable form, in a second memo.  A
-record whose extensions are all kept as they are shares its tuple of
-coefficients with the prefix, and one whose prefix has a single word
-shares its tuple of words with the child that word's extension rewrites
-to.  A normalization that exceeds its step budget removes the entries it
-added.
+extension, :meth:`Presentation._fill`, one iterative walk), and it links
+that record and the records of the words the extensions rewrite to.
+With a LHS longer than 2 letters, u's record is its stable form, in a
+second memo.  A record whose extensions are all kept as they are shares
+its tuple of coefficients with the prefix, and one whose prefix has a
+single word shares its tuple of words with the child that word's
+extension rewrites to.  Each record holds one count, an upper bound on
+the records it links, which the step budget charges.  A normalization
+that exceeds its step budget removes the entries it added.
 """
 
 from __future__ import annotations
@@ -372,14 +373,13 @@ class _NormalForm:
     child's ``words``, and its ``coefs`` too when the coefficient is
     :data:`ONE`.
 
-    ``cost`` is the number of distinct records reachable through
-    ``prefix`` and ``kids``, this one included, or None until it is
-    counted; a record without kids costs one more than its prefix.
-    ``bound`` is the size of the tree those links unfold to, one plus the
-    bounds of the links, so never less than ``cost``.
+    ``bound`` is the size of the tree that ``prefix`` and ``kids`` unfold
+    to, one plus the bounds of the links, so never less than the number
+    of distinct records they reach (:meth:`closure_size`); on a chain of
+    records without kids the two are equal.
     """
 
-    __slots__ = ("words", "coefs", "prefix", "kids", "cost", "bound")
+    __slots__ = ("words", "coefs", "prefix", "kids", "bound")
 
     def __init__(self, words: tuple, coefs: tuple, prefix=None, kids=None):
         self.words = words
@@ -387,12 +387,10 @@ class _NormalForm:
         self.prefix = prefix
         self.kids = kids
         if prefix is None:
-            self.cost = self.bound = 1
+            self.bound = 1
         elif kids is None:
-            self.cost = None if prefix.cost is None else prefix.cost + 1
             self.bound = prefix.bound + 1
         else:
-            self.cost = None
             self.bound = prefix.bound + 1 + (
                 kids.bound if kids.__class__ is _NormalForm else sum([k.bound for k in kids]))
 
@@ -425,14 +423,13 @@ class _Steps:
     Each word normal form is charged its cost (see
     :meth:`Presentation.word_normal_form`) whether or not it was cached, so
     whether a budget trips does not depend on what ran before.  A record
-    whose cost is not counted yet is charged its ``bound`` and owed the
-    difference, so the count is never below the exact one; only when it
-    passes the budget are the owed costs counted, and the budget trips at
-    the same word as with exact costs throughout, without walking the
-    records of every word.  A budget that trips names the word whose normal
-    form was being computed and the rule at that word's leftmost redex,
-    by its tag; the naming is done on the way out, so it costs nothing
-    until then.
+    is charged its ``bound`` and owed the difference, so the count is
+    never below the exact one; only when it passes the budget are the
+    owed records counted, and the budget trips at the same word as with
+    exact costs throughout, without walking the records of every word.  A
+    budget that trips names the word whose normal form was being computed
+    and the rule at that word's leftmost redex, by its tag; the naming is
+    done on the way out, so it costs nothing until then.
     """
 
     __slots__ = ("count", "budget", "owed")
@@ -443,11 +440,8 @@ class _Steps:
         self.owed = []
 
     def charge(self, p, word, nf):
-        cost = nf.cost
-        if cost is None:
-            cost = nf.bound
-            self.owed.append(nf)
-        self.count += cost
+        self.count += nf.bound
+        self.owed.append(nf)
         if self.count > self.budget and self.settle() > self.budget:
             self.exceeded(p, word)
 
@@ -455,9 +449,7 @@ class _Steps:
         """Replace the bounds charged so far by the exact costs; return the
         count."""
         for nf in self.owed:
-            if nf.cost is None:
-                nf.cost = nf.closure_size()
-            self.count -= nf.bound - nf.cost
+            self.count -= nf.bound - nf.closure_size()
         self.owed.clear()
         return self.count
 
@@ -609,79 +601,75 @@ class Presentation:
         The records of u's prefixes are in the stable memo, the normal-form
         memo itself when r = 1.  An extension t.x whose leftmost redex
         starts in its last k letters is kept; any other is rewritten once,
-        and its children's forms come from the word's own memo.  A word not
-        cached is extended from its longest cached prefix one letter at a
-        time, and a record whose children are not all cached waits on the
-        path while they are built; the walk is iterative.  Each record
-        started is a distinct record of the word's DAG, so giving up once
-        more have been started than the budget has left never trips below
-        the charge, and it still stops rules that grow words forever.  A
-        record needed while it waits on the path means a word rewrites back
-        to itself, or, through a prefix, to a longer word that begins with
-        it; neither terminates, and the second exceeds every budget.
+        and its children's forms come from the word's own memo.
+
+        The walk is one last-in, first-out stack of (word, k) requests and
+        waiting records.  A request for a word not cached extends its
+        longest cached prefix one letter at a time.  A record whose
+        children are not all cached waits: its entry marks its memo slot
+        and goes on the stack, then a request for each missing child, the
+        first on top.  Popped again, it finds every child cached, is built,
+        and its word's longer prefixes go on, so each record waits at most
+        once.  Each record started is a distinct record of the word's DAG,
+        so giving up once more have been started than the budget has left
+        never trips below the charge, and it still stops rules that grow
+        words forever.  A request that finds a waiting record, as its word
+        or as its longest cached prefix, means a word rewrites back to
+        itself, or to a longer word that begins with it; neither terminates,
+        and the second exceeds every budget.
         """
         held = self._reach if self._reach > 1 else 0    # the k of the prefixes' forms
         memos = {0: self._nf_cache, held: self._stable_cache}
         stable_memo = self._stable_cache
         index, redex, reach = self._index, self._redex, self._reach
         room = steps.budget - steps.count
-        path = []       # [word, k, length in progress, prefix record, parts, next part]
-        pushed = 0
-        nxt, nxt_k = word, 0
-        while True:
-            if nxt is not None:     # a word not cached: extend its longest cached prefix
-                top, k = nxt, nxt_k
-                nxt = pre = parts = frame = None
+        started = 0
+        # (word, k) requests, and waiting records [word, k, j, prefix record, parts]
+        stack = [(word, 0)]
+        while stack:
+            top = stack.pop()
+            if top.__class__ is list:   # a waiting record, whose children are now cached
+                top, k, j, pre, parts = top
+                n, rewrote = len(top), True     # only the children of a rewrite are waited on
+            else:
+                top, k = top
+                nf = memos[k].get(top)
+                if nf is not None:
+                    if nf.__class__ is list:    # a record that waits on this word
+                        for f in reversed(stack):   # the records that wait above it
+                            if f is nf:
+                                break
+                            if f.__class__ is list and f[2] < len(f[0]):
+                                steps.exceeded(self, word)
+                        raise StepBudgetExceededError(
+                            f"{'.'.join(top)} rewrites back to itself under "
+                            f"{self.name!r}; the rule set does not terminate")
+                    continue
+                # a word not cached: extend its longest cached prefix
+                pre = parts = None
                 n = j = len(top)
                 while j > 1:
                     j -= 1
                     pre = stable_memo.get(top[:j])
                     if pre is not None:
-                        if pre.__class__ is list:   # a prefix on the path
+                        if pre.__class__ is list:   # a prefix that waits
                             steps.exceeded(self, word)
                         j += 1
                         break
-            else:                   # back at the top of the path
-                frame = path[-1]
-                top, k, j, pre, parts, pos = frame
-                rewrote = True      # a record waits only on the children of a rewrite
-                n = len(top)
-                kj = held if j < n else k
-                while pos < len(parts):
-                    v, _, kid = parts[pos]
-                    pos += 1
-                    if kid is False:
-                        kid = memos[kj].get(v)
-                        if kid is None:
-                            nxt, nxt_k = v, kj
-                            frame[5] = pos
-                            break
-                        if kid.__class__ is list:   # on the path
-                            depth = next(i for i, f in enumerate(path) if f is kid)
-                            if any(f[2] < len(f[0]) for f in path[depth + 1:]):
-                                steps.exceeded(self, word)
-                            raise StepBudgetExceededError(
-                                f"{'.'.join(v)} rewrites back to itself under "
-                                f"{self.name!r}; the rule set does not terminate")
-                if nxt is not None:
-                    continue
             while True:     # top[:j], then each longer prefix, up to top itself
                 if j < n:
                     cur, kj, memo = top[:j], held, stable_memo
                 else:
                     cur, kj, memo = top, k, memos[k]
                 if parts is None:
-                    pushed += 1
-                    if pushed > room:
+                    started += 1
+                    if started > room:
                         room = steps.budget - steps.settle()
-                        if pushed > room:
+                        if started > room:
                             steps.exceeded(self, word)
-                if pre is None:
-                    nf = _NormalForm((cur,), _ONE_COEFS)
-                else:
-                    if parts is None:
+                    if pre is not None:
                         parts = []  # (word, coefficient, record: None if kept, False if missing)
-                        missing = rewrote = False
+                        missing, rewrote = [], False
                         x, xs = cur[-1], cur[-1:]
                         for t, c in zip(pre.words, pre.coefs):
                             if reach == 1:      # a redex can only be t's last letter and x
@@ -703,58 +691,50 @@ class Presentation:
                             for v, c2 in rhs:
                                 v = head + v + tail
                                 kid = memo.get(v)
-                                if kid is None or kid.__class__ is list:
-                                    if not missing:     # the first child to wait on
-                                        missing, nxt = True, v if kid is None else None
-                                        pos = len(parts) + (kid is None)
+                                if kid.__class__ is not _NormalForm:
+                                    missing.append((v, kj))
                                     kid = False
                                 parts.append((v, c2 if c is ONE else c * c2, kid))
-                        if missing:
-                            if frame is None:
-                                frame = [top, k, j, pre, parts, pos]
-                                path.append(frame)
-                            else:
-                                frame[2:6] = j, pre, parts, pos
-                            memo[cur] = frame   # on the path: found again, it is a cycle
-                            nxt_k = kj
+                        if missing:     # wait below the missing children, the first on top
+                            memo[cur] = frame = [top, k, j, pre, parts]
+                            stack.append(frame)
+                            stack += reversed(missing)
                             break
-                    if not parts:
-                        nf = _NormalForm((), (), pre)
-                    elif not rewrote:
-                        # every extension kept: the prefix's coefficients, and
-                        # the key itself when u's form is u
-                        v = parts[0][0]
-                        nf = _NormalForm((cur if v == cur else v,) if len(parts) == 1
-                                         else tuple([p[0] for p in parts]), pre.coefs, pre)
-                    elif len(parts) == 1:
-                        v, c, kid = parts[0]
-                        if kid is None:
-                            nf = _NormalForm((v,), (c,), pre)
-                        else:
-                            kid = memo[v] if kid is False else kid
-                            coefs = kid.coefs if c is ONE else tuple([c * y for y in kid.coefs])
-                            nf = _NormalForm(kid.words, coefs, pre, kid)
+                if pre is None:
+                    nf = _NormalForm((cur,), _ONE_COEFS)
+                elif not parts:
+                    nf = _NormalForm((), (), pre)
+                elif not rewrote:
+                    # every extension kept: the prefix's coefficients, and
+                    # the key itself when u's form is u
+                    v = parts[0][0]
+                    nf = _NormalForm((cur if v == cur else v,) if len(parts) == 1
+                                     else tuple([p[0] for p in parts]), pre.coefs, pre)
+                elif len(parts) == 1:
+                    v, c, kid = parts[0]
+                    if kid is None:
+                        nf = _NormalForm((v,), (c,), pre)
                     else:
-                        acc: dict = {}
-                        kids = []
-                        for v, c, kid in parts:
-                            if kid is None:
-                                add_scaled(acc, ((v, c),), ONE)
-                                continue
-                            kid = memo[v] if kid is False else kid
-                            kids.append(kid)
-                            add_scaled(acc, zip(kid.words, kid.coefs), c)
-                        nf = _NormalForm(tuple(acc), tuple(acc.values()), pre,
-                                         tuple(kids) if kids else None)
+                        kid = memo[v] if kid is False else kid
+                        coefs = kid.coefs if c is ONE else tuple([c * y for y in kid.coefs])
+                        nf = _NormalForm(kid.words, coefs, pre, kid)
+                else:
+                    acc: dict = {}
+                    kids = []
+                    for v, c, kid in parts:
+                        if kid is None:
+                            add_scaled(acc, ((v, c),), ONE)
+                            continue
+                        kid = memo[v] if kid is False else kid
+                        kids.append(kid)
+                        add_scaled(acc, zip(kid.words, kid.coefs), c)
+                    nf = _NormalForm(tuple(acc), tuple(acc.values()), pre,
+                                     tuple(kids) if kids else None)
                 memo[cur] = nf
                 if j >= n:
-                    if frame is not None:
-                        path.pop()
                     break
                 pre, parts = nf, None
                 j += 1
-            if not path:
-                return
 
     def __repr__(self):
         return f"Presentation({self.name!r}, {len(self.rules)} rules)"

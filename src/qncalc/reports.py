@@ -103,15 +103,13 @@ class Suite(Record):
 
 
 class SuiteReport(Record):
-    __slots__ = ("preset", "suites", "seed", "max_degree", "conventions", "version")
+    __slots__ = ("preset", "suites", "seed", "max_degree", "conventions")
 
     def __init__(self, preset: str, suites: list | None = None, seed: int = 0,
-                 max_degree: int = 3, conventions: dict | None = None,
-                 version: str = REPORT_VERSION):
+                 max_degree: int = 3, conventions: dict | None = None):
         self.preset, self.seed, self.max_degree = preset, seed, max_degree
         self.suites = [] if suites is None else suites
         self.conventions = {} if conventions is None else conventions
-        self.version = version
 
     def all_checks(self):
         for s in self.suites:
@@ -137,7 +135,7 @@ class SuiteReport(Record):
 
     def to_json(self):
         return {
-            "version": self.version,
+            "version": REPORT_VERSION,
             "preset": self.preset,
             "seed": self.seed,
             "max_degree": self.max_degree,

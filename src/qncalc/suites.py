@@ -434,9 +434,11 @@ def _run_share(share: list, cfgs: dict) -> dict:
 def _run_shares(shares: list, cfgs: dict) -> dict:
     """{(suite, preset id): checks} of the jobs of every share.  The first
     share runs here; each other one runs in a forked child, which sends
-    its checks back as a pickle over its own pipe.  A child's exception
-    is raised here.  Every child is reaped, and on an exception here
-    (a child's, too) it is sent SIGTERM first."""
+    its checks back as a pickle over its own pipe.  A child that sends
+    nothing, because its share raised or it ended early, has its share
+    run again here, so a failure is raised as it is in one process.
+    Every child is reaped, and on an exception here it is sent SIGTERM
+    first."""
     results, children = {}, {}
     try:
         for share in shares[1:]:
@@ -445,53 +447,32 @@ def _run_shares(shares: list, cfgs: dict) -> dict:
             if child == 0:
                 _send(read, write, share, cfgs)         # ends the child
             os.close(write)
-            children[child] = read
+            children[child] = read, share
         results.update(_run_share(shares[0], cfgs))
-        for child, read in children.items():
+        for read, share in children.values():
             with open(read, "rb", closefd=False) as f:
                 data = f.read()
-            got = (pickle.loads(data) if data else
-                   RuntimeError(f"suite process {child} ended without a result"))
-            if isinstance(got, BaseException):
-                raise got
-            results.update(got)
+            results.update(pickle.loads(data) if data else _run_share(share, cfgs))
     except BaseException:
         for child in children:
             os.kill(child, signal.SIGTERM)
         raise
     finally:
-        for child, read in children.items():
+        for child, (read, _) in children.items():
             os.close(read)
             os.waitpid(child, 0)
     return results
 
 
 def _send(read: int, write: int, share: list, cfgs: dict) -> None:
-    """In a forked child: run ``share``, write its checks or the exception
-    it raised to ``write`` as a pickle, and end the child at once, so
-    that nothing the parent owns is flushed or cleaned up twice."""
+    """In a forked child: run ``share``, write its checks to ``write`` as
+    a pickle, and end the child at once, so that nothing the parent owns
+    is flushed or cleaned up twice.  A share that raises writes nothing."""
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         os.close(read)
-        try:
-            data = pickle.dumps(_run_share(share, cfgs))
-        except Exception as exc:
-            data = _pickled_exception(exc)
+        data = pickle.dumps(_run_share(share, cfgs))
         with open(write, "wb") as f:
             f.write(data)
     finally:
         os._exit(0)
-
-
-def _pickled_exception(exc: Exception) -> bytes:
-    """``exc`` pickled, or, when it does not survive a pickle round trip,
-    a ``RuntimeError`` carrying its traceback text."""
-    try:
-        data = pickle.dumps(exc)
-        pickle.loads(data)          # an __init__ that takes other arguments fails here
-        return data
-    except Exception:
-        import traceback            # only an exception that does not pickle needs it
-
-        text = "".join(traceback.format_exception(exc))
-        return pickle.dumps(RuntimeError(f"a suite process failed:\n{text}"))

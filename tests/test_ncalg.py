@@ -7,6 +7,7 @@ implementation that shares no code with the cached normalizer.
 
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,16 @@ def test_long_words_fit_the_default_budget():
     assert out == normalize(w(*word), p)
     with pytest.raises(StepBudgetExceededError):
         normalize(w(*word), fresh, budget=559)
+
+
+def test_the_walk_is_not_bounded_by_the_recursion_limit():
+    # normalizing y^n.x waits on a chain of n records, one per y moved
+    # past x; a walk that recursed per record would overflow the stack
+    p = parse_presentation("gen x y parity even\nrule y.x -> q x.y\n")
+    n = sys.getrecursionlimit() + 500
+    out = normalize(w(*"y" * n, "x"), p)
+    assert out == Element.term(q(n), ("x",) + ("y",) * n)
+    assert len(p._nf_cache) == 3 * n + 1
 
 
 def test_failed_normalization_leaves_the_cache_as_it_found_it():

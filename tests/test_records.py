@@ -23,7 +23,7 @@ from qncalc.ncalg import (
     ValidationReport,
 )
 from qncalc.presentations import Morphism, preset
-from qncalc.reports import REPORT_VERSION, Check, Suite, SuiteReport
+from qncalc.reports import Check, Suite, SuiteReport
 from qncalc.suites import SuiteConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,8 +44,8 @@ RECORDS = [
     (Check, "name paper_ref status residual details ms", ("c",),
      ("", "pass", None, "", 0.0), False),
     (Suite, "name checks", ("s",), ([],), False),
-    (SuiteReport, "preset suites seed max_degree conventions version", ("all",),
-     ([], 0, 3, {}, REPORT_VERSION), False),
+    (SuiteReport, "preset suites seed max_degree conventions", ("all",), ([], 0, 3, {}),
+     False),
     (DiffStructure, "side images coords forms dependencies", ("left", {"x": x}),
      ((), {}, ()), True),
     (Morphism, "name source target images scalar_fn", ("m", "glq2", preset("glq2"),

@@ -511,9 +511,7 @@ def test_an_exceeded_budget_in_any_process_fails_verify_paper(monkeypatch, capsy
         f"step budget exceeded in process {pid}"))
     _cpus(monkeypatch, 2)
     assert main(["verify-paper"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: step budget exceeded in process ")
-    assert (int(err.split()[-1]) == os.getpid()) == (where == "glq2")
+    assert capsys.readouterr().err.startswith("error: step budget exceeded in process ")
     _no_child_left()
 
 
@@ -523,21 +521,35 @@ class _TwoArgumentError(Exception):     # it pickles, but does not unpickle
 
 
 @pytest.mark.parametrize("unpicklable", ["local class", "two-argument init"])
-def test_a_child_exception_that_does_not_pickle_arrives_as_its_traceback(
-        monkeypatch, unpicklable):
+def test_an_unpicklable_child_exception_is_raised_as_itself(monkeypatch, unpicklable):
     class LocalError(Exception):
         pass
 
-    _failing_confluence(monkeypatch, "glq2-left", LocalError if unpicklable == "local class"
+    exc = LocalError if unpicklable == "local class" else _TwoArgumentError
+    _failing_confluence(monkeypatch, "glq2-left", LocalError if exc is LocalError
                         else lambda pid: _TwoArgumentError("lost", pid))
     _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError) as info:
+    with pytest.raises(exc) as info:
         run_all()
-    text = str(info.value)
-    assert text.startswith("a suite process failed:\nTraceback (most recent call last):")
-    assert "Error: " in text.splitlines()[-1]
-    assert int(text.split()[-1]) != os.getpid()
+    assert int(str(info.value).split()[-1]) == os.getpid()     # the share ran again here
     _no_child_left()
+
+
+def test_a_child_that_ends_inside_a_suite_leaves_the_one_process_report(monkeypatch):
+    parent, confluence = os.getpid(), suites.SUITES["confluence"]
+
+    def suite(cfg):
+        if os.getpid() != parent:
+            os._exit(0)
+        return confluence(cfg)
+
+    monkeypatch.setitem(suites.SUITES, "confluence", suite)
+    monkeypatch.setattr(suites, "SUITE_NAMES", ("confluence", "reductions"))
+    _cpus(monkeypatch, 2)
+    forked = run_all(seed=7)
+    _no_child_left()
+    _cpus(monkeypatch, 1)
+    assert _zeroed(forked) == _zeroed(run_all(seed=7))
 
 
 @pytest.mark.parametrize("why", ["no os.fork", "no CPU affinity", "threads"])
