@@ -287,13 +287,12 @@ def form_diff_roundtrip_residuals(p: Presentation) -> list:
 
 
 def _form_slot(word, p: Presentation):
-    """``(rest, form)`` of a form-mode word whose one form sits in the slot
-    of ``p``'s calculus: rightmost on a left calculus, leftmost on a right
-    one.  Any other word raises ValueError."""
-    left = p.calculus.side == "left"
-    rest, form = (word[:-1], word[-1]) if left else (word[1:], word[0])
+    """``(rest, form)`` of a form-mode word whose one form sits at the end
+    ``p.form_position`` names; any other word raises ValueError."""
+    right = p.form_position == "right"
+    rest, form = (word[:-1], word[-1]) if right else (word[1:], word[0])
     if p.parity[form] != 1 or p.form_degree(rest):
-        raise ValueError(f"expected one form, {'rightmost' if left else 'leftmost'}, "
+        raise ValueError(f"expected one form, {'rightmost' if right else 'leftmost'}, "
                          f"in {'.'.join(word)}")
     return rest, form
 
@@ -333,13 +332,11 @@ def _derived(p: Presentation) -> Presentation:
         raise ValueError(f"{p.name} declares no differential calculus")
     evens = [g for g in p.generators if g.parity == 0]
     gens = evens + [Generator(f"del_{x}", 1) for x in d.coords]
-    side = "right" if d.side == "left" else "left"   # where the del_x end up
-    order = TerminationOrder("migration", form_side=side)
+    order = TerminationOrder("migration", form_side=p.form_position)   # the del_x go there
     even_rules = [r for r in p.rules
                   if all(p.parity[g] == 0 for g in r.lhs)
                   and all(p.parity[g] == 0 for w_, _ in r.rhs.items() for g in w_)]
-    skeleton = Presentation(p.name + "-diff-skeleton", gens, order, even_rules,
-                            form_position=side)
+    skeleton = Presentation(p.name + "-diff-skeleton", gens, order, even_rules)
 
     def convert(form_mode: Element) -> Element:
         for word in form_mode.words():
@@ -370,14 +367,13 @@ def _derived(p: Presentation) -> Presentation:
         rest = dep - Element.term(coef, lead)
         rules.append(RewriteRule(lead, rest.scale(-(ONE / coef)),
                                  f"derived-dependency[{'.'.join(lead)}]"))
-    out = Presentation(p.name + "-diff", gens, order, rules,
-                       form_position=side)
+    out = Presentation(p.name + "-diff", gens, order, rules)
     # canonicalize the derived right-hand sides against the full rule set
     # (the unimodular dependency rule may reduce them further)
     reduced = [r if not r.provenance.startswith("derived")
                else RewriteRule(r.lhs, normalize(r.rhs, out), r.provenance)
                for r in rules]
-    out = Presentation(out.name, gens, order, reduced, form_position=side)
+    out = Presentation(out.name, gens, order, reduced)
     report = validate_presentation(out)
     if not report.valid:
         raise ValueError(f"derived rules fail validation: {report.issues}")

@@ -439,27 +439,22 @@ def parse_presentation(text: str) -> Presentation:
                                     lineno, start).parse())
         else:
             raise DslError(f"unknown directive {head!r}", lineno)
-    if order is None:
-        order = TerminationOrder("deglex")
     calculus = None
-    if side is not None:       # a left calculus keeps its forms rightmost
+    if side is not None:
         for g in parity:
             if g not in diff:
                 raise DslError(f"generator {g!r} has no diff line", declared[g])
         calculus = DiffStructure(side, diff, coords, forms, tuple(deps))
-        form_position = "right" if side == "left" else "left"
     elif diff or forms or coords or deps:
         raise DslError("coords, diff, form and dependency lines need a side line")
-    else:                      # a migration order moves odd generators to its side
-        form_position = order.form_side if order.kind == "migration" else None
-    p = Presentation(name, gens, order, rules, form_position=form_position,
+    p = Presentation(name, gens, order or TerminationOrder("deglex"), rules,
                      calculus=calculus)
     report = validate_presentation(p)
     if not report.valid:
         msgs = "; ".join(f"[{i.rule}] {i.kind}: {i.message}" for i in report.issues)
         # the line of the first issue's rule, when its tag names one rule only
         lines = [n for r, n in zip(rules, rule_lines)
-                 if r.provenance == report.issues[0].rule]
+                 if r.tag == report.issues[0].rule]
         raise DslError(f"presentation invalid: {msgs}",
                        lines[0] if len(lines) == 1 else None)
     return p

@@ -256,6 +256,10 @@ class RewriteRule(NamedTuple):
     rhs: Element
     provenance: str = ""
 
+    @property
+    def tag(self) -> str:   # the rule's name in messages
+        return self.provenance or ".".join(self.lhs)
+
     def relation(self) -> Element:
         """LHS - RHS, the relation this rule orients."""
         return Element.word(*self.lhs) - self.rhs
@@ -455,7 +459,7 @@ class _Steps:
 
     def exceeded(self, p, word):
         r = (p.find_redex(word) or (0, None))[1]
-        rule = f" (rule {r.provenance or '.'.join(r.lhs)} at its leftmost redex)" if r else ""
+        rule = f" (rule {r.tag} at its leftmost redex)" if r else ""
         raise StepBudgetExceededError(
             f"step budget {self.budget} exceeded while normalizing "
             f"{'.'.join(word) or '1'} under {p.name!r}{rule}; the rule set "
@@ -473,6 +477,10 @@ class Presentation:
         self.generators = tuple(generators)
         self.order = order
         self.rules = tuple(rules)
+        if form_position is None and calculus is not None:  # left calculus: forms rightmost
+            form_position = "right" if calculus.side == "left" else "left"
+        elif form_position is None and order.kind == "migration":  # forms to the order's side
+            form_position = order.form_side
         self.form_position = form_position  # where odd generators sit in normal form
         self.tags = tuple(tags)
         self.calculus = calculus    # a calculus.DiffStructure, if one is declared
@@ -834,28 +842,27 @@ def validate_presentation(p: Presentation) -> ValidationReport:
         seen_names.add(g.name)
     seen_lhs = set()
     for r in p.rules:
-        tag = r.provenance or ".".join(r.lhs)
         if len(r.lhs) < 2:
-            issues.append(ValidationIssue(tag, "shape", "rule LHS shorter than 2"))
+            issues.append(ValidationIssue(r.tag, "shape", "rule LHS shorter than 2"))
             continue
         unknown = [g for g in r.lhs if g not in p.parity]
         for w, _ in r.rhs.items():
             unknown.extend(g for g in w if g not in p.parity)
         if unknown:
             issues.append(ValidationIssue(
-                tag, "unknown-generator", f"undeclared: {sorted(set(unknown))}"))
+                r.tag, "unknown-generator", f"undeclared: {sorted(set(unknown))}"))
             continue
         if r.lhs in seen_lhs:
-            issues.append(ValidationIssue(tag, "shape", "duplicate rule LHS"))
+            issues.append(ValidationIssue(r.tag, "shape", "duplicate rule LHS"))
         seen_lhs.add(r.lhs)
         lp = p.word_parity(r.lhs)
         for w, _ in r.rhs.items():
             if p.word_parity(w) != lp:
                 issues.append(ValidationIssue(
-                    tag, "parity", f"RHS word {'.'.join(w) or '1'} parity differs"))
+                    r.tag, "parity", f"RHS word {'.'.join(w) or '1'} parity differs"))
             if not p.order.greater(r.lhs, w, p.parity, p.precedence):
                 issues.append(ValidationIssue(
-                    tag, "orientation",
+                    r.tag, "orientation",
                     f"RHS word {'.'.join(w) or '1'} not smaller than LHS"))
     return ValidationReport(p.name, issues)
 
@@ -883,24 +890,20 @@ def check_local_confluence(p: Presentation) -> ConfluenceReport:
                     word = u + v[k:]
                     b1 = normalize(_wrap((), r1.rhs, v[k:]), p)
                     b2 = normalize(_wrap(u[:-k], r2.rhs, ()), p)
-                    pairs.append(CriticalPair(_tag(r1), _tag(r2), word, b1, b2))
+                    pairs.append(CriticalPair(r1.tag, r2.tag, word, b1, b2))
             # inclusions: v strictly inside u
             if r1 is not r2 and len(v) < len(u):
                 for i in range(len(u) - len(v) + 1):
                     if u[i:i + len(v)] == v:
                         b1 = normalize(r1.rhs, p)
                         b2 = normalize(_wrap(u[:i], r2.rhs, u[i + len(v):]), p)
-                        pairs.append(CriticalPair(_tag(r1), _tag(r2), u, b1, b2))
+                        pairs.append(CriticalPair(r1.tag, r2.tag, u, b1, b2))
     return ConfluenceReport(p.name, pairs)
 
 
 def _wrap(head: Word, x: Element, tail: Word) -> Element:
     """head.x.tail for words head and tail."""
     return Element({head + w + tail: c for w, c in x.items()}, _trusted=True)
-
-
-def _tag(rule: RewriteRule) -> str:
-    return rule.provenance or ".".join(rule.lhs)
 
 
 def normal_words(p: Presentation, max_len: int,

@@ -77,7 +77,7 @@ def builtin_id(p: Presentation) -> str | None:
 def free_presentation(*names: str) -> Presentation:
     """A free algebra on even generators (no rules; normalize is identity)."""
     return Presentation("free", [Generator(n, 0) for n in names],
-                        TerminationOrder("deglex"), [], form_position=None)
+                        TerminationOrder("deglex"), [])
 
 
 def preset_without_rule(p: Presentation, lhs: str) -> Presentation:
@@ -87,7 +87,7 @@ def preset_without_rule(p: Presentation, lhs: str) -> Presentation:
     if len(rules) == len(p.rules):
         raise KeyError(f"no rule with LHS {lhs} in {p.name}")
     return Presentation(f"{p.name}-without-{lhs}", p.generators, p.order, rules,
-                        form_position=p.form_position, tags=p.tags, calculus=p.calculus)
+                        calculus=p.calculus)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,7 @@ def tensor_square(p: Presentation) -> Presentation:
             rules.append(RewriteRule(
                 (g2.name + "2", g1.name + "1"),
                 Element.word(g1.name + "1", g2.name + "2"), "tensor"))
-    return Presentation(p.name + "-tensor", gens, p.order, rules,
-                        form_position=None, tags=p.tags)
+    return Presentation(p.name + "-tensor", gens, p.order, rules)
 
 
 def _coproduct_images() -> dict:

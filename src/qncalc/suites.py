@@ -434,16 +434,22 @@ def _run_share(share: list, cfgs: dict) -> dict:
 def _run_shares(shares: list, cfgs: dict) -> dict:
     """{(suite, preset id): checks} of the jobs of every share.  The first
     share runs here; each other one runs in a forked child, which sends
-    its checks back as a pickle over its own pipe.  A child that sends
-    nothing, because its share raised or it ended early, has its share
-    run again here, so a failure is raised as it is in one process.
+    its checks back as a pickle over its own pipe.  A share whose fork
+    fails, or whose child sends nothing (its share raised or it ended
+    early), runs here, so a failure is raised as it is in one process.
     Every child is reaped, and on an exception here it is sent SIGTERM
     first."""
     results, children = {}, {}
     try:
         for share in shares[1:]:
             read, write = os.pipe()
-            child = os.fork()
+            try:
+                child = os.fork()
+            except OSError:         # no child: close its pipe and run the share here
+                os.close(read)
+                os.close(write)
+                results.update(_run_share(share, cfgs))
+                continue
             if child == 0:
                 _send(read, write, share, cfgs)         # ends the child
             os.close(write)

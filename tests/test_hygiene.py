@@ -6,7 +6,8 @@ used somewhere, the engine layers import nothing from ``reports`` or
 breaks the dsl cycle, one loop merges scaled terms into word ->
 coefficient dicts, no family of identities is judged by ``Check.of``, and
 no calculus function takes a calculus beside the presentation that
-declares it."""
+declares it, and where the forms sit and what a rule is called in
+messages are each decided in one place."""
 
 import ast
 import importlib
@@ -169,3 +170,49 @@ def test_the_calculus_is_read_from_the_presentation():
     both = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
             and {"d", "p"} <= {a.arg for a in fn.args.args + fn.args.kwonlyargs}]
     assert both == []
+
+
+def _placed(path: Path):
+    """(module.Class.function that encloses it, node) for every node of
+    ``path``; a def or class is placed inside itself."""
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            scope = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            inner = f"{where}.{child.name}" if scope else where
+            yield inner, child
+            yield from walk(child, inner)
+
+    yield from walk(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+
+
+def _stores(node) -> set:
+    """The names and attributes an assignment statement binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign, ast.NamedExpr)):
+        targets = [node.target]
+    else:
+        return set()
+    return {n.id if isinstance(n, ast.Name) else n.attr for t in targets
+            for n in ast.walk(t) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_where_the_forms_sit_and_a_rules_tag_are_decided_once():
+    # Presentation.__init__ derives form_position from the calculus or the
+    # migration order, and RewriteRule.tag names a rule; a keyword that
+    # passes form_position or tags, another assignment of form_position or
+    # another "provenance or ..." is a second copy of one of them
+    passed, assigned, tagged = [], set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for where, node in _placed(path):
+            if isinstance(node, ast.keyword) and node.arg in ("form_position", "tags"):
+                passed.append(f"{where}: {node.arg}=")
+            if "form_position" in _stores(node):
+                assigned.add(where)
+            if (isinstance(node, ast.BoolOp) and isinstance(node.op, ast.Or)
+                    and isinstance(node.values[0], ast.Attribute)
+                    and node.values[0].attr == "provenance"):
+                tagged.add(where)
+    assert passed == []
+    assert assigned == {"ncalg.Presentation.__init__"}
+    assert tagged == {"ncalg.RewriteRule.tag"}

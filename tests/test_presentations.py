@@ -4,17 +4,21 @@ from collections import Counter
 from importlib.resources import files
 from itertools import combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from qncalc.ncalg import (
     Element,
+    Presentation,
+    RewriteRule,
     check_local_confluence,
     normal_words,
     normalize,
     validate_presentation,
 )
 from qncalc.calculus import (
+    diff_presentation,
     interchange_left_to_right,
     interchange_right_to_left,
     reduction_morphisms,
@@ -26,11 +30,12 @@ from qncalc.presentations import (
     epsilon_identity_residuals,
     free_presentation,
     preset,
+    preset_without_rule,
     qdet,
     tensor_square,
 )
 from qncalc.dsl import parse_presentation
-from qncalc.qfield import Scalar
+from qncalc.qfield import ONE, Scalar
 
 q = Scalar.q_power
 w = Element.word
@@ -197,6 +202,68 @@ def test_plane_projection_kills_relation():
     assert normalize(w("b.d") - q(1) * w("d.b"), plane).is_zero  # xy = q yx
 
 
+# -- the matrjoshka is exact ----------------------------------------------------
+#
+# reduction[...] shows J <= I_target, J the ideal of the images of the
+# source rules.  Oriented on their largest words and interreduced, the
+# images are a locally confluent system for J whose normal words count as
+# the target's, and every target rule normalizes to 0 in it, so
+# I_target <= J: each target is exactly the source with D = 1, c = 0 or
+# b = 0, and has no relation beyond those.
+
+def _images(m) -> list:
+    return [m.apply(r.relation(), normalized=False) for r in preset(m.source).rules]
+
+
+def _oriented(images, target) -> Presentation:
+    """The images, each reduced by the rules taken before it and, unless
+    that gives 0, oriented on its largest word in ``target``'s order."""
+    rules = []
+    for x in images:
+        x = normalize(x, Presentation("J", target.generators, target.order, rules))
+        if not x.is_zero:
+            lead = max(x.words(), key=lambda u: target.order.key(
+                u, target.parity, target.precedence))
+            coef = x.coeff(lead)
+            rules.append(RewriteRule(lead, (x - Element.term(coef, lead)).scale(-(ONE / coef)),
+                                     f"J{len(rules)}"))
+    return Presentation("J", target.generators, target.order, rules)
+
+
+def _inexact(j, target) -> list:
+    """What keeps the ideal that ``j`` presents from being ``target``'s:
+    empty when it is."""
+    return ((["J not locally confluent"] if not check_local_confluence(j).confluent else [])
+            + (["normal words differ"] if pbw_counts(j) != pbw_counts(target) else [])
+            + [f"{r.tag} not in J" for r in target.rules
+               if not normalize(r.relation(), j).is_zero])
+
+
+@pytest.mark.parametrize("m, size", [(m, 25 if m.source.startswith("glq2") else 13)
+                                     for m in reduction_morphisms()],
+                         ids=lambda v: getattr(v, "name", str(v)))
+def test_each_reduction_is_the_quotient_by_the_moved_generators(m, size):
+    j = _oriented(_images(m), m.target)
+    assert _inexact(j, m.target) == []
+    assert len(j.rules) == size
+
+
+@pytest.mark.parametrize("m", reduction_morphisms(), ids=lambda m: m.name)
+def test_dropping_a_source_rule_breaks_exactness_unless_its_image_is_0(m):
+    # a mutation check: 25 of the 51 GL drops and 13 of the 25 SL drops fail
+    images = _images(m)
+    broken = [bool(_inexact(_oriented(images[:i] + images[i + 1:], m.target), m.target))
+              for i in range(len(images))]
+    assert broken == [not x.is_zero for x in images]
+    assert sum(broken) == (25 if m.source.startswith("glq2") else 13)
+
+
+def test_a_target_with_an_extra_rule_is_not_the_quotient():
+    target = parse_presentation("name slq2-left\nextends slq2-left\nrule c.b.a -> 0\n")
+    j = _oriented(_images(reduction_morphisms()[0]), target)
+    assert _inexact(j, target) == ["user:3 not in J"]
+
+
 # -- interchange --------------------------------------------------------------------
 
 def test_interchange_maps_left_rules_into_right_ideal():
@@ -222,6 +289,46 @@ def test_interchange_is_involutive_on_rules():
         once = fwd.apply(r.relation(), normalized=False)
         twice = back.apply(once, normalized=False)
         assert normalize(twice - r.relation(), p).is_zero
+
+
+# -- where the forms sit --------------------------------------------------------------
+
+# every system's form_position: the side opposite a calculus, else a
+# migration order's side, else None
+FORM_POSITIONS = {
+    "glq2": None, "slq2-left": "right", "slq2-right": "left",
+    "glq2-left": "right", "glq2-right": "left",
+    "qplane-left-c0": "right", "qplane-left-b0": "right",
+    "qplane-right-c0": "left", "qplane-right-b0": "left",
+    "slq2-left-diff": "right", "slq2-right-diff": "left",
+    "glq2-left-diff": "right", "glq2-right-diff": "left",
+    "qplane-left-c0-diff": "right", "qplane-left-b0-diff": "right",
+    "qplane-right-c0-diff": "left", "qplane-right-b0-diff": "left",
+    "q-line.preset": "right", "wz-plane.preset": None,
+    "free": None, "glq2-tensor": None, "glq2-left-without-a.b": "right",
+}
+
+
+def test_every_system_gets_the_form_position_its_declaration_gives():
+    examples = Path(__file__).resolve().parent.parent / "docs" / "examples"
+    systems = {pid: preset(pid) for pid in PRESET_IDS}
+    systems.update((f"{pid}-diff", diff_presentation(pid))
+                   for pid in PRESET_IDS if preset(pid).calculus)
+    systems.update((f.name, parse_presentation(f.read_text()))
+                   for f in sorted(examples.glob("*.preset")))
+    systems.update({"free": free_presentation("a", "b"),
+                    "glq2-tensor": tensor_square(preset("glq2")),
+                    "glq2-left-without-a.b": preset_without_rule(preset("glq2-left"), "a.b")})
+    assert {name: p.form_position for name, p in systems.items()} == FORM_POSITIONS
+
+
+def test_an_explicit_form_position_wins():
+    p = preset("glq2-left")
+    # the benchmark's positional copy: no calculus, a deglex order
+    copy = Presentation(p.name, p.generators, p.order, p.rules, p.form_position, p.tags)
+    assert (copy.calculus, copy.form_position) == (None, "right")
+    assert Presentation(p.name, p.generators, p.order, p.rules, "left",
+                        calculus=p.calculus).form_position == "left"
 
 
 # -- free presentation ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Suite runner, JSON reports, schema validation, CLI exit codes."""
 
+import errno
 import json
 import os
 import random
@@ -550,6 +551,31 @@ def test_a_child_that_ends_inside_a_suite_leaves_the_one_process_report(monkeypa
     _no_child_left()
     _cpus(monkeypatch, 1)
     assert _zeroed(forked) == _zeroed(run_all(seed=7))
+
+
+def test_a_share_whose_fork_fails_runs_here_and_closes_its_pipe(monkeypatch):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    opened, pipe = [], os.pipe
+
+    def recorded_pipe():
+        fds = pipe()
+        opened.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    _cpus(monkeypatch, 2)
+    report = run_all(seed=7)
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError) as info:
+            os.fstat(fd)
+        assert info.value.errno == errno.EBADF
+    _no_child_left()
+    _cpus(monkeypatch, 1)
+    assert _zeroed(report) == _zeroed(run_all(seed=7))
 
 
 @pytest.mark.parametrize("why", ["no os.fork", "no CPU affinity", "threads"])
