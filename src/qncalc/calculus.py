@@ -43,6 +43,7 @@ from .ncalg import (
     add_scaled,
     normal_words,
     normalize,
+    orient,
     validate_presentation,
 )
 from .presentations import ANTIPODE_IMAGES, Morphism, preset
@@ -317,11 +318,10 @@ def _derived(p: Presentation) -> Presentation:
     and emitted as a migration-ordered rule.  The result is the ground
     truth the printed relation tables are regression-compared against.
 
-    The calculus's ``dependencies`` are relations among the differentials
-    themselves (zero elements of the differential-mode algebra); each is
-    oriented on its largest word.  The unimodular presets need exactly
-    one: their form space is three-dimensional, so the four generator
-    differentials are linearly dependent over the algebra.
+    The calculus's ``dependencies`` are zero relations among the
+    differentials (three forms span the unimodular presets' four).  They
+    are oriented first, on their largest words, and reduce every derived
+    right-hand side once; no derived rule rewrites before validation.
 
     A calculus whose forms cannot be converted (a term with other than
     one form, a form off its boundary slot or without a ``form`` line),
@@ -337,6 +337,8 @@ def _derived(p: Presentation) -> Presentation:
                   if all(p.parity[g] == 0 for g in r.lhs)
                   and all(p.parity[g] == 0 for w_, _ in r.rhs.items() for g in w_)]
     skeleton = Presentation(p.name + "-diff-skeleton", gens, order, even_rules)
+    deps = orient(d.dependencies, skeleton, "derived-dependency")
+    skeleton = Presentation(skeleton.name, gens, order, even_rules + deps)
 
     def convert(form_mode: Element) -> Element:
         for word in form_mode.words():
@@ -357,26 +359,10 @@ def _derived(p: Presentation) -> Presentation:
                 lhs = (y, dx)
             rhs = normalize(convert(prod), skeleton)
             rules.append(RewriteRule(lhs, rhs, f"derived[{lhs[0]}.{lhs[1]}]"))
-    for dep in d.dependencies:
-        dep = normalize(dep, skeleton)
-        if dep.is_zero:
-            continue
-        lead = max(dep.words(),
-                   key=lambda w_: order.key(w_, skeleton.parity, skeleton.precedence))
-        coef = dep.coeff(lead)
-        rest = dep - Element.term(coef, lead)
-        rules.append(RewriteRule(lead, rest.scale(-(ONE / coef)),
-                                 f"derived-dependency[{'.'.join(lead)}]"))
-    out = Presentation(p.name + "-diff", gens, order, rules)
-    # canonicalize the derived right-hand sides against the full rule set
-    # (the unimodular dependency rule may reduce them further)
-    reduced = [r if not r.provenance.startswith("derived")
-               else RewriteRule(r.lhs, normalize(r.rhs, out), r.provenance)
-               for r in rules]
-    out = Presentation(out.name, gens, order, reduced)
+    out = Presentation(p.name + "-diff", gens, order, rules + deps)
     report = validate_presentation(out)
     if not report.valid:
-        raise ValueError(f"derived rules fail validation: {report.issues}")
+        raise ValueError(f"derived rules fail validation: {'; '.join(map(str, report.issues))}")
     return out
 
 

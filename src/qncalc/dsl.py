@@ -451,7 +451,7 @@ def parse_presentation(text: str) -> Presentation:
                      calculus=calculus)
     report = validate_presentation(p)
     if not report.valid:
-        msgs = "; ".join(f"[{i.rule}] {i.kind}: {i.message}" for i in report.issues)
+        msgs = "; ".join(map(str, report.issues))
         # the line of the first issue's rule, when its tag names one rule only
         lines = [n for r, n in zip(rules, rule_lines)
                  if r.tag == report.issues[0].rule]

@@ -322,6 +322,9 @@ class ValidationIssue(NamedTuple):
     kind: str
     message: str
 
+    def __str__(self) -> str:
+        return f"[{self.rule}] {self.kind}: {self.message}"
+
 
 class ValidationReport(NamedTuple):
     presentation: str
@@ -788,6 +791,21 @@ def add_scaled(out: dict, terms, coef: Scalar) -> None:
             out.pop(w, None)
         else:
             out[w] = s
+
+
+def orient(xs, p: Presentation, tag: str) -> list:
+    """Each element of ``xs`` in turn, normalized by ``p``'s rules and the
+    rules taken before it and, unless that gives 0, oriented on its largest
+    word in ``p.order`` as a monic rule tagged ``tag[word]``."""
+    rules: list = []
+    for x in xs:
+        x = normalize(x, Presentation(p.name, p.generators, p.order, p.rules + tuple(rules)))
+        if not x.is_zero:
+            lead = max(x.words(), key=lambda w: p.order.key(w, p.parity, p.precedence))
+            coef = x.coeff(lead)
+            rules.append(RewriteRule(lead, (x - Element.term(coef, lead)).scale(-(ONE / coef)),
+                                     f"{tag}[{'.'.join(lead)}]"))
+    return rules
 
 
 def random_strategy_normalize(x: Element, p: Presentation, seed: int,

@@ -6,8 +6,9 @@ used somewhere, the engine layers import nothing from ``reports`` or
 breaks the dsl cycle, one loop merges scaled terms into word ->
 coefficient dicts, no family of identities is judged by ``Check.of``, and
 no calculus function takes a calculus beside the presentation that
-declares it, and where the forms sit and what a rule is called in
-messages are each decided in one place."""
+declares it, and where the forms sit, what a rule is called in messages
+and how an element is oriented on its largest word are each decided in
+one place."""
 
 import ast
 import importlib
@@ -216,3 +217,21 @@ def test_where_the_forms_sit_and_a_rules_tag_are_decided_once():
     assert passed == []
     assert assigned == {"ncalg.Presentation.__init__"}
     assert tagged == {"ncalg.RewriteRule.tag"}
+
+
+def _keyed_by_an_order(node) -> bool:
+    """Whether ``node`` is a ``max(...)`` whose ``key`` calls ``.key(``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "max"
+            and any(k.arg == "key" and any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "key" for n in ast.walk(k.value)) for k in node.keywords))
+
+
+def test_orientation_on_the_largest_word_is_written_once():
+    # ncalg.orient turns elements into rules on their largest words in an
+    # order; a max keyed by an order's key elsewhere is a second copy of it
+    root = SRC.parent.parent
+    paths = sorted(SRC.glob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    assert {where for path in paths for where, node in _placed(path)
+            if _keyed_by_an_order(node)} == {"ncalg.orient"}

@@ -27,11 +27,12 @@ from qncalc.ncalg import (
     check_local_confluence,
     normal_words,
     normalize,
+    orient,
     random_strategy_normalize,
     validate_presentation,
     _Steps,
 )
-from qncalc.presentations import PRESET_IDS, preset, preset_without_rule
+from qncalc.presentations import PRESET_IDS, free_presentation, preset, preset_without_rule
 from qncalc.qfield import ONE, Scalar
 
 q = Scalar.q_power
@@ -769,6 +770,18 @@ def test_validate_reports_unknown_generator():
     p = Presentation("p", gens, TerminationOrder("deglex"), [rule])
     rep = validate_presentation(p)
     assert any(i.kind == "unknown-generator" for i in rep.issues)
+
+
+def test_orient_takes_one_monic_rule_per_independent_element():
+    # the second input is q^-1 times the first, so it reduces to 0 by the
+    # rule the first gives and adds none
+    p = free_presentation("x", "y")
+    xs = [w("y.x") - q(1) * w("x.y"), q(-1) * w("y.x") - w("x.y")]
+    rules = orient(xs, p, "t")
+    assert [(r.lhs, r.rhs, r.tag) for r in rules] == [(("y", "x"), q(1) * w("x.y"), "t[y.x]")]
+    extended = Presentation("j", p.generators, p.order, rules)
+    assert all(normalize(x, extended).is_zero for x in xs)
+    assert validate_presentation(extended).valid
 
 
 # -- confluence --------------------------------------------------------------------

@@ -11,10 +11,10 @@ import pytest
 from qncalc.ncalg import (
     Element,
     Presentation,
-    RewriteRule,
     check_local_confluence,
     normal_words,
     normalize,
+    orient,
     validate_presentation,
 )
 from qncalc.calculus import (
@@ -35,7 +35,7 @@ from qncalc.presentations import (
     tensor_square,
 )
 from qncalc.dsl import parse_presentation
-from qncalc.qfield import ONE, Scalar
+from qncalc.qfield import Scalar
 
 q = Scalar.q_power
 w = Element.word
@@ -216,18 +216,9 @@ def _images(m) -> list:
 
 
 def _oriented(images, target) -> Presentation:
-    """The images, each reduced by the rules taken before it and, unless
-    that gives 0, oriented on its largest word in ``target``'s order."""
-    rules = []
-    for x in images:
-        x = normalize(x, Presentation("J", target.generators, target.order, rules))
-        if not x.is_zero:
-            lead = max(x.words(), key=lambda u: target.order.key(
-                u, target.parity, target.precedence))
-            coef = x.coeff(lead)
-            rules.append(RewriteRule(lead, (x - Element.term(coef, lead)).scale(-(ONE / coef)),
-                                     f"J{len(rules)}"))
-    return Presentation("J", target.generators, target.order, rules)
+    """The images, oriented in ``target``'s order by :func:`orient`."""
+    return Presentation("J", target.generators, target.order, orient(
+        images, Presentation("J", target.generators, target.order, []), "J"))
 
 
 def _inexact(j, target) -> list:

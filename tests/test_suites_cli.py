@@ -270,6 +270,24 @@ def test_underivable_differential_system_is_a_failed_check():
     assert checks[1].residual == "form th has no form line"
 
 
+def test_derived_rules_that_do_not_decrease_are_a_failed_check():
+    # with its form reversed, del_x.x derives to q^2 x.x.del_x.xi, which is
+    # larger: the derivation validates it before anything rewrites with it
+    text = EXAMPLES.joinpath("q-line.preset").read_text()
+    p = parse_presentation(text.replace("form th -> xi.del_x", "form th -> del_x.xi"))
+    rep = run_suite(SuiteConfig(p, suites=("classical-limit",)))
+    checks = rep.suites[0].checks
+    assert [(c.name, c.status) for c in checks] == [
+        ("classical-limit[q-line]", "pass"), ("classical-limit[q-line-diff]", "fail")]
+    assert checks[1].residual.startswith("derived rules fail validation:")
+    assert "[derived[del_x.x]] orientation:" in checks[1].residual
+    # the same on a calculus with a dependency, which is oriented first
+    sl = parse_presentation("name slq2-left-th1-reversed\nextends slq2-left\n"
+                            "form th1 -> del_a.d - q^-1 del_c.b\n")
+    with pytest.raises(ValueError, match="derived rules fail validation"):
+        diff_presentation(sl)
+
+
 def test_a_form_off_its_slot_fails_the_derived_system_and_names_its_word():
     # without th.x -> q^2 x.th, d(x).x keeps its form inside x.th.x
     text = EXAMPLES.joinpath("q-line.preset").read_text()
